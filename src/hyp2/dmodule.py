@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hyperbolic import TOL, Hyperbolic, _coerce
+from .hyperbolic import TOL, Hyperbolic, _as_scalar, _coerce
 
 #: Residual tolerance for rank / span-membership decisions.
 SPAN_TOL = 1e-9
@@ -113,9 +113,8 @@ class DVector:
         return DVector.from_components(-self.c1, -self.c2)
 
     def __mul__(self, alpha) -> "DVector":
-        try:
-            alpha = _coerce(alpha)
-        except TypeError:
+        alpha = _as_scalar(alpha)
+        if alpha is None:
             return NotImplemented
         # scalar action splits: (alpha*x)_l = alpha_l * x_l
         return DVector.from_components(alpha.p * self.c1, alpha.q * self.c2)

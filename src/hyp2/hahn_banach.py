@@ -90,6 +90,33 @@ def _component_wbasis(domain: DSubmodule, comp: int, z: np.ndarray) -> np.ndarra
     return np.array(rows)
 
 
+def _cyclic_coeffs(z: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Solve y = alpha * z in one component, row-wise for a stack of y.
+
+    Raises ValueError when some y lies outside span(z), the component of [z].
+    """
+    nz2 = float(z @ z)
+    if nz2 <= TOL * TOL:
+        if float(np.max(np.abs(y), initial=0.0)) > tol:
+            raise ValueError("second argument lies outside the cyclic domain [z]")
+        return np.zeros(y.shape[:-1])
+    a = (y @ z) / nz2
+    resid = np.linalg.norm(y - a[..., None] * z, axis=-1)
+    if np.any(resid > tol * (1.0 + np.linalg.norm(y, axis=-1))):
+        raise ValueError("second argument lies outside the cyclic domain [z]")
+    return a
+
+
+def _domain_stack(domain: DSubmodule, coeffs: np.ndarray) -> np.ndarray:
+    """The (2, m, n) component stack of m domain elements.
+
+    Row i of coeffs holds the k1 + k2 coordinates of element i in the
+    orthonormal component bases, first component first.
+    """
+    k1 = domain.dims[0]
+    return np.stack((coeffs[:, :k1] @ domain.q1, coeffs[:, k1:] @ domain.q2))
+
+
 class RestrictedFunctional:
     """A bounded 2-functional on M x [z], stored by per-component moment vectors.
 
@@ -140,21 +167,8 @@ class RestrictedFunctional:
 
     def _alpha_of(self, y: DVector, tol: float = 1e-9) -> tuple[float, float]:
         """Solve y = alpha * z componentwise; reject y outside [z]."""
-        alphas = []
-        for comp in (0, 1):
-            zc = self.z.split()[comp]
-            yc = y.split()[comp]
-            nz2 = float(zc @ zc)
-            if nz2 <= TOL * TOL:
-                if float(np.max(np.abs(yc), initial=0.0)) > tol:
-                    raise ValueError("second argument lies outside the cyclic domain [z]")
-                alphas.append(0.0)
-                continue
-            a = float(zc @ yc) / nz2
-            if float(np.linalg.norm(yc - a * zc)) > tol * (1.0 + float(np.linalg.norm(yc))):
-                raise ValueError("second argument lies outside the cyclic domain [z]")
-            alphas.append(a)
-        return alphas[0], alphas[1]
+        a1, a2 = (float(_cyclic_coeffs(zc, yc, tol)) for zc, yc in zip(self.z.split(), y.split()))
+        return a1, a2
 
     def evaluate(self, x: DVector, y: DVector, check_domain: bool = True) -> Hyperbolic:
         """Value at (x, y) with x in M and y in [z]."""
@@ -373,41 +387,69 @@ class ExtensionTrace:
         norm_rel_tol: float = 1e-5,
     ) -> dict:
         """Independent checks: restriction agreement, brackets, pointwise
-        bound, and a sampled-supremum recomputation of the extended norm."""
+        bound, and a sampled-supremum recomputation of the extended norm.
+
+        Restriction: F(x, alpha z) is compared with alpha * x' C z on
+        `samples` random pairs of M x [z].  restriction_max_err is the largest
+        absolute difference and restriction_rel_err that difference over the
+        largest |alpha| * ||x|| * ||C z|| of the samples (0 for no difference,
+        inf for a difference at zero scale); restriction_ok compares the
+        relative error with restriction_tol, so the verdict does not depend on
+        the scale of f, z or M.
+
+        Seed contract: one generator seeded by `seed` supplies, in order, a
+        (samples, k1 + k2 + 2) standard-normal block for the restriction
+        check (per row the coordinates of x in M's orthonormal component
+        bases, then alpha's two idempotent coordinates), one (m, kk1 + kk2)
+        block per extension step for the pointwise bound, with
+        m = max(8, samples // max(1, 4 * steps)) and kk the step's domain
+        dimensions, and then the draws of the norm recomputation.  The stream
+        matches one scalar draw after another in that order.
+        """
         rng = np.random.default_rng(seed)
         prob = self.problem
         n = prob.n
 
         # restriction agreement against the original matrix data on M x [z]
-        restr_err = 0.0
-        k1, k2 = prob.M.dims
-        cz = [prob.functional.C1 @ prob.z.c1, prob.functional.C2 @ prob.z.c2]
-        for _ in range(samples):
-            x1 = rng.standard_normal(k1) @ prob.M.q1 if k1 else np.zeros(n)
-            x2 = rng.standard_normal(k2) @ prob.M.q2 if k2 else np.zeros(n)
-            alpha = Hyperbolic(*rng.standard_normal(2))
-            x = DVector.from_components(x1, x2)
-            y = alpha * prob.z
-            f_val = Hyperbolic(alpha.p * float(x1 @ cz[0]), alpha.q * float(x2 @ cz[1]))
-            F_val = self.final.evaluate(x, y, check_domain=False)
-            restr_err = max(restr_err, (F_val - f_val).max_abs())
+        k = sum(prob.M.dims)
+        draws = rng.standard_normal((samples, k + 2))
+        xs = _domain_stack(prob.M, draws[:, :k])
+        alpha = draws[:, k:].T
+        z = np.stack(prob.z.split())
+        cz = np.stack((prob.functional.C1 @ z[0], prob.functional.C2 @ z[1]))
+        f_vals = alpha * np.einsum("cmn,cn->cm", xs, cz)
+        ys = alpha[:, :, None] * z[:, None, :]
+        a = np.stack([_cyclic_coeffs(zc, yc) for zc, yc in zip(self.final.z.split(), ys)])
+        w = np.stack((self.final.w1, self.final.w2))
+        F_vals = a * np.einsum("cmn,cn->cm", xs, w)
+        restr_err = float(np.max(np.abs(F_vals - f_vals), initial=0.0))
+        scale = np.abs(alpha) * np.linalg.norm(xs, axis=-1) * np.linalg.norm(cz, axis=-1)[:, None]
+        restr_scale = float(np.max(scale, initial=0.0))
+        if restr_err == 0.0:
+            restr_rel = 0.0
+        else:
+            restr_rel = restr_err / restr_scale if restr_scale > 0.0 else float("inf")
 
         # brackets m0 <=' r <=' m on every step
         brackets_ok = all(s.m0.leq(s.r) and s.r.leq(s.m) for s in self.steps)
 
         # pointwise bound |f(x,z) + r|_k <=' |f| * norm(x + x', z) per step
-        pointwise_excess = 0.0
         rf_states = [self.worked.restriction()] + [s.g for s in self.steps]
         nf = self.norm_f
+        zw = np.stack(self.worked.z.split())
+        per_step = max(8, samples // max(1, len(self.steps) * 4))
+        excesses = []
         for state, step in zip(rf_states[:-1], self.steps):
-            kk1, kk2 = state.domain.dims
-            for _ in range(max(8, samples // max(1, len(self.steps) * 4))):
-                x1 = rng.standard_normal(kk1) @ state.domain.q1 if kk1 else np.zeros(n)
-                x2 = rng.standard_normal(kk2) @ state.domain.q2 if kk2 else np.zeros(n)
-                x = DVector.from_components(x1, x2)
-                lhs = (state.evaluate(x, self.worked.z, check_domain=False) + step.r).modulus()
-                rhs = nf * self.worked.norm(x + step.x_prime, self.worked.z)
-                pointwise_excess = max(pointwise_excess, lhs.p - rhs.p, lhs.q - rhs.q)
+            draws = rng.standard_normal((per_step, sum(state.domain.dims)))
+            xs = _domain_stack(state.domain, draws)
+            a = np.stack([_cyclic_coeffs(zc, yc) for zc, yc in zip(state.z.split(), zw)])
+            w = np.stack((state.w1, state.w2))
+            lhs = np.abs(a[:, None] * np.einsum("cmn,cn->cm", xs, w) + [[step.r.p], [step.r.q]])
+            shifted = xs + np.stack(step.x_prime.split())[:, None, :]
+            grams = wedge_area_batch(shifted.reshape(-1, n), np.repeat(zw, per_step, axis=0))
+            rhs = [[nf.p], [nf.q]] * grams.reshape(2, per_step)
+            excesses.append(np.max(lhs - rhs))
+        pointwise_excess = float(np.max(excesses, initial=0.0))
 
         # independent norm recomputation: sampled supremum of the modulus
         # quotient over X x [z'], polished by hill climbing
@@ -427,7 +469,8 @@ class ExtensionTrace:
 
         out = {
             "restriction_max_err": restr_err,
-            "restriction_ok": restr_err <= restriction_tol,
+            "restriction_rel_err": restr_rel,
+            "restriction_ok": restr_rel <= restriction_tol,
             "brackets_ok": brackets_ok,
             "pointwise_bound_excess": pointwise_excess,
             "pointwise_ok": pointwise_excess <= 1e-9,

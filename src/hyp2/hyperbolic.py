@@ -35,13 +35,25 @@ class OrderResult(Enum):
     INCOMPARABLE = "incomparable"
 
 
-def _coerce(value) -> "Hyperbolic":
+def _as_scalar(value) -> "Hyperbolic | None":
+    """The value as a hyperbolic scalar, or None when it is not a scalar.
+
+    Arithmetic dunders use this to return NotImplemented for a vector or
+    functional operand without formatting it into a discarded exception.
+    """
     if isinstance(value, Hyperbolic):
         return value
     if isinstance(value, numbers.Real):
         v = float(value)
         return Hyperbolic(v, v)
-    raise TypeError(f"cannot interpret {value!r} as a hyperbolic scalar")
+    return None
+
+
+def _coerce(value) -> "Hyperbolic":
+    out = _as_scalar(value)
+    if out is None:
+        raise TypeError(f"cannot interpret {value!r} as a hyperbolic scalar")
+    return out
 
 
 class Hyperbolic:
@@ -80,48 +92,42 @@ class Hyperbolic:
     # -- ring operations (all coordinatewise) ---------------------------
 
     def __add__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
+        other = _as_scalar(other)
+        if other is None:
             return NotImplemented
         return Hyperbolic(self.p + other.p, self.q + other.q)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
+        other = _as_scalar(other)
+        if other is None:
             return NotImplemented
         return Hyperbolic(self.p - other.p, self.q - other.q)
 
     def __rsub__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
+        other = _as_scalar(other)
+        if other is None:
             return NotImplemented
         return Hyperbolic(other.p - self.p, other.q - self.q)
 
     def __mul__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
+        other = _as_scalar(other)
+        if other is None:
             return NotImplemented
         return Hyperbolic(self.p * other.p, self.q * other.q)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
+        other = _as_scalar(other)
+        if other is None:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
+        other = _as_scalar(other)
+        if other is None:
             return NotImplemented
         return other * self.inverse()
 
@@ -197,9 +203,8 @@ class Hyperbolic:
     # -- misc --------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        try:
-            other = _coerce(other)
-        except TypeError:
+        other = _as_scalar(other)
+        if other is None:
             return NotImplemented
         return abs(self.p - other.p) <= TOL and abs(self.q - other.q) <= TOL
 

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .dmodule import DimensionMismatch, DVector
-from .hyperbolic import Hyperbolic, _coerce, sup_d
+from .hyperbolic import Hyperbolic, _as_scalar, sup_d
 from .two_norm import D2Norm, wedge_area_batch
 
 #: Absolute bound on the symmetric part accepted at construction / on load.
@@ -84,9 +84,8 @@ class DBilinear2Functional:
     evaluate = __call__
 
     def __mul__(self, alpha) -> "DBilinear2Functional":
-        try:
-            alpha = _coerce(alpha)
-        except TypeError:
+        alpha = _as_scalar(alpha)
+        if alpha is None:
             return NotImplemented
         return DBilinear2Functional(alpha.p * self.C1, alpha.q * self.C2)
 

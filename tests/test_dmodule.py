@@ -66,6 +66,19 @@ class TestScalarAction:
         assert np.array_equal(kx.c1, x.c1)
         assert np.array_equal(kx.c2, -x.c2)
 
+    def test_both_operand_orders_skip_repr(self, monkeypatch):
+        # Hyperbolic.__mul__ hands a DVector back to DVector.__rmul__ without
+        # formatting the vector into a discarded TypeError message
+        def no_repr(self):
+            raise AssertionError("DVector.__repr__ called during scalar action")
+
+        h = Hyperbolic(1.5, -0.25)
+        v = dvec([1.0, 2.0, 3.0], [-1.0, 0.5, 4.0])
+        monkeypatch.setattr(DVector, "__repr__", no_repr)
+        hv, vh = h * v, v * h
+        assert np.array_equal(hv.c1, vh.c1) and np.array_equal(hv.c2, vh.c2)
+        assert hv == vh
+
     def test_add_sub_neg(self):
         x = dvec([1.0, 0.0], [0.0, 1.0])
         y = dvec([0.0, 1.0], [1.0, 0.0])

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyp2 import (
     D2Norm,
@@ -21,6 +24,7 @@ from hyp2 import (
     normalize_degenerate_z,
     one_step_extend,
 )
+from hyp2.hahn_banach import _ratio_sup
 
 NORM = D2Norm()
 
@@ -447,3 +451,196 @@ class TestProblemIO:
                 DBilinear2Functional.zero(2),
                 D2Norm(BrokenTriangle2Norm(), None),
             )
+
+
+def reference_audit(trace, samples: int, seed: int) -> dict:
+    """The per-sample audit loop that ExtensionTrace.audit replaced.
+
+    Draws one scalar block after another from the same seeded stream and
+    evaluates every sample through Hyperbolic/DVector objects; kept here as
+    the oracle of the batched audit.
+    """
+    rng = np.random.default_rng(seed)
+    prob = trace.problem
+    n = prob.n
+    restr_err = 0.0
+    k1, k2 = prob.M.dims
+    cz = [prob.functional.C1 @ prob.z.c1, prob.functional.C2 @ prob.z.c2]
+    for _ in range(samples):
+        x1 = rng.standard_normal(k1) @ prob.M.q1 if k1 else np.zeros(n)
+        x2 = rng.standard_normal(k2) @ prob.M.q2 if k2 else np.zeros(n)
+        alpha = Hyperbolic(*rng.standard_normal(2))
+        x = DVector.from_components(x1, x2)
+        f_val = Hyperbolic(alpha.p * float(x1 @ cz[0]), alpha.q * float(x2 @ cz[1]))
+        F_val = trace.final.evaluate(x, alpha * prob.z, check_domain=False)
+        restr_err = max(restr_err, (F_val - f_val).max_abs())
+    brackets_ok = all(s.m0.leq(s.r) and s.r.leq(s.m) for s in trace.steps)
+    pointwise_excess = 0.0
+    rf_states = [trace.worked.restriction()] + [s.g for s in trace.steps]
+    nf = trace.norm_f
+    for state, step in zip(rf_states[:-1], trace.steps):
+        kk1, kk2 = state.domain.dims
+        for _ in range(max(8, samples // max(1, len(trace.steps) * 4))):
+            x1 = rng.standard_normal(kk1) @ state.domain.q1 if kk1 else np.zeros(n)
+            x2 = rng.standard_normal(kk2) @ state.domain.q2 if kk2 else np.zeros(n)
+            x = DVector.from_components(x1, x2)
+            lhs = (state.evaluate(x, trace.worked.z, check_domain=False) + step.r).modulus()
+            rhs = nf * trace.worked.norm(x + step.x_prime, trace.worked.z)
+            pointwise_excess = max(pointwise_excess, lhs.p - rhs.p, lhs.q - rhs.q)
+    sup_vals = [
+        _ratio_sup(trace.final.moment(c), trace.worked.z.split()[c], n, rng) for c in (0, 1)
+    ]
+    rel = []
+    for got, want in zip(sup_vals, (nf.p, nf.q)):
+        if abs(want) <= 1e-12 and abs(got) <= 1e-12:
+            rel.append(0.0)
+        else:
+            rel.append(abs(got - want) / max(abs(want), 1e-12))
+    out = {
+        "restriction_max_err": restr_err,
+        "restriction_ok": restr_err <= 1e-10,
+        "pointwise_bound_excess": pointwise_excess,
+        "pointwise_ok": pointwise_excess <= 1e-9,
+        "norm_F_audit": {"p": sup_vals[0], "q": sup_vals[1]},
+        "norm_ok": max(rel) <= 1e-5,
+        "steps": len(trace.steps),
+    }
+    out["passed"] = all(out[k] for k in ("restriction_ok", "pointwise_ok", "norm_ok"))
+    out["passed"] = out["passed"] and brackets_ok
+    return out
+
+
+def fixed_problem(seed: int, n: int, dims, z_kind: str, scale=(1.0, 1.0, 1.0)) -> ExtensionProblem:
+    """A seeded problem with z full, zero, or vanishing in component 1 or 2;
+    scale multiplies (f, z, M's basis)."""
+    rng = np.random.default_rng(seed)
+    sf, sz, sm = scale
+    k1, k2 = dims
+    M = DSubmodule(n, sm * rng.standard_normal((k1, n)), sm * rng.standard_normal((k2, n)))
+    z1, z2 = rng.standard_normal(n), rng.standard_normal(n)
+    if z_kind in ("zero", "vanish1"):
+        z1 = np.zeros(n)
+    if z_kind in ("zero", "vanish2"):
+        z2 = np.zeros(n)
+    f = DBilinear2Functional.random(n, seed)
+    return ExtensionProblem(n, M, sz * dvec(z1, z2), sf * f)
+
+
+AUDIT_CASES = [
+    (0, 2, (0, 1), "full"),
+    (1, 2, (1, 0), "zero"),
+    (2, 2, (1, 1), "vanish1"),
+    (3, 3, (0, 2), "vanish2"),
+    (4, 3, (2, 0), "vanish1"),
+    (5, 8, (0, 7), "full"),
+    (6, 8, (7, 0), "vanish2"),
+    (7, 8, (3, 5), "vanish1"),
+    (8, 8, (7, 7), "zero"),
+    (9, 5, (4, 0), "full"),
+    (10, 4, (0, 0), "full"),
+]
+
+
+class TestAuditBatched:
+    @pytest.mark.parametrize("seed,n,dims,z_kind", AUDIT_CASES)
+    def test_matches_per_sample_reference(self, seed, n, dims, z_kind):
+        trace = full_extend(fixed_problem(seed, n, dims, z_kind))
+        for samples in (1000, 37):
+            got = trace.audit(samples=samples, seed=seed)
+            want = reference_audit(trace, samples=samples, seed=seed)
+            for key in ("passed", "restriction_ok", "pointwise_ok", "norm_ok", "steps"):
+                assert got[key] == want[key], key
+            assert got["norm_F_audit"] == want["norm_F_audit"]
+            assert abs(got["restriction_max_err"] - want["restriction_max_err"]) <= 1e-12
+            assert abs(got["pointwise_bound_excess"] - want["pointwise_bound_excess"]) <= 1e-12
+            assert got["restriction_rel_err"] <= 1e-13
+
+    @pytest.mark.parametrize("seed,n,dims,z_kind", AUDIT_CASES)
+    def test_matches_reference_on_a_corrupted_trace(self, seed, n, dims, z_kind):
+        # F off on M and every r off its bracket: both errors then depend on
+        # which samples were drawn, so this pins the draw layout as well
+        trace = full_extend(fixed_problem(seed, n, dims, z_kind))
+        final = trace.final
+        steps = [dataclasses.replace(s, r=s.r + Hyperbolic(0.5, -0.25)) for s in trace.steps]
+        broken = dataclasses.replace(
+            trace,
+            final=RestrictedFunctional(final.domain, final.z, 1.001 * final.w1, final.w2 - 0.01),
+            steps=steps,
+        )
+        got = broken.audit(samples=300, seed=seed)
+        want = reference_audit(broken, samples=300, seed=seed)
+        for key in ("passed", "restriction_ok", "pointwise_ok", "norm_ok"):
+            assert got[key] == want[key], key
+        for key in ("restriction_max_err", "pointwise_bound_excess"):
+            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=1e-12), key
+
+    def test_repaired_z_keeps_cyclic_membership_check(self):
+        trace = full_extend(fixed_problem(2, 3, (1, 1), "vanish1"))
+        assert trace.repaired
+        # a final functional whose generator no longer spans the original
+        # [z] in the surviving component must be rejected, as evaluate does
+        z1, z2 = trace.final.z.split()
+        rotated = RestrictedFunctional(
+            trace.final.domain, dvec(z1, np.roll(z2, 1)), trace.final.w1, trace.final.w2
+        )
+        broken = dataclasses.replace(trace, final=rotated)
+        with pytest.raises(ValueError, match="cyclic domain"):
+            broken.audit(samples=50)
+        with pytest.raises(ValueError, match="cyclic domain"):
+            reference_audit(broken, samples=50, seed=0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**16),
+        ks=st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)),
+    )
+    def test_scale_equivariance(self, seed, ks):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        dims = (int(rng.integers(0, n)), int(rng.integers(0, n)))
+        z_kind = ("full", "full", "vanish1", "vanish2")[seed % 4]
+        scale = tuple(10.0**k for k in ks)
+        base = full_extend(fixed_problem(seed, n, dims, z_kind))
+        trace = full_extend(fixed_problem(seed, n, dims, z_kind, scale))
+        audit = trace.audit(samples=200, seed=seed)
+        assert audit["restriction_rel_err"] <= 1e-12
+        assert audit["restriction_ok"]
+        for got, want in ((trace.norm_F.p, base.norm_F.p), (trace.norm_F.q, base.norm_F.q)):
+            assert got == pytest.approx(scale[0] * want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+    def test_corrupted_extension_fails_restriction(self, s):
+        trace = full_extend(fixed_problem(11, 3, (2, 2), "full", (s, s, s)))
+        assert trace.audit(samples=200)["restriction_ok"]
+        final = trace.final
+        # F off by a relative 1e-8 on M x [z]
+        corrupted = RestrictedFunctional(final.domain, final.z, final.w1 * (1 + 1e-8), final.w2)
+        audit = dataclasses.replace(trace, final=corrupted).audit(samples=200)
+        assert not audit["restriction_ok"] and not audit["passed"]
+        assert 1e-10 < audit["restriction_rel_err"] < 1e-7
+        if s < 1.0:
+            # an absolute tolerance cannot see the corruption at small scale
+            assert audit["restriction_max_err"] <= 1e-10
+
+    def test_vanishing_scale_z_is_flagged(self):
+        # z below the zero tolerance: the engine returns the zero extension,
+        # which disagrees with f on M x [z] relative to f's own scale
+        problem = fixed_problem(12, 3, (1, 2), "full", (1.0, 1e-13, 1.0))
+        trace = full_extend(problem)
+        audit = trace.audit(samples=200)
+        assert audit["restriction_max_err"] <= 1e-10
+        assert audit["restriction_rel_err"] > 1e-3
+        assert not audit["restriction_ok"] and not audit["passed"]
+
+    def test_zero_scale_disagreement_is_infinite(self):
+        n = 3
+        problem = ExtensionProblem(
+            n, DSubmodule.full(n), dvec([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+            DBilinear2Functional.zero(n),
+        )
+        trace = full_extend(problem)
+        assert trace.audit(samples=50)["restriction_rel_err"] == 0.0
+        bad = RestrictedFunctional(trace.final.domain, trace.final.z, [0.0, 1.0, 0.0], np.zeros(n))
+        audit = dataclasses.replace(trace, final=bad).audit(samples=50)
+        assert audit["restriction_rel_err"] == float("inf")
+        assert not audit["restriction_ok"]

@@ -201,6 +201,22 @@ class TestLattice:
             assert not all(v.leq(below) for v in vals)
 
 
+class TestNonScalarOperands:
+    def test_arithmetic_defers_to_the_other_operand(self):
+        z = Hyperbolic(1.0, 2.0)
+        assert z.__mul__("x") is NotImplemented
+        assert z.__add__([1.0]) is NotImplemented
+        with pytest.raises(TypeError):
+            z * "x"
+
+    def test_direct_callers_keep_the_coercion_error(self):
+        z = Hyperbolic(1.0, 2.0)
+        with pytest.raises(TypeError, match="cannot interpret"):
+            z.compare([1.0])
+        with pytest.raises(TypeError, match="cannot interpret"):
+            z.isclose("x")
+
+
 class TestJson:
     def test_roundtrip(self):
         z = Hyperbolic(1.25, -2.5)
