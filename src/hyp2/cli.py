@@ -43,7 +43,11 @@ def _tol(args, default: float) -> float:
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InstanceError(f"the report holds a non-finite value: {exc}") from exc
+    print(text)
 
 
 def _load_json(path: str) -> dict:
@@ -89,7 +93,7 @@ def _parse_instance(blob: dict, need: tuple[str, ...]) -> dict:
                     raise ValueError(f"{key} dimension differs from n")
     except KeyError as exc:
         raise InstanceError(f"instance is missing the {exc.args[0]!r} field") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InstanceError(str(exc)) from exc
     return out
 

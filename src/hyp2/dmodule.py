@@ -163,14 +163,17 @@ def is_zero_divisor_element(x: DVector, tol: float = TOL) -> bool:
     return x.is_zero_divisor(tol)
 
 
-def _dependent_pair(u: np.ndarray, v: np.ndarray, tol: float = SPAN_TOL) -> bool:
-    """Real dependence of two vectors via the orthogonalization residual."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu <= tol or nv <= tol:
-        return True
-    resid = v - u * (float(u @ v) / (nu * nu))
-    return float(np.linalg.norm(resid)) <= tol * max(1.0, nv)
+def _dependent_pair(u: np.ndarray, v: np.ndarray, tol: float = SPAN_TOL) -> np.ndarray:
+    """Real dependence of two vectors via the orthogonalization residual.
+
+    Row-wise over the last axis: a (m, n) pair of stacks gives m verdicts.
+    """
+    nu = np.linalg.norm(u, axis=-1)
+    nv = np.linalg.norm(v, axis=-1)
+    short = (nu <= tol) | (nv <= tol)
+    coef = np.einsum("...i,...i->...", u, v) / np.where(short, 1.0, nu * nu)
+    resid = np.linalg.norm(v - u * coef[..., None], axis=-1)
+    return short | (resid <= tol * np.maximum(1.0, nv))
 
 
 def linear_dependent(x: DVector, y: DVector, tol: float = SPAN_TOL) -> bool:
@@ -181,7 +184,7 @@ def linear_dependent(x: DVector, y: DVector, tol: float = SPAN_TOL) -> bool:
     pairs are dependent over the reals.
     """
     x._check_same(y)
-    return _dependent_pair(x.c1, y.c1, tol) and _dependent_pair(x.c2, y.c2, tol)
+    return bool(_dependent_pair(x.c1, y.c1, tol) and _dependent_pair(x.c2, y.c2, tol))
 
 
 def _orthonormal_rows(basis: np.ndarray, tol: float = SPAN_TOL) -> np.ndarray:
@@ -250,9 +253,6 @@ class DSubmodule:
     def component_q(self, comp: int) -> np.ndarray:
         return self.q1 if comp == 0 else self.q2
 
-    def component_basis(self, comp: int) -> np.ndarray:
-        return self.basis1 if comp == 0 else self.basis2
-
     def component_contains(self, comp: int, v: np.ndarray, tol: float = SPAN_TOL) -> bool:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
@@ -303,8 +303,11 @@ class DSubmodule:
         if not isinstance(obj, dict) or not {"n", "basis1", "basis2"} <= set(obj):
             raise ValueError("submodule object needs n, basis1 and basis2 keys")
         n = int(obj["n"])
-        return cls(n, np.array(obj["basis1"], dtype=float).reshape(-1, n),
-                   np.array(obj["basis2"], dtype=float).reshape(-1, n))
+        b1 = np.array(obj["basis1"], dtype=float).reshape(-1, n)
+        b2 = np.array(obj["basis2"], dtype=float).reshape(-1, n)
+        if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
+            raise ValueError("submodule basis has a non-finite entry")
+        return cls(n, b1, b2)
 
 
 def split(x: DVector) -> tuple[np.ndarray, np.ndarray]:

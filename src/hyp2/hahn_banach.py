@@ -35,7 +35,7 @@ import numpy as np
 
 from .dmodule import DSubmodule, DVector
 from .hyperbolic import TOL, Hyperbolic
-from .two_functional import DBilinear2Functional
+from .two_functional import SAMPLE_REJECT_TOL, DBilinear2Functional
 from .two_norm import D2Norm, wedge_area_batch
 
 
@@ -505,7 +505,17 @@ def _ratio_sup(
     w: np.ndarray, z: np.ndarray, n: int, rng: np.random.Generator,
     samples: int = 2000, climb: int = 80,
 ) -> float:
-    """sup_x |<w, x>| / gram(x, z): sampled then polished coordinatewise."""
+    """sup_x |<w, x>| / gram(x, z): sampled then polished coordinatewise.
+
+    Candidates with gram(x, z) <= SAMPLE_REJECT_TOL * ||x|| * ||z||, i.e.
+    x within an angle of about 1e-3 of the line of z, are rejected.  This
+    cannot lower the supremum: w is orthogonal to z, so the quotient depends
+    only on the direction of x's part orthogonal to z, and every such
+    direction has a representative orthogonal to z.  Near that line the
+    rounding residue of w along z, divided by the small gram, would
+    dominate the quotient; the test is relative, so it does not depend on
+    the scale of z.
+    """
     nz = float(np.linalg.norm(z))
     if nz <= TOL:
         return 0.0
@@ -513,7 +523,8 @@ def _ratio_sup(
     def ratio(xs: np.ndarray) -> np.ndarray:
         num = np.abs(xs @ w)
         den = wedge_area_batch(xs, np.broadcast_to(z, xs.shape))
-        return np.where(den > 1e-9, num / np.maximum(den, 1e-9), -1.0)
+        ok = den > SAMPLE_REJECT_TOL * nz * np.sqrt(np.einsum("ij,ij->i", xs, xs))
+        return np.where(ok, num / np.where(ok, den, 1.0), -1.0)
 
     xs = rng.standard_normal((samples, n))
     vals = ratio(xs)

@@ -232,10 +232,14 @@ class Hyperbolic:
         if not isinstance(obj, dict):
             raise ValueError(f"expected an object for a scalar, got {obj!r}")
         if "p" in obj and "q" in obj:
-            return cls(float(obj["p"]), float(obj["q"]))
-        if "a" in obj and "b" in obj:
-            return cls.from_cartesian(float(obj["a"]), float(obj["b"]))
-        raise ValueError(f"scalar object needs p/q or a/b keys, got {sorted(obj)}")
+            out = cls(float(obj["p"]), float(obj["q"]))
+        elif "a" in obj and "b" in obj:
+            out = cls.from_cartesian(float(obj["a"]), float(obj["b"]))
+        else:
+            raise ValueError(f"scalar object needs p/q or a/b keys, got {sorted(obj)}")
+        if not isfinite(out):
+            raise ValueError(f"scalar has a non-finite coordinate: {obj!r}")
+        return out
 
 
 ZERO = Hyperbolic(0.0, 0.0)

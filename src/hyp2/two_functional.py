@@ -16,8 +16,8 @@ from enum import Enum
 import numpy as np
 
 from .dmodule import DimensionMismatch, DVector
-from .hyperbolic import Hyperbolic, _as_scalar, sup_d
-from .two_norm import D2Norm, wedge_area_batch
+from .hyperbolic import Hyperbolic, _as_scalar
+from .two_norm import D2Norm, _split_draws, _stack_evaluator, wedge_area_batch
 
 #: Absolute bound on the symmetric part accepted at construction / on load.
 ANTISYM_TOL = 1e-12
@@ -43,6 +43,8 @@ def _as_antisymmetric(mat, n: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise DimensionMismatch(f"expected {n}x{n}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix has a non-finite entry")
     sym = float(np.max(np.abs(arr + arr.T), initial=0.0))
     if sym > ANTISYM_TOL:
         raise ValueError(
@@ -349,40 +351,44 @@ def is_bounded_check(
     delta must lie in the nonnegative cone.  The spectral witness (and scaled
     copies of it) is always included among the probes, so an insufficient
     bound is caught deterministically.
+
+    All probes are evaluated at once on (2, m, n) component stacks.  Draws:
+    one (samples, 4n + 2) standard-normal block, per row x1 x2 y1 y2 and the
+    scalar s of the dependent corner (x, s x); this is the stream of drawing
+    sample after sample.  The witness is the first probe of largest excess,
+    in the order: spectral witness at scales 1, 1/2, 2, then per sample
+    (x, y) and (x, s x).
     """
     if not delta.is_nonneg():
         raise ValueError("delta must lie in the nonnegative cone")
     rng = np.random.default_rng(seed)
     n = f.n
-    probes: list[tuple[DVector, DVector]] = []
+    x, y, s = _split_draws(rng.standard_normal((samples, 4 * n + 2)), n, 2)
     wx, wy = norm_spectral(f).witness
-    for scale in (1.0, 0.5, 2.0):
-        probes.append((scale * Hyperbolic(1.0, 1.0) * wx, wy))
-    for _ in range(samples):
-        x = DVector.from_components(rng.standard_normal(n), rng.standard_normal(n))
-        y = DVector.from_components(rng.standard_normal(n), rng.standard_normal(n))
-        probes.append((x, y))
-        # dependent corner: the bound degenerates to |f| <= 0 there
-        probes.append((x, Hyperbolic(*rng.standard_normal(2)) * x))
+    spectral_x = np.array([1.0, 0.5, 2.0])[:, None] * np.stack(wx.split())[:, None, :]
+    spectral_y = np.broadcast_to(np.stack(wy.split())[:, None, :], spectral_x.shape)
+    # per sample (x, y), then the dependent corner (x, s x), where the bound
+    # degenerates to |f| <= 0
+    xs = np.concatenate((spectral_x, np.repeat(x, 2, axis=1)), axis=1)
+    ys = np.concatenate(
+        (spectral_y, np.stack((y, s[..., None] * x), axis=2).reshape(2, 2 * samples, n)), axis=1
+    )
 
-    worst = -np.inf
-    witness = None
-    for x, y in probes:
-        lhs = f(x, y).modulus()
-        rhs = delta * norm(x, y)
-        excess = max(lhs.p - rhs.p, lhs.q - rhs.q)
-        if excess > worst:
-            worst = excess
-            witness = (x, y)
+    lhs = np.abs(np.einsum("cmi,cmi->cm", np.stack((xs[0] @ f.C1, xs[1] @ f.C2)), ys))
+    rhs = np.array([[delta.p], [delta.q]]) * _stack_evaluator(norm)(xs, ys)
+    excess = np.max(lhs - rhs, axis=0)
+    i = int(np.argmax(excess))
+    worst = float(excess[i])
     ok = worst <= tol
-    return BoundednessReport(ok=ok, max_excess=float(worst), witness=None if ok else witness)
+    witness = None
+    if not ok:
+        witness = (
+            DVector.from_components(xs[0, i], xs[1, i]),
+            DVector.from_components(ys[0, i], ys[1, i]),
+        )
+    return BoundednessReport(ok=ok, max_excess=worst, witness=witness)
 
 
 def certificate_gap(spectral: NormCertificate, brute: NormCertificate) -> Hyperbolic:
     """Componentwise gap spectral - brute (nonnegative up to float error)."""
     return spectral.value - brute.value
-
-
-def merge_certificates(certs: list[NormCertificate]) -> Hyperbolic:
-    """Combine independent lower estimates by the coordinatewise supremum."""
-    return sup_d([c.value for c in certs])

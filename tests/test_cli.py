@@ -155,6 +155,48 @@ class TestExtend:
             assert (F(alpha * z, x) - f(alpha * z, x)).max_abs() <= 1e-10
 
 
+def _set_nan_functional(blob):
+    blob["functional"]["C1"][0][1] = float("nan")
+
+
+def _set_nan_z(blob):
+    blob["z"][0]["p"] = float("nan")
+
+
+def _set_inf_basis(blob):
+    blob["M"]["basis1"][0][0] = float("inf")
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "command,corrupt",
+        [("norm", _set_nan_functional), ("extend", _set_nan_z), ("extend", _set_inf_basis),
+         ("extend", _set_nan_functional)],
+    )
+    def test_exit_2_with_one_line(self, capsys, instance_path, tmp_path, command, corrupt):
+        blob = json.loads(instance_path.read_text())
+        corrupt(blob)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))  # json writes NaN / Infinity literals
+        code, out, err = run_cli(capsys, command, str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite" in err and "Traceback" not in err
+
+    def test_non_finite_report_is_not_printed(self, capsys, instance_path, monkeypatch):
+        import hyp2.cli
+        from hyp2 import AxiomReport
+
+        def nan_check(norm, n, samples, rng):
+            return AxiomReport(n=n, samples=samples, worst={"i": float("nan")})
+
+        monkeypatch.setattr(hyp2.cli, "axiom_check", nan_check)
+        code, out, err = run_cli(capsys, "check-axioms", str(instance_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "non-finite" in err
+
+
 class TestCorollary:
     @pytest.fixture()
     def pair_path(self, tmp_path):

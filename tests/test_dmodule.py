@@ -185,6 +185,29 @@ class TestSubmodule:
         assert m2.contains(dvec([2.0, 4.0], [0.0, 3.0]))
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_json_rejects_non_finite(self, bad):
+        blob = DSubmodule(2, [[1.0, 2.0]], [[0.0, 1.0]]).to_json()
+        blob["basis2"][0][0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DSubmodule.from_json(blob)
+
+
+def test_dependent_pair_row_wise_matches_single_rows():
+    from hyp2.dmodule import _dependent_pair
+
+    rng = np.random.default_rng(3)
+    us = rng.standard_normal((6, 4))
+    vs = rng.standard_normal((6, 4))
+    vs[1] = -2.5 * us[1]  # dependent
+    vs[2] = 0.0  # zero partner
+    us[3] = 1e-12 * us[3]  # below the tolerance
+    vs[4] = us[4] + 1e-6 * vs[4]  # nearly, but not, dependent
+    rows = _dependent_pair(us, vs)
+    assert rows.tolist() == [bool(_dependent_pair(u, v)) for u, v in zip(us, vs)]
+    assert rows.tolist() == [False, True, True, True, False, False]
+
+
 def test_dvector_json_roundtrip():
     x = dvec([1.5, -2.0], [0.0, 3.0])
     assert DVector.from_json(x.to_json()) == x

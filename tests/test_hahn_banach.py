@@ -25,6 +25,7 @@ from hyp2 import (
     one_step_extend,
 )
 from hyp2.hahn_banach import _ratio_sup
+from hyp2.two_functional import SAMPLE_REJECT_TOL
 
 NORM = D2Norm()
 
@@ -644,3 +645,46 @@ class TestAuditBatched:
         audit = dataclasses.replace(trace, final=bad).audit(samples=50)
         assert audit["restriction_rel_err"] == float("inf")
         assert not audit["restriction_ok"]
+
+
+def large_z_problem(z_scale: float = 1.0) -> ExtensionProblem:
+    """An n = 2 problem with z of length about 2e3 (times z_scale), f scaled
+    by about 10 and M by about 14."""
+    sf, sz, sm = 10.559605405227764, 666.1772931165311 * z_scale, 14.035985844543434
+    basis2 = np.array([[-0.5771138791021315, 0.19824567126971632]]) * sm
+    M = DSubmodule(2, np.zeros((0, 2)), basis2)
+    z = dvec(
+        np.array([-1.5909961213969264, -1.4409872546112363]) * sz,
+        np.array([2.074042540381973, 2.324604012448067]) * sz,
+    )
+    C1 = np.array([[0.0, 0.4689455856758883], [-0.4689455856758883, 0.0]])
+    C2 = np.array([[0.0, 0.69165914081277], [-0.69165914081277, 0.0]])
+    return ExtensionProblem(2, M, z, DBilinear2Functional(C1 * sf, C2 * sf))
+
+
+class TestRatioSupRejection:
+    def test_large_z_regression(self):
+        # with an absolute 1e-9 rejection the climb reached x almost parallel
+        # to z, where the rounding residue of the moment along z dominated:
+        # norm_F_audit overshot norm_F by a relative 2.5e-4 and norm_ok failed
+        audit = full_extend(large_z_problem()).audit(samples=1000)
+        assert audit["norm_ok"] and audit["passed"]
+        assert max(audit["norm_rel_err"]) <= 1e-9
+
+    @pytest.mark.parametrize("z_scale", [1e-6, 1e-2, 1.0, 1e2, 1e6])
+    def test_norm_recomputation_does_not_depend_on_the_scale_of_z(self, z_scale):
+        trace = full_extend(large_z_problem(z_scale))
+        audit = trace.audit(samples=1000)
+        assert audit["norm_ok"]
+        assert max(audit["norm_rel_err"]) <= 1e-9
+
+    @pytest.mark.parametrize("z_scale", [1e-3, 1.0, 1e3, 1e6])
+    def test_residue_along_z_is_bounded_at_every_scale(self, z_scale):
+        # a moment with a relative 1e-8 part along z: near the line of z the
+        # quotient grows without bound, and the relative rejection caps the
+        # overshoot at about 1e-8 / SAMPLE_REJECT_TOL whatever the scale of z
+        z = np.array([3.0, 4.0]) * z_scale
+        w = np.array([-4.0, 3.0]) / 5.0 + 1e-8 * np.array([3.0, 4.0]) / 5.0
+        want = 1.0 / float(np.linalg.norm(z))
+        got = _ratio_sup(w, z, 2, np.random.default_rng(0))
+        assert 0.0 <= got / want - 1.0 <= 1.01e-8 / SAMPLE_REJECT_TOL

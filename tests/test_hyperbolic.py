@@ -232,6 +232,15 @@ class TestJson:
         with pytest.raises(ValueError):
             Hyperbolic.from_json([1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "obj",
+        [{"p": float("nan"), "q": 0.0}, {"p": 0.0, "q": float("inf")}, {"a": 1.0, "b": "nan"},
+         {"a": 1e308, "b": 1e308}],
+    )
+    def test_rejects_non_finite(self, obj):
+        with pytest.raises(ValueError, match="non-finite"):
+            Hyperbolic.from_json(obj)
+
 
 def test_str_and_repr_do_not_crash():
     z = Hyperbolic(4.0, 2.0)

@@ -47,6 +47,16 @@ class TestConstruction:
         g = DBilinear2Functional.from_json(f.to_json())
         assert np.array_equal(f.C1, g.C1) and np.array_equal(f.C2, g.C2)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, bad):
+        # nan > tol is false, so NaN must be caught before the antisymmetry test
+        with pytest.raises(ValueError, match="non-finite"):
+            DBilinear2Functional([[0.0, bad], [-bad, 0.0]], np.zeros((2, 2)))
+        blob = DBilinear2Functional.random(2, 0).to_json()
+        blob["C2"][1][1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DBilinear2Functional.from_json(blob)
+
     def test_json_rejects_corrupted(self):
         f = DBilinear2Functional.random(2, 0)
         blob = f.to_json()
@@ -266,3 +276,67 @@ def test_scaling_by_hyperbolic_scalar():
     rng = np.random.default_rng(20)
     x, y = rand_dvec(rng, 3), rand_dvec(rng, 3)
     assert (g(x, y) - alpha * f(x, y)).max_abs() <= 1e-12
+
+
+def reference_is_bounded_check(f, norm, delta, samples: int, seed):
+    """The per-sample is_bounded_check loop that the batched one replaced.
+
+    Returns (ok, max_excess, witness); kept here as the oracle of the
+    batched check.
+    """
+    rng = np.random.default_rng(seed)
+    n = f.n
+    probes = []
+    wx, wy = norm_spectral(f).witness
+    for scale in (1.0, 0.5, 2.0):
+        probes.append((scale * Hyperbolic(1.0, 1.0) * wx, wy))
+    for _ in range(samples):
+        x = DVector.from_components(rng.standard_normal(n), rng.standard_normal(n))
+        y = DVector.from_components(rng.standard_normal(n), rng.standard_normal(n))
+        probes.append((x, y))
+        probes.append((x, Hyperbolic(*rng.standard_normal(2)) * x))
+    worst = -np.inf
+    witness = None
+    for x, y in probes:
+        lhs = f(x, y).modulus()
+        rhs = delta * norm(x, y)
+        excess = max(lhs.p - rhs.p, lhs.q - rhs.q)
+        if excess > worst:
+            worst = excess
+            witness = (x, y)
+    ok = worst <= 1e-9
+    return ok, float(worst), None if ok else witness
+
+
+class TestBoundednessBatched:
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("factor", [(1.0, 1.0), (0.5, 0.5), (1.0, 0.5)])
+    def test_matches_reference(self, n, factor):
+        f = DBilinear2Functional.random(n, 40 + n)
+        delta = Hyperbolic(*factor) * norm_spectral(f).value
+        rng_new, rng_old = np.random.default_rng(n), np.random.default_rng(n)
+        report = is_bounded_check(f, D2Norm(), delta, samples=300, seed=rng_new)
+        ok, excess, witness = reference_is_bounded_check(f, D2Norm(), delta, 300, rng_old)
+        # identical draws: both consumed the same stream
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        assert report.ok == ok
+        if ok:
+            assert report.witness is None
+            assert abs(report.max_excess - excess) <= 1e-13
+        else:
+            # the same probe wins, the first of largest excess
+            for got, want in zip(report.witness, witness):
+                assert np.array_equal(got.c1, want.c1) and np.array_equal(got.c2, want.c2)
+            assert report.max_excess == pytest.approx(excess, rel=1e-12)
+
+    def test_witness_can_be_a_sampled_probe(self):
+        # at n = 8 random pairs have areas well above 2, so a sample beats
+        # the spectral probes at scale 2 under a halved bound
+        f = DBilinear2Functional.random(8, 48)
+        spectral = norm_spectral(f)
+        report = is_bounded_check(f, D2Norm(), Hyperbolic(0.5, 0.5) * spectral.value, seed=0)
+        wx = spectral.witness[0]
+        assert not any(
+            np.array_equal(report.witness[0].c1, s * wx.c1) for s in (1.0, 0.5, 2.0)
+        )
+

@@ -4,6 +4,7 @@ import pytest
 from hyp2 import (
     E1,
     E2,
+    K,
     AxiomViolation,
     D2Norm,
     DimensionMismatch,
@@ -12,8 +13,11 @@ from hyp2 import (
     Hyperbolic,
     axiom_check,
     decompose,
+    linear_dependent,
     sequence_converges,
 )
+from hyp2.acceptance import BrokenTriangle2Norm
+from hyp2.two_norm import wedge_area
 
 
 def dvec(c1, c2) -> DVector:
@@ -188,3 +192,161 @@ class TestConvergence:
     def test_requires_probes(self):
         with pytest.raises(ValueError):
             sequence_converges(self.norm, [self.x0], self.x0, [], tol=1e-8)
+
+
+def reference_axiom_check(norm_fn, n: int, samples: int, rng) -> dict:
+    """The per-sample axiom_check loop that the batched one replaced.
+
+    Draws one scalar block after another and evaluates every probe through
+    Hyperbolic/DVector objects; kept here as the oracle of the batched check.
+    Returns the worst violation per axiom.
+    """
+    norm_eval = norm_fn if callable(norm_fn) else norm_fn.evaluate
+    rng = np.random.default_rng(rng)
+    worst = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0}
+
+    def rand_vec() -> DVector:
+        return DVector.from_components(rng.standard_normal(n), rng.standard_normal(n))
+
+    corner_scalars = [
+        K,
+        E1,
+        E2,
+        Hyperbolic(-1.0, -1.0),
+        Hyperbolic(0.0, 0.0),
+        Hyperbolic(3.0, 0.0),
+        Hyperbolic(0.0, -0.25),
+    ]
+    for _ in range(samples):
+        x, y, z = rand_vec(), rand_vec(), rand_vec()
+        alpha = Hyperbolic(rng.standard_normal(), rng.standard_normal())
+        for factor in (alpha, E1 * alpha, E2 * alpha):
+            v = norm_eval(x, factor * x)
+            worst["i"] = max(worst["i"], v.max_abs())
+        if not linear_dependent(x, y):
+            v = norm_eval(x, y)
+            worst["i"] = max(worst["i"], max(0.0, -min(v.p, v.q)))
+        worst["ii"] = max(worst["ii"], (norm_eval(x, y) - norm_eval(y, x)).max_abs())
+        base = norm_eval(x, y)
+        scalars = [Hyperbolic(rng.standard_normal(), rng.standard_normal())]
+        scalars += corner_scalars
+        for s in scalars:
+            diff = norm_eval(s * x, y) - s.modulus() * base
+            worst["iii"] = max(worst["iii"], diff.max_abs())
+        triples = [(x, y, z), (x, x, z), (x, 2.0 * x, z), (x, 0.5 * x, y)]
+        for xx, yy, zz in triples:
+            gap = norm_eval(xx + yy, zz) - norm_eval(xx, zz) - norm_eval(yy, zz)
+            worst["iv"] = max(worst["iv"], max(0.0, gap.p, gap.q))
+    return worst
+
+
+class DependentLeak2Norm:
+    """Area plus 1e-3 * |x| |y|: symmetric, homogeneous and subadditive, but
+    nonzero on dependent pairs, so it breaks axiom (i) only."""
+
+    def __call__(self, x, y) -> float:
+        return wedge_area(x, y) + 1e-3 * float(np.linalg.norm(x)) * float(np.linalg.norm(y))
+
+
+class SqrtArea2Norm:
+    """Square root of the area: symmetric and subadditive (concave of a
+    subadditive map) but homogeneous of degree 1/2, so it breaks axiom (iii)."""
+
+    def __call__(self, x, y) -> float:
+        return float(np.sqrt(wedge_area(x, y)))
+
+
+def _tilt(v: np.ndarray) -> float:
+    return 1.0 + 0.5 * float(v[0] * v[0] / max(float(v @ v), 1e-300))
+
+
+def asymmetric_norm(x: DVector, y: DVector) -> Hyperbolic:
+    """A hyperbolic-valued black box (no `batch`): the area lift weighted by
+    a degree-0 factor of the second slot, which breaks symmetry (ii) only."""
+    v = D2Norm()(x, y)
+    return Hyperbolic(v.p * _tilt(y.c1), v.q * _tilt(y.c2))
+
+
+#: Broken fixtures and the axiom each one must fail.  None has a `batch` on
+#: its broken part, so they run through the row loops.
+BROKEN = {
+    "i": D2Norm(GramDet2Norm(), DependentLeak2Norm()),
+    "ii": asymmetric_norm,
+    "iii": D2Norm(SqrtArea2Norm(), GramDet2Norm()),
+    "iv": D2Norm(GramDet2Norm(), BrokenTriangle2Norm()),
+}
+
+
+class TestD2NormBatch:
+    def test_matches_call_per_row(self):
+        rng = np.random.default_rng(12)
+        xs, ys = rng.standard_normal((2, 2, 40, 4))
+        for norm in (D2Norm(), BROKEN["i"], BROKEN["iv"]):
+            got = norm.batch(xs, ys)
+            assert got.shape == (2, 40)
+            for i in range(40):
+                want = norm(dvec(xs[0, i], xs[1, i]), dvec(ys[0, i], ys[1, i]))
+                assert got[0, i] == pytest.approx(want.p, rel=1e-14, abs=1e-14)
+                assert got[1, i] == pytest.approx(want.q, rel=1e-14, abs=1e-14)
+
+    def test_empty_stack(self):
+        empty = np.zeros((2, 0, 3))
+        assert D2Norm().batch(empty, empty).shape == (2, 0)
+        assert BROKEN["iii"].batch(empty, empty).shape == (2, 0)
+
+
+class TestAxiomCheckBatched:
+    def test_block_draws_match_the_per_sample_stream(self):
+        n, samples = 3, 5
+        block = np.random.default_rng(4).standard_normal((samples, 6 * n + 4))
+        rng = np.random.default_rng(4)
+        rows = []
+        for _ in range(samples):
+            row = [rng.standard_normal(n) for _ in range(6)]
+            row += [[rng.standard_normal()] for _ in range(4)]
+            rows.append(np.concatenate(row))
+        assert np.array_equal(block, np.array(rows))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_reference_for_the_area_norm(self, n):
+        rng_new, rng_old = np.random.default_rng(n), np.random.default_rng(n)
+        report = axiom_check(D2Norm(), n, samples=200, rng=rng_new)
+        want = reference_axiom_check(D2Norm(), n, samples=200, rng=rng_old)
+        # identical draws: both consumed the same stream
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        assert report.passed(1e-9) == all(v <= 1e-9 for v in want.values())
+        for key, value in want.items():
+            assert abs(report.worst[key] - value) <= 1e-13, key
+        assert report.worst["ii"] == 0.0
+
+    @pytest.mark.parametrize("axiom", sorted(BROKEN))
+    def test_matches_reference_on_broken_fixtures(self, axiom):
+        report = axiom_check(BROKEN[axiom], 3, samples=120, rng=7)
+        want = reference_axiom_check(BROKEN[axiom], 3, samples=120, rng=7)
+        assert report.passed(1e-9) == all(v <= 1e-9 for v in want.values())
+        for key, value in want.items():
+            # relative on the broken values; round-off sized values may differ
+            # in their last bits where the batch sums in another order
+            assert report.worst[key] == pytest.approx(value, rel=1e-12, abs=1e-13), key
+
+    @pytest.mark.parametrize("axiom", sorted(BROKEN))
+    def test_every_axiom_can_fail(self, axiom):
+        report = axiom_check(BROKEN[axiom], 4, samples=100, rng=0)
+        assert not report.passed(1e-9)
+        assert report.worst[axiom] > 1e-3
+        if axiom in ("i", "ii"):
+            # these fixtures break their axiom alone
+            others = {k: v for k, v in report.worst.items() if k != axiom}
+            assert max(others.values()) <= 1e-9, others
+
+    def test_nan_values_fail_the_check(self):
+        def nan_norm(x, y):
+            return Hyperbolic(float("nan"), 0.0)
+
+        report = axiom_check(nan_norm, 2, samples=3, rng=0)
+        assert np.isnan(report.worst["ii"])
+        assert not report.passed(1e-9)
+
+    def test_zero_samples(self):
+        report = axiom_check(D2Norm(), 3, samples=0, rng=0)
+        assert report.worst == {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0}
