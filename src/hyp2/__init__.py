@@ -29,12 +29,7 @@ from .dmodule import (
     DimensionMismatch,
     DSubmodule,
     DVector,
-    is_zero_divisor_element,
-    join,
     linear_dependent,
-    split,
-    submodule_contains,
-    submodule_extend,
 )
 from .two_norm import (
     AxiomReport,
@@ -43,7 +38,6 @@ from .two_norm import (
     GramDet2Norm,
     axiom_check,
     decompose,
-    eval_d,
     sequence_converges,
 )
 from .two_functional import (
@@ -52,9 +46,7 @@ from .two_functional import (
     Method,
     NormCertificate,
     certificate_gap,
-    component_split,
     is_bounded_check,
-    k_decompose,
     norm_bruteforce,
     norm_spectral,
 )
@@ -97,28 +89,20 @@ __all__ = [
     "DimensionMismatch",
     "DSubmodule",
     "DVector",
-    "is_zero_divisor_element",
-    "join",
     "linear_dependent",
-    "split",
-    "submodule_contains",
-    "submodule_extend",
     "AxiomReport",
     "AxiomViolation",
     "D2Norm",
     "GramDet2Norm",
     "axiom_check",
     "decompose",
-    "eval_d",
     "sequence_converges",
     "BoundednessReport",
     "DBilinear2Functional",
     "Method",
     "NormCertificate",
     "certificate_gap",
-    "component_split",
     "is_bounded_check",
-    "k_decompose",
     "norm_bruteforce",
     "norm_spectral",
     "DegenerateZ",

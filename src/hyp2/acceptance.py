@@ -267,9 +267,10 @@ def _first_missing_basis_vector(problem: ExtensionProblem) -> DVector | None:
 
 def criterion_extension_engine(count: int = 100, seed: int = 0) -> CriterionResult:
     """Full extensions on random problems: restriction agreement at 1e-10,
-    norm preservation at 1e-5 relative per component, every bracket holds,
-    and the dense-grid oracle confirms the gap endpoints at 1e-4 for
-    component dimensions <= 2.  Under 60 s."""
+    norm preservation at 1e-5 relative per component, every step's r is the
+    independently recomputed gap point (the audit's brackets_ok), and the
+    dense-grid oracle confirms the gap endpoints at 1e-4 for component
+    dimensions <= 2.  Under 60 s."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_restr = 0.0

@@ -195,7 +195,10 @@ def cmd_extend(args) -> int:
         # f on [z] x M evaluates as (alpha z, x) -> f(alpha z, x); transposing
         # the matrices turns it into the engine's M x [z] orientation
         functional = DBilinear2Functional(functional.C1.T, functional.C2.T)
-    problem = ExtensionProblem(inst["n"], inst["M"], inst["z"], functional, inst["norm"])
+    try:
+        problem = ExtensionProblem(inst["n"], inst["M"], inst["z"], functional, inst["norm"])
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(str(exc)) from exc
     trace = full_extend(problem)
     audit = trace.audit(samples=args.samples, seed=args.seed, norm_rel_tol=_tol(args, 1e-5))
     report = trace.to_json()

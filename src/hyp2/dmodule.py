@@ -61,13 +61,6 @@ class DVector:
     def zero(cls, n: int) -> "DVector":
         return cls.from_components(np.zeros(n), np.zeros(n))
 
-    @classmethod
-    def unit(cls, n: int, index: int) -> "DVector":
-        """Real standard basis vector e_index as an element of D^n."""
-        e = np.zeros(n)
-        e[index] = 1.0
-        return cls.from_components(e, e)
-
     # -- structure -------------------------------------------------------
 
     @property
@@ -159,10 +152,6 @@ class DVector:
         return cls([Hyperbolic.from_json(c) for c in obj])
 
 
-def is_zero_divisor_element(x: DVector, tol: float = TOL) -> bool:
-    return x.is_zero_divisor(tol)
-
-
 def _dependent_pair(u: np.ndarray, v: np.ndarray, tol: float = SPAN_TOL) -> np.ndarray:
     """Real dependence of two vectors via the orthogonalization residual.
 
@@ -187,9 +176,16 @@ def linear_dependent(x: DVector, y: DVector, tol: float = SPAN_TOL) -> bool:
     return bool(_dependent_pair(x.c1, y.c1, tol) and _dependent_pair(x.c2, y.c2, tol))
 
 
-def _orthonormal_rows(basis: np.ndarray, tol: float = SPAN_TOL) -> np.ndarray:
-    """Gram-Schmidt with a residual tolerance; rejects dependent input rows."""
+def _orthonormal_rows(
+    basis: np.ndarray, tol: float = SPAN_TOL
+) -> tuple[np.ndarray, list[int]]:
+    """Gram-Schmidt with a residual tolerance.
+
+    Returns the orthonormal rows kept and the indices of the input rows
+    dropped because their residual is at most tol * max(1, ||row||).
+    """
     rows: list[np.ndarray] = []
+    dropped: list[int] = []
     for i, v in enumerate(basis):
         w = v.astype(float).copy()
         for r in rows:
@@ -199,11 +195,10 @@ def _orthonormal_rows(basis: np.ndarray, tol: float = SPAN_TOL) -> np.ndarray:
             w -= r * float(r @ w)
         norm = float(np.linalg.norm(w))
         if norm <= tol * max(1.0, float(np.linalg.norm(v))):
-            raise ValueError(f"basis row {i} is dependent on the earlier rows")
-        rows.append(w / norm)
-    if not rows:
-        return np.zeros((0, basis.shape[1]))
-    return np.array(rows)
+            dropped.append(i)
+        else:
+            rows.append(w / norm)
+    return (np.array(rows) if rows else np.zeros((0, basis.shape[1]))), dropped
 
 
 def _in_span(q_rows: np.ndarray, v: np.ndarray, tol: float = SPAN_TOL) -> bool:
@@ -225,11 +220,13 @@ class DSubmodule:
         self.n = int(n)
         b1 = np.array(basis1, dtype=float).reshape(-1, self.n)
         b2 = np.array(basis2, dtype=float).reshape(-1, self.n)
-        try:
-            self.q1 = _orthonormal_rows(b1, tol)
-            self.q2 = _orthonormal_rows(b2, tol)
-        except ValueError as exc:
-            raise ValueError(f"submodule basis is not linearly independent: {exc}") from exc
+        self.q1, drop1 = _orthonormal_rows(b1, tol)
+        self.q2, drop2 = _orthonormal_rows(b2, tol)
+        if drop1 or drop2:
+            raise ValueError(
+                "submodule basis is not linearly independent: "
+                f"basis row {(drop1 or drop2)[0]} is dependent on the earlier rows"
+            )
         for arr in (b1, b2, self.q1, self.q2):
             arr.setflags(write=False)
         self.basis1 = b1
@@ -308,19 +305,3 @@ class DSubmodule:
         if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
             raise ValueError("submodule basis has a non-finite entry")
         return cls(n, b1, b2)
-
-
-def split(x: DVector) -> tuple[np.ndarray, np.ndarray]:
-    return x.split()
-
-
-def join(x1, x2) -> DVector:
-    return DVector.from_components(x1, x2)
-
-
-def submodule_contains(m: DSubmodule, x: DVector, tol: float = SPAN_TOL) -> bool:
-    return m.contains(x, tol)
-
-
-def submodule_extend(m: DSubmodule, x: DVector, tol: float = SPAN_TOL) -> DSubmodule:
-    return m.extend(x, tol)

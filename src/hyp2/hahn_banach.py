@@ -16,10 +16,14 @@ has moment w + xi with xi in the new directions and <xi, proj(x')> equal to
 r - <w, x'>, so its norm is sqrt(||w||^2 + ||xi||^2) / ||z||.  The norm is
 preserved exactly when xi = 0, i.e. for the single value r = <w, x'>.  The
 gap interval [m0, m] of admissible values collapses to that point here (the
-quotient unit ball of the area 2-norm is strictly convex); gap_interval
-computes it in closed form, while gap_interval_subgradient and
-gap_interval_grid bound the same quantities by direct optimization of the
-defining sup/inf objectives and are used as independent cross-checks.
+quotient unit ball of the area 2-norm is strictly convex), and the moment w
+never changes: every step, and so the whole extension, only enlarges the
+domain.  gap_interval returns the point in closed form and every extension
+step takes its r from the same formula.  gap_interval_subgradient and
+gap_interval_grid bound the endpoints by direct optimization of the defining
+sup/inf objectives and serve as independent cross-checks; the audit checks
+each step's r against the gap point recomputed by least squares from the
+problem's raw data.
 
 Degenerate right slots.  If z has one vanishing component it is repaired by
 injecting a scaled basis vector into that component (the functional is
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmodule import DSubmodule, DVector
+from .dmodule import DSubmodule, DVector, _orthonormal_rows
 from .hyperbolic import TOL, Hyperbolic
 from .two_functional import SAMPLE_REJECT_TOL, DBilinear2Functional
 from .two_norm import D2Norm, wedge_area_batch
@@ -65,29 +69,6 @@ def _perp(z: np.ndarray, v: np.ndarray) -> np.ndarray:
     if nz2 <= TOL * TOL:
         return np.array(v, dtype=float)
     return v - z * (float(z @ v) / nz2)
-
-
-def _component_wbasis(domain: DSubmodule, comp: int, z: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning W = proj_{z-perp}(M_comp)."""
-    q = domain.component_q(comp)
-    if q.shape[0] == 0:
-        return np.zeros((0, domain.n))
-    projected = np.array([_perp(z, row) for row in q])
-    # the rank can drop by one (when z lies in the component); Gram-Schmidt
-    # with a residual drop instead of an error
-    rows: list[np.ndarray] = []
-    for v in projected:
-        w = v.copy()
-        for r in rows:
-            w -= r * float(r @ w)
-        for r in rows:
-            w -= r * float(r @ w)
-        norm = float(np.linalg.norm(w))
-        if norm > 1e-12 * max(1.0, float(np.linalg.norm(v))) and norm > 1e-300:
-            rows.append(w / norm)
-    if not rows:
-        return np.zeros((0, domain.n))
-    return np.array(rows)
 
 
 def _cyclic_coeffs(z: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -144,14 +125,16 @@ class RestrictedFunctional:
 
         Per component the restriction's moment is the projection of C z onto
         W = proj_{z-perp}(M): for x in M, x' C z = <proj_W(C z), x> because
-        C z is already orthogonal to z.
+        C z is already orthogonal to z.  The rank of W drops by one when z
+        lies in the component; the dependent row is dropped.
         """
         moments = []
         for comp, C in enumerate((functional.C1, functional.C2)):
             zc = z.split()[comp]
-            wb = _component_wbasis(domain, comp, zc)
-            cz = C @ zc
-            moments.append(wb.T @ (wb @ cz) if wb.size else np.zeros(domain.n))
+            q = domain.component_q(comp)
+            projected = np.array([_perp(zc, row) for row in q]).reshape(q.shape)
+            wb, _ = _orthonormal_rows(projected, 1e-12)
+            moments.append(wb.T @ (wb @ (C @ zc)))
         return cls(domain, z, moments[0], moments[1])
 
     def moment(self, comp: int) -> np.ndarray:
@@ -222,6 +205,10 @@ class ExtensionProblem:
             raise ValueError("the extension engine is built for the area 2-norm lift")
         if M.n != n or z.n != n or functional.n != n:
             raise ValueError("dimension mismatch between the problem parts")
+        with np.errstate(over="ignore"):
+            finite = all(np.isfinite(zc @ zc) for zc in z.split())
+        if not finite:
+            raise ValueError("z is too large: a component's squared length is non-finite")
         self.n = n
         self.M = M
         self.z = z
@@ -266,62 +253,53 @@ class ExtensionProblem:
 
 @dataclass
 class ExtensionStep:
-    """One generator adjunction: gap interval, chosen value, extended functional."""
+    """One generator adjunction: the chosen value r = g(x', z) and the
+    extended functional g.  r is the gap point, so the bracket [m0, m] of
+    the JSON form is [r, r]."""
 
     x_prime: DVector
-    m0: Hyperbolic
-    m: Hyperbolic
     r: Hyperbolic
     g: RestrictedFunctional
     grew: tuple[bool, bool]
 
     def to_json(self) -> dict:
+        r = self.r.to_json()
         return {
-            "x_prime": self.x_prime.to_json(),
-            "m0": self.m0.to_json(),
-            "m": self.m.to_json(),
-            "r": self.r.to_json(),
-            "grew": list(self.grew),
+            "x_prime": self.x_prime.to_json(), "m0": r, "m": r, "r": r, "grew": list(self.grew)
         }
+
+
+def _gap_point(rf: RestrictedFunctional, x_prime: DVector) -> Hyperbolic:
+    """<w, x'> per component: the single norm-preserving value of g(x', z)."""
+    return Hyperbolic(float(rf.w1 @ x_prime.c1), float(rf.w2 @ x_prime.c2))
+
+
+def _step(rf: RestrictedFunctional, x_prime: DVector) -> ExtensionStep:
+    """Adjoin x_prime to the domain of rf, keeping the moment."""
+    grew = (
+        not rf.domain.component_contains(0, x_prime.c1),
+        not rf.domain.component_contains(1, x_prime.c2),
+    )
+    g = RestrictedFunctional(rf.domain.extend(x_prime), rf.z, rf.w1, rf.w2) if any(grew) else rf
+    return ExtensionStep(x_prime=x_prime, r=_gap_point(rf, x_prime), g=g, grew=grew)
 
 
 def gap_interval(problem: ExtensionProblem, x_prime: DVector) -> tuple[Hyperbolic, Hyperbolic]:
     """The bracket [m0, m] of norm-preserving extension values for x_prime.
 
     m is the infimum over x in M of |f| * gram(x + x', z) - f(x, z) and m0
-    the matching supremum; both are evaluated by the closed form <w, x'>
-    (see the module docstring), to which they collapse for the area 2-norm.
-    Raises OptimizationFailure when the verified bracket fails, which for
-    finite inputs cannot happen.
+    the matching supremum.  For the area 2-norm both equal the closed form
+    <w, x'> (see the module docstring), which is returned twice.  Raises
+    OptimizationFailure when that point is not finite.
     """
-    rf = problem.restriction()
-    vals = [float(rf.moment(comp) @ x_prime.split()[comp]) for comp in (0, 1)]
-    if not all(np.isfinite(v) for v in vals):
-        raise OptimizationFailure(f"gap endpoints are not finite: {vals}")
-    m0 = Hyperbolic(vals[0], vals[1])
-    m = Hyperbolic(vals[0], vals[1])
-    if not m0.leq(m):
-        raise OptimizationFailure("gap bracket m0 <=' m failed")
-    return m0, m
-
-
-def _extend_once(rf: RestrictedFunctional, x_prime: DVector) -> ExtensionStep:
-    vals = [float(rf.moment(comp) @ x_prime.split()[comp]) for comp in (0, 1)]
-    m0 = Hyperbolic(vals[0], vals[1])
-    m = Hyperbolic(vals[0], vals[1])
-    r = Hyperbolic((m0.p + m.p) / 2.0, (m0.q + m.q) / 2.0)
-    grew1 = not rf.domain.component_contains(0, x_prime.c1)
-    grew2 = not rf.domain.component_contains(1, x_prime.c2)
-    if grew1 or grew2:
-        domain = rf.domain.extend(x_prime)
-        g = RestrictedFunctional(domain, rf.z, rf.w1, rf.w2)
-    else:
-        g = rf
-    return ExtensionStep(x_prime=x_prime, m0=m0, m=m, r=r, g=g, grew=(grew1, grew2))
+    pt = _gap_point(problem.restriction(), x_prime)
+    if not (np.isfinite(pt.p) and np.isfinite(pt.q)):
+        raise OptimizationFailure(f"gap endpoints are not finite: {[pt.p, pt.q]}")
+    return pt, pt
 
 
 def one_step_extend(problem: ExtensionProblem, x_prime: DVector) -> ExtensionStep:
-    """Extend f by one generator, choosing r as the gap midpoint.
+    """Extend f by one generator, choosing r as the gap point <w, x'>.
 
     The generator may already lie in the domain, in which case the step is
     the identity (g = f and r is the forced value f(x', z)).  Degenerate z
@@ -329,7 +307,7 @@ def one_step_extend(problem: ExtensionProblem, x_prime: DVector) -> ExtensionSte
     """
     if problem.z.is_zero() or problem.z.is_zero_divisor():
         raise DegenerateZ("z is zero or a zero divisor; route through normalize_degenerate_z")
-    return _extend_once(problem.restriction(), x_prime)
+    return _step(problem.restriction(), x_prime)
 
 
 def normalize_degenerate_z(problem: ExtensionProblem) -> ExtensionProblem:
@@ -389,6 +367,12 @@ class ExtensionTrace:
         """Independent checks: restriction agreement, brackets, pointwise
         bound, and a sampled-supremum recomputation of the extended norm.
 
+        Brackets: each step's r must be the gap point <w', x'>, where w' is
+        C z projected onto the z-perp projection of M's given basis rows by
+        least squares on the worked problem's raw data, sharing no code with
+        the engine.  brackets_ok requires |r - <w', x'>| <=
+        restriction_tol * ||w'|| * ||x'|| for every step and component.
+
         Restriction: F(x, alpha z) is compared with alpha * x' C z on
         `samples` random pairs of M x [z].  restriction_max_err is the largest
         absolute difference and restriction_rel_err that difference over the
@@ -430,13 +414,25 @@ class ExtensionTrace:
         else:
             restr_rel = restr_err / restr_scale if restr_scale > 0.0 else float("inf")
 
-        # brackets m0 <=' r <=' m on every step
-        brackets_ok = all(s.m0.leq(s.r) and s.r.leq(s.m) for s in self.steps)
+        # brackets: r against the gap point recomputed from the raw data
+        wk = self.worked
+        zw = np.stack(wk.z.split())
+        brackets_ok = True
+        if self.steps:
+            rs = np.array([(s.r.p, s.r.q) for s in self.steps]).T
+            xps = np.stack([np.stack(s.x_prime.split()) for s in self.steps], axis=1)
+            bases = (wk.M.basis1, wk.M.basis2)
+            mats = (wk.functional.C1, wk.functional.C2)
+            for zc, basis, C, r, xp in zip(zw, bases, mats, rs, xps):
+                perp = basis - np.outer(basis @ zc, zc) / (zc @ zc)
+                w_ls = perp.T @ np.linalg.lstsq(perp.T, C @ zc, rcond=1e-12)[0]
+                err = np.abs(r - xp @ w_ls)
+                bound = restriction_tol * np.linalg.norm(w_ls) * np.linalg.norm(xp, axis=1)
+                brackets_ok = brackets_ok and bool(np.all(err <= bound))
 
         # pointwise bound |f(x,z) + r|_k <=' |f| * norm(x + x', z) per step
-        rf_states = [self.worked.restriction()] + [s.g for s in self.steps]
+        rf_states = [wk.restriction()] + [s.g for s in self.steps]
         nf = self.norm_f
-        zw = np.stack(self.worked.z.split())
         per_step = max(8, samples // max(1, len(self.steps) * 4))
         excesses = []
         for state, step in zip(rf_states[:-1], self.steps):
@@ -579,7 +575,7 @@ def full_extend(problem: ExtensionProblem) -> ExtensionTrace:
         if not (need1 or need2):
             continue
         xp = DVector.from_components(e if need1 else np.zeros(n), e if need2 else np.zeros(n))
-        step = _extend_once(rf, xp)
+        step = _step(rf, xp)
         steps.append(step)
         rf = step.g
     if not rf.domain.is_full():
@@ -629,6 +625,17 @@ def corollary_functional(
 # -- independent gap estimators ---------------------------------------------
 
 
+def _gap_setup(problem: ExtensionProblem, x_prime: DVector, comp: int):
+    """One component's gap data: the orthonormal domain basis q, z, x', the
+    coefficients q C z of f(., z) in that basis, and |f|."""
+    q = problem.M.component_q(comp)
+    z = problem.z.split()[comp]
+    C = problem.functional.C1 if comp == 0 else problem.functional.C2
+    cz_q = (q @ (C @ z)) if q.size else np.zeros(0)
+    nf = problem.norm_f().p if comp == 0 else problem.norm_f().q
+    return q, z, x_prime.split()[comp], cz_q, nf
+
+
 def _gap_objective(problem: ExtensionProblem, x_prime: DVector, comp: int, sign: float):
     """Batched objective |f|*gram(x +- x', z) sign f(x, z) in coefficients.
 
@@ -636,12 +643,7 @@ def _gap_objective(problem: ExtensionProblem, x_prime: DVector, comp: int, sign:
     whose negated minimum is m0.  Coefficients parameterize the domain
     component in its orthonormal basis.
     """
-    q = problem.M.component_q(comp)
-    z = problem.z.split()[comp]
-    xp = x_prime.split()[comp]
-    C = problem.functional.C1 if comp == 0 else problem.functional.C2
-    cz_q = (q @ (C @ z)) if q.size else np.zeros(0)
-    nf = problem.norm_f().p if comp == 0 else problem.norm_f().q
+    q, z, xp, cz_q, nf = _gap_setup(problem, x_prime, comp)
 
     def objective(coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
@@ -671,14 +673,9 @@ def gap_interval_subgradient(
     rng = np.random.default_rng(seed)
     los, his = [], []
     for comp in (0, 1):
-        z = problem.z.split()[comp]
-        xp = x_prime.split()[comp]
-        q = problem.M.component_q(comp)
-        C = problem.functional.C1 if comp == 0 else problem.functional.C2
-        nf = problem.norm_f().p if comp == 0 else problem.norm_f().q
+        q, z, xp, cz_q, nf = _gap_setup(problem, x_prime, comp)
         nz = float(np.linalg.norm(z))
         k = q.shape[0]
-        cz_q = (q @ (C @ z)) if k else np.zeros(0)
 
         def minimize(sign: float) -> float:
             if k == 0:

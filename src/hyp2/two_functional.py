@@ -136,14 +136,6 @@ class DBilinear2Functional:
         return cls(obj["C1"], obj["C2"])
 
 
-def component_split(f: DBilinear2Functional):
-    return f.component_forms()
-
-
-def k_decompose(f: DBilinear2Functional):
-    return f.k_parts()
-
-
 @dataclass
 class NormCertificate:
     """An operator-norm bound with the pair of vectors that (nearly) attains it."""

@@ -115,10 +115,6 @@ class D2Norm:
         return f"D2Norm({self.norm1!r}, {self.norm2!r})"
 
 
-def eval_d(norm: D2Norm, x: DVector, y: DVector) -> Hyperbolic:
-    return norm(x, y)
-
-
 def decompose(norm_fn, n: int, rng: np.random.Generator | int | None = None):
     """Split a black-box hyperbolic-valued 2-norm into its coordinate 2-norms.
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -167,18 +168,26 @@ def _set_inf_basis(blob):
     blob["M"]["basis1"][0][0] = float("inf")
 
 
+def _set_huge_z(blob):
+    # every entry finite, but z @ z overflows
+    for i, c in enumerate(blob["z"]):
+        c["p"], c["q"] = (1e200, -1e200) if i % 2 else (-1e200, 1e200)
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "command,corrupt",
         [("norm", _set_nan_functional), ("extend", _set_nan_z), ("extend", _set_inf_basis),
-         ("extend", _set_nan_functional)],
+         ("extend", _set_nan_functional), ("extend", _set_huge_z)],
     )
     def test_exit_2_with_one_line(self, capsys, instance_path, tmp_path, command, corrupt):
         blob = json.loads(instance_path.read_text())
         corrupt(blob)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(blob))  # json writes NaN / Infinity literals
-        code, out, err = run_cli(capsys, command, str(bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be another stderr line
+            code, out, err = run_cli(capsys, command, str(bad))
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

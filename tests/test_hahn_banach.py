@@ -247,7 +247,8 @@ class TestOneStepExtend:
         problem = random_problem(rng, n=3, dims=(2, 1))
         xp = outside_vector(rng, problem.M)
         step = one_step_extend(problem, xp)
-        assert step.m0.leq(step.r) and step.r.leq(step.m)
+        m0, m = gap_interval(problem, xp)
+        assert m0.leq(step.r) and step.r.leq(m)
 
     def test_degenerate_z_rejected(self):
         rng = np.random.default_rng(15)
@@ -372,6 +373,7 @@ class TestFullExtend:
         assert "steps" in blob and "final" in blob
         for step in blob["steps"]:
             assert {"x_prime", "m0", "m", "r"} <= set(step)
+            assert step["m0"] == step["m"] == step["r"]
         assert {"F", "norm_f", "norm_F"} <= set(blob["final"])
 
 
@@ -475,9 +477,13 @@ def reference_audit(trace, samples: int, seed: int) -> dict:
         f_val = Hyperbolic(alpha.p * float(x1 @ cz[0]), alpha.q * float(x2 @ cz[1]))
         F_val = trace.final.evaluate(x, alpha * prob.z, check_domain=False)
         restr_err = max(restr_err, (F_val - f_val).max_abs())
-    brackets_ok = all(s.m0.leq(s.r) and s.r.leq(s.m) for s in trace.steps)
-    pointwise_excess = 0.0
     rf_states = [trace.worked.restriction()] + [s.g for s in trace.steps]
+    gap_points = [
+        Hyperbolic(float(st.w1 @ s.x_prime.c1), float(st.w2 @ s.x_prime.c2))
+        for st, s in zip(rf_states, trace.steps)
+    ]
+    brackets_ok = all(g.leq(s.r) and s.r.leq(g) for g, s in zip(gap_points, trace.steps))
+    pointwise_excess = 0.0
     nf = trace.norm_f
     for state, step in zip(rf_states[:-1], trace.steps):
         kk1, kk2 = state.domain.dims
@@ -645,6 +651,34 @@ class TestAuditBatched:
         audit = dataclasses.replace(trace, final=bad).audit(samples=50)
         assert audit["restriction_rel_err"] == float("inf")
         assert not audit["restriction_ok"]
+
+
+class TestBracketCheck:
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+    def test_shifted_r_fails(self, s):
+        trace = full_extend(fixed_problem(7, 8, (3, 5), "full", (s, s, s)))
+        audit = trace.audit(samples=200)
+        assert audit["brackets_ok"] and audit["passed"]
+        # one step's r off by a relative 1e-8, F left as it is
+        steps = list(trace.steps)
+        j = max(range(len(steps)), key=lambda i: steps[i].r.max_abs())
+        steps[j] = dataclasses.replace(steps[j], r=steps[j].r * (1.0 + 1e-8))
+        audit = dataclasses.replace(trace, steps=steps).audit(samples=200)
+        assert not audit["brackets_ok"] and not audit["passed"]
+        assert audit["restriction_ok"] and audit["norm_ok"]
+
+    def test_repaired_and_rank_dropping_problems_pass(self):
+        # z in the span of M's first component: the z-perp projection of the
+        # basis loses a rank, which the least-squares route must absorb
+        rng = np.random.default_rng(31)
+        n = 4
+        basis1 = rng.standard_normal((2, n))
+        z = dvec(basis1[0] + 2.0 * basis1[1], np.zeros(n))
+        M = DSubmodule(n, basis1, rng.standard_normal((1, n)))
+        trace = full_extend(ExtensionProblem(n, M, z, DBilinear2Functional.random(n, 32)))
+        assert trace.repaired
+        audit = trace.audit(samples=200)
+        assert audit["brackets_ok"] and audit["passed"]
 
 
 def large_z_problem(z_scale: float = 1.0) -> ExtensionProblem:

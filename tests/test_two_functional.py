@@ -11,9 +11,7 @@ from hyp2 import (
     Hyperbolic,
     Method,
     certificate_gap,
-    component_split,
     is_bounded_check,
-    k_decompose,
     norm_bruteforce,
     norm_spectral,
 )
@@ -118,7 +116,7 @@ class TestEval:
 class TestComponentSplit:
     def test_zero_second_slot(self):
         f = DBilinear2Functional(cross_form([1.0, 0.0, 0.0]), np.zeros((3, 3)))
-        f1, f2 = component_split(f)
+        f1, f2 = f.component_forms()
         rng = np.random.default_rng(5)
         for _ in range(20):
             u, v = rng.standard_normal(3), rng.standard_normal(3)
@@ -127,7 +125,7 @@ class TestComponentSplit:
     def test_reconstruction(self):
         rng = np.random.default_rng(6)
         f = DBilinear2Functional.random(4, 7)
-        f1, f2 = component_split(f)
+        f1, f2 = f.component_forms()
         for _ in range(200):
             x, y = rand_dvec(rng, 4), rand_dvec(rng, 4)
             rebuilt = Hyperbolic(f1(x.c1, y.c1), f2(x.c2, y.c2))
@@ -136,7 +134,7 @@ class TestComponentSplit:
     def test_components_bilinear(self):
         rng = np.random.default_rng(7)
         f = DBilinear2Functional.random(3, 8)
-        f1, _ = component_split(f)
+        f1, _ = f.component_forms()
         for _ in range(50):
             u, v, w = (rng.standard_normal(3) for _ in range(3))
             s, t = rng.standard_normal(2)
@@ -147,7 +145,7 @@ class TestKDecompose:
     def test_real_functional_has_zero_k_part_on_real_vectors(self):
         C = DBilinear2Functional.random(3, 9).C1
         f = DBilinear2Functional(C, C.copy())
-        _, psi = k_decompose(f)
+        _, psi = f.k_parts()
         rng = np.random.default_rng(10)
         for _ in range(30):
             u, v = rng.standard_normal(3), rng.standard_normal(3)
@@ -160,7 +158,7 @@ class TestKDecompose:
         rng = np.random.default_rng(11)
         for trial in range(50):
             f = DBilinear2Functional.random(3, 100 + trial)
-            phi, psi = k_decompose(f)
+            phi, psi = f.k_parts()
             x, y = rand_dvec(rng, 3), rand_dvec(rng, 3)
             val = f(x, y)
             assert (Hyperbolic.from_cartesian(phi(x, y), phi(K * x, y)) - val).max_abs() <= 1e-12
