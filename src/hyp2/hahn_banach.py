@@ -22,8 +22,8 @@ domain.  gap_interval returns the point in closed form and every extension
 step takes its r from the same formula.  gap_interval_subgradient and
 gap_interval_grid bound the endpoints by direct optimization of the defining
 sup/inf objectives and serve as independent cross-checks; the audit checks
-each step's r against the gap point recomputed by least squares from the
-problem's raw data.
+each step's r against the gap point recomputed by SVD from the problem's
+raw data.
 
 Degenerate right slots.  If z has one vanishing component it is repaired by
 injecting a scaled basis vector into that component (the functional is
@@ -368,10 +368,13 @@ class ExtensionTrace:
         bound, and a sampled-supremum recomputation of the extended norm.
 
         Brackets: each step's r must be the gap point <w', x'>, where w' is
-        C z projected onto the z-perp projection of M's given basis rows by
-        least squares on the worked problem's raw data, sharing no code with
-        the engine.  brackets_ok requires |r - <w', x'>| <=
-        restriction_tol * ||w'|| * ||x'|| for every step and component.
+        C z projected onto the span of the z-perp projections of M's given
+        basis rows, computed by SVD on the worked problem's raw data and
+        sharing no code with the engine.  The rows are scaled to unit length
+        first and singular values <= 1e-12 are dropped, so a row along z
+        adds no direction.  brackets_ok requires |r - <w', x'>| <=
+        restriction_tol * ||C z|| * ||x'|| for every step and component, the
+        scale of the restriction check.
 
         Restriction: F(x, alpha z) is compared with alpha * x' C z on
         `samples` random pairs of M x [z].  restriction_max_err is the largest
@@ -424,10 +427,15 @@ class ExtensionTrace:
             bases = (wk.M.basis1, wk.M.basis2)
             mats = (wk.functional.C1, wk.functional.C2)
             for zc, basis, C, r, xp in zip(zw, bases, mats, rs, xps):
-                perp = basis - np.outer(basis @ zc, zc) / (zc @ zc)
-                w_ls = perp.T @ np.linalg.lstsq(perp.T, C @ zc, rcond=1e-12)[0]
+                # rows scaled to unit length, so the rank cut is absolute
+                unit = basis / np.linalg.norm(basis, axis=1, keepdims=True)
+                perp = unit - np.outer(unit @ zc, zc) / (zc @ zc)
+                _, sv, vt = np.linalg.svd(perp, full_matrices=False)
+                span = vt[sv > 1e-12]
+                cz = C @ zc
+                w_ls = span.T @ (span @ cz)
                 err = np.abs(r - xp @ w_ls)
-                bound = restriction_tol * np.linalg.norm(w_ls) * np.linalg.norm(xp, axis=1)
+                bound = restriction_tol * np.linalg.norm(cz) * np.linalg.norm(xp, axis=1)
                 brackets_ok = brackets_ok and bool(np.all(err <= bound))
 
         # pointwise bound |f(x,z) + r|_k <=' |f| * norm(x + x', z) per step
