@@ -33,8 +33,6 @@ class BrokenTriangle2Norm:
     symmetric and vanishing exactly on dependent pairs.
     """
 
-    kind = "broken"
-
     def __call__(self, x, y) -> float:
         g = GramDet2Norm()(x, y)
         return g * g / (1.0 + g)
@@ -371,7 +369,7 @@ def criterion_corollary(count: int = 50, seed: int = 0) -> CriterionResult:
         target = norm(x0, y0)
         if min(target.p, target.q) <= 1e-6:
             continue
-        f0, trace = corollary_functional(x0, y0, norm)
+        f0, trace = corollary_functional(x0, y0)
         done += 1
         worst_norm = max(
             worst_norm,

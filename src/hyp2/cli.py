@@ -157,9 +157,9 @@ def cmd_norm(args) -> int:
     f = inst["functional"]
     norm = inst["norm"]
     tol = _tol(args, 1e-9)
-    spectral = norm_spectral(f, norm)
-    quot = norm_bruteforce(f, norm, budget=args.samples, seed=args.seed, formula="quotient")
-    unit = norm_bruteforce(f, norm, budget=args.samples, seed=args.seed, formula="unit")
+    spectral = norm_spectral(f)
+    quot = norm_bruteforce(f, budget=args.samples, seed=args.seed, formula="quotient")
+    unit = norm_bruteforce(f, budget=args.samples, seed=args.seed, formula="unit")
     gap = certificate_gap(spectral, quot)
     bounded = is_bounded_check(f, norm, spectral.value, samples=1000, seed=args.seed, tol=tol)
     scale = 1.0 + spectral.value.max_abs()
@@ -196,7 +196,7 @@ def cmd_extend(args) -> int:
         # the matrices turns it into the engine's M x [z] orientation
         functional = DBilinear2Functional(functional.C1.T, functional.C2.T)
     try:
-        problem = ExtensionProblem(inst["n"], inst["M"], inst["z"], functional, inst["norm"])
+        problem = ExtensionProblem(inst["n"], inst["M"], inst["z"], functional)
     except (TypeError, ValueError) as exc:
         raise InstanceError(str(exc)) from exc
     trace = full_extend(problem)
@@ -224,7 +224,7 @@ def cmd_corollary(args) -> int:
     x0, y0, norm = inst["x0"], inst["y0"], inst["norm"]
     tol = _tol(args, 1e-9)
     try:
-        f0, trace = corollary_functional(x0, y0, norm)
+        f0, trace = corollary_functional(x0, y0)
     except ValueError as exc:
         raise InstanceError(str(exc)) from exc
     one = Hyperbolic(1.0, 1.0)

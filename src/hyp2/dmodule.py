@@ -3,7 +3,13 @@
 Every element splits uniquely as x = e1*x1 + e2*x2 with real coordinate
 vectors x1, x2, and the scalar action, submodule structure and all norms
 decouple along that split.  DVector therefore stores the two real vectors
-directly; DSubmodule stores one real spanning set per component.
+as one read-only (2, n) component stack `c`, with the rows `c1` and `c2` as
+views, and each module operation is one array call over the leading axis;
+DSubmodule stores one real spanning set per component (the two spans may
+differ in dimension).
+
+Dot products and lengths over the last axis go through `_dot`, a stacked
+`@` that gives the same bits as one `@` per row.
 
 Rank and span-membership tests use orthogonalization residuals with the
 tolerance SPAN_TOL.
@@ -29,33 +35,53 @@ class AlreadyContained(ValueError):
     """Attempt to extend a submodule by a vector it already contains."""
 
 
-def _as_locked_array(data, n: int | None = None) -> np.ndarray:
-    arr = np.array(data, dtype=float)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, broadcast over the leading ones.
+
+    A stacked `@` of (1, n) rows by (n, 1) columns: bit for bit the value
+    of one `a_i @ b_i` per row, which einsum and sum-of-products are not.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _flat(data, n: int | None = None) -> np.ndarray:
+    arr = np.asarray(data, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a flat real vector, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise DimensionMismatch(f"expected length {n}, got {arr.shape[0]}")
-    arr.setflags(write=False)
     return arr
 
 
 class DVector:
-    """Element of D^n held as the two real vectors of its idempotent split."""
+    """Element of D^n held as the (2, n) stack of its idempotent split.
 
-    __slots__ = ("c1", "c2")
+    `c` is read-only; `c1` and `c2` are its two rows.
+    """
+
+    __slots__ = ("c", "c1", "c2")
 
     def __init__(self, coords: Iterable[Hyperbolic]):
         coords = [_coerce(c) for c in coords]
-        self.c1 = _as_locked_array([c.p for c in coords])
-        self.c2 = _as_locked_array([c.q for c in coords])
+        self._lock(np.array([[c.p for c in coords], [c.q for c in coords]], dtype=float))
+
+    def _lock(self, c: np.ndarray) -> None:
+        c.setflags(write=False)
+        self.c = c
+        self.c1, self.c2 = c
+
+    @classmethod
+    def _of(cls, c: np.ndarray) -> "DVector":
+        """Wrap a fresh (2, n) float stack that nothing else holds."""
+        self = object.__new__(cls)
+        self._lock(c)
+        return self
 
     @classmethod
     def from_components(cls, x1, x2) -> "DVector":
         """Join two real coordinate vectors back into one element of D^n."""
-        self = object.__new__(cls)
-        self.c1 = _as_locked_array(x1)
-        self.c2 = _as_locked_array(x2, n=self.c1.shape[0])
-        return self
+        x1 = _flat(x1)
+        return cls._of(np.array((x1, _flat(x2, n=x1.shape[0]))))
 
     @classmethod
     def zero(cls, n: int) -> "DVector":
@@ -96,46 +122,44 @@ class DVector:
 
     def __add__(self, other: "DVector") -> "DVector":
         self._check_same(other)
-        return DVector.from_components(self.c1 + other.c1, self.c2 + other.c2)
+        return DVector._of(self.c + other.c)
 
     def __sub__(self, other: "DVector") -> "DVector":
         self._check_same(other)
-        return DVector.from_components(self.c1 - other.c1, self.c2 - other.c2)
+        return DVector._of(self.c - other.c)
 
     def __neg__(self) -> "DVector":
-        return DVector.from_components(-self.c1, -self.c2)
+        return DVector._of(-self.c)
 
     def __mul__(self, alpha) -> "DVector":
         alpha = _as_scalar(alpha)
         if alpha is None:
             return NotImplemented
         # scalar action splits: (alpha*x)_l = alpha_l * x_l
-        return DVector.from_components(alpha.p * self.c1, alpha.q * self.c2)
+        return DVector._of(np.array([[alpha.p], [alpha.q]]) * self.c)
 
     __rmul__ = __mul__
 
     # -- predicates --------------------------------------------------------
 
+    def _vanishing(self, tol: float) -> np.ndarray:
+        """Per component: does the real vector vanish to within tol?"""
+        return np.max(np.abs(self.c), axis=1, initial=0.0) <= tol
+
     def is_zero(self, tol: float = TOL) -> bool:
-        return float(np.max(np.abs(self.c1), initial=0.0)) <= tol and float(
-            np.max(np.abs(self.c2), initial=0.0)
-        ) <= tol
+        return float(np.max(np.abs(self.c), initial=0.0)) <= tol
 
     def is_zero_divisor(self, tol: float = TOL) -> bool:
         """Nonzero with exactly one vanishing real component vector."""
-        z1 = float(np.max(np.abs(self.c1), initial=0.0)) <= tol
-        z2 = float(np.max(np.abs(self.c2), initial=0.0)) <= tol
-        return z1 != z2
+        z1, z2 = self._vanishing(tol)
+        return bool(z1 != z2)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DVector):
             return NotImplemented
         if other.n != self.n:
             return False
-        return bool(
-            np.allclose(self.c1, other.c1, atol=TOL, rtol=0.0)
-            and np.allclose(self.c2, other.c2, atol=TOL, rtol=0.0)
-        )
+        return bool(np.allclose(self.c, other.c, atol=TOL, rtol=0.0))
 
     def __repr__(self) -> str:
         return f"DVector(c1={self.c1.tolist()}, c2={self.c2.tolist()})"
@@ -173,7 +197,7 @@ def linear_dependent(x: DVector, y: DVector, tol: float = SPAN_TOL) -> bool:
     pairs are dependent over the reals.
     """
     x._check_same(y)
-    return bool(_dependent_pair(x.c1, y.c1, tol) and _dependent_pair(x.c2, y.c2, tol))
+    return bool(np.all(_dependent_pair(x.c, y.c, tol)))
 
 
 def _orthonormal_rows(

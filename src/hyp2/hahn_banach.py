@@ -25,6 +25,11 @@ sup/inf objectives and serve as independent cross-checks; the audit checks
 each step's r against the gap point recomputed by SVD from the problem's
 raw data.
 
+Storage.  Vectors, matrices and moments are (2, ...) component stacks, so
+each D-level step below is one array call over the leading axis.  What
+stays per component: the domain's two bases (they may differ in dimension)
+and the gap oracles' optimisation.
+
 Degenerate right slots.  If z has one vanishing component it is repaired by
 injecting a scaled basis vector into that component (the functional is
 extended by zero there); if z = 0 every 2-functional on M x [z] is zero and
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmodule import DSubmodule, DVector, _orthonormal_rows
+from .dmodule import DSubmodule, DVector, _dot, _orthonormal_rows
 from .hyperbolic import TOL, Hyperbolic
 from .two_functional import SAMPLE_REJECT_TOL, DBilinear2Functional
 from .two_norm import D2Norm, wedge_area_batch
@@ -64,26 +69,31 @@ class ZeroDivisorInput(ValueError):
 
 
 def _perp(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Component of v orthogonal to z (identity for z = 0)."""
-    nz2 = float(z @ z)
-    if nz2 <= TOL * TOL:
-        return np.array(v, dtype=float)
-    return v - z * (float(z @ v) / nz2)
+    """Part of v orthogonal to z, row-wise over the last axis (v itself
+    where z = 0)."""
+    nz2 = _dot(z, z)[..., None]
+    vanish = nz2 <= TOL * TOL
+    return np.where(vanish, v, v - z * (_dot(z, v)[..., None] / np.where(vanish, 1.0, nz2)))
 
 
 def _cyclic_coeffs(z: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Solve y = alpha * z in one component, row-wise for a stack of y.
+    """Solve y = alpha * z per component: z is a (2, n) stack and y a
+    (2, m, n) stack of m vectors per component; returns the (2, m) alphas.
 
-    Raises ValueError when some y lies outside span(z), the component of [z].
+    A component where z vanishes admits only y = 0 there, with alpha = 0.
+    Raises ValueError when some y lies outside [z].
     """
-    nz2 = float(z @ z)
-    if nz2 <= TOL * TOL:
-        if float(np.max(np.abs(y), initial=0.0)) > tol:
-            raise ValueError("second argument lies outside the cyclic domain [z]")
-        return np.zeros(y.shape[:-1])
-    a = (y @ z) / nz2
-    resid = np.linalg.norm(y - a[..., None] * z, axis=-1)
-    if np.any(resid > tol * (1.0 + np.linalg.norm(y, axis=-1))):
+    nz2 = _dot(z, z)[:, None]
+    live = nz2 > TOL * TOL
+    yz = (y @ z[:, :, None])[..., 0]
+    a = np.divide(yz, nz2, out=np.zeros_like(yz), where=live)
+    resid = np.linalg.norm(y - a[..., None] * z[:, None, :], axis=-1)
+    outside = np.where(
+        live,
+        resid > tol * (1.0 + np.linalg.norm(y, axis=-1)),
+        np.max(np.abs(y), axis=-1, initial=0.0) > tol,
+    )
+    if np.any(outside):
         raise ValueError("second argument lies outside the cyclic domain [z]")
     return a
 
@@ -99,23 +109,24 @@ def _domain_stack(domain: DSubmodule, coeffs: np.ndarray) -> np.ndarray:
 
 
 class RestrictedFunctional:
-    """A bounded 2-functional on M x [z], stored by per-component moment vectors.
+    """A bounded 2-functional on M x [z], stored by its moment vectors.
 
-    The moment vectors are expected to lie in proj_{z-perp} of the matching
-    domain component; from_matrices produces them in that canonical position.
+    `w` is the read-only (2, n) stack of the two moments; `w1` and `w2` are
+    its rows.  Each moment is expected to lie in proj_{z-perp} of the
+    matching domain component; from_matrices produces them in that
+    canonical position.
     """
 
-    __slots__ = ("domain", "z", "w1", "w2")
+    __slots__ = ("domain", "z", "w", "w1", "w2")
 
     def __init__(self, domain: DSubmodule, z: DVector, w1, w2):
         if z.n != domain.n:
             raise ValueError("generator dimension does not match the domain")
         self.domain = domain
         self.z = z
-        self.w1 = np.array(w1, dtype=float).reshape(domain.n)
-        self.w2 = np.array(w2, dtype=float).reshape(domain.n)
-        self.w1.setflags(write=False)
-        self.w2.setflags(write=False)
+        self.w = np.array((w1, w2), dtype=float).reshape(2, domain.n)
+        self.w.setflags(write=False)
+        self.w1, self.w2 = self.w
 
     @classmethod
     def from_matrices(
@@ -126,39 +137,29 @@ class RestrictedFunctional:
         Per component the restriction's moment is the projection of C z onto
         W = proj_{z-perp}(M): for x in M, x' C z = <proj_W(C z), x> because
         C z is already orthogonal to z.  The rank of W drops by one when z
-        lies in the component; the dependent row is dropped.
+        lies in the component; the dependent row is dropped.  The domain's
+        two bases may differ in dimension, so the projection runs per
+        component.
         """
+        cz = (functional.C @ z.c[:, :, None])[..., 0]
         moments = []
-        for comp, C in enumerate((functional.C1, functional.C2)):
-            zc = z.split()[comp]
-            q = domain.component_q(comp)
-            projected = np.array([_perp(zc, row) for row in q]).reshape(q.shape)
-            wb, _ = _orthonormal_rows(projected, 1e-12)
-            moments.append(wb.T @ (wb @ (C @ zc)))
-        return cls(domain, z, moments[0], moments[1])
-
-    def moment(self, comp: int) -> np.ndarray:
-        return self.w1 if comp == 0 else self.w2
+        for q, zc, czc in zip((domain.q1, domain.q2), z.c, cz):
+            wb, _ = _orthonormal_rows(_perp(zc, q), 1e-12)
+            moments.append(wb.T @ (wb @ czc))
+        return cls(domain, z, *moments)
 
     def norm(self) -> Hyperbolic:
         """Operator norm on M x [z]: ||w|| / ||z|| per component (0 for z = 0)."""
-        vals = []
-        for comp in (0, 1):
-            nz = float(np.linalg.norm(self.z.split()[comp]))
-            vals.append(0.0 if nz <= TOL else float(np.linalg.norm(self.moment(comp))) / nz)
-        return Hyperbolic(vals[0], vals[1])
-
-    def _alpha_of(self, y: DVector, tol: float = 1e-9) -> tuple[float, float]:
-        """Solve y = alpha * z componentwise; reject y outside [z]."""
-        a1, a2 = (float(_cyclic_coeffs(zc, yc, tol)) for zc, yc in zip(self.z.split(), y.split()))
-        return a1, a2
+        nz = np.sqrt(_dot(self.z.c, self.z.c))
+        nw = np.sqrt(_dot(self.w, self.w))
+        return Hyperbolic(*np.divide(nw, nz, out=np.zeros(2), where=nz > TOL))
 
     def evaluate(self, x: DVector, y: DVector, check_domain: bool = True) -> Hyperbolic:
-        """Value at (x, y) with x in M and y in [z]."""
+        """Value at (x, y) with x in M and y in [z]; rejects y outside [z]."""
         if check_domain and not self.domain.contains(x):
             raise ValueError("first argument lies outside the domain submodule")
-        a1, a2 = self._alpha_of(y)
-        return Hyperbolic(a1 * float(self.w1 @ x.c1), a2 * float(self.w2 @ x.c2))
+        alpha = _cyclic_coeffs(self.z.c, y.c[:, None, :])[:, 0]
+        return Hyperbolic(*(alpha * _dot(self.w, x.c)))
 
     __call__ = evaluate
 
@@ -168,16 +169,12 @@ class RestrictedFunctional:
         C = (w z' - z w') / ||z||^2 satisfies C z = w because w is orthogonal
         to z; the vanishing-z component gets the zero matrix.
         """
-        mats = []
-        for comp in (0, 1):
-            zc = self.z.split()[comp]
-            w = self.moment(comp)
-            nz2 = float(zc @ zc)
-            if nz2 <= TOL * TOL:
-                mats.append(np.zeros((self.domain.n, self.domain.n)))
-            else:
-                mats.append((np.outer(w, zc) - np.outer(zc, w)) / nz2)
-        return DBilinear2Functional(mats[0], mats[1])
+        w, z = self.w, self.z.c
+        nz2 = _dot(z, z)[:, None, None]
+        outer = w[:, :, None] * z[:, None, :] - z[:, :, None] * w[:, None, :]
+        return DBilinear2Functional(
+            *np.divide(outer, nz2, out=np.zeros_like(outer), where=nz2 > TOL * TOL)
+        )
 
     def __repr__(self) -> str:
         return f"RestrictedFunctional(domain={self.domain!r}, norm={self.norm()!r})"
@@ -187,33 +184,29 @@ class ExtensionProblem:
     """A bounded 2-functional on M x [z] inside D^n, ready for extension.
 
     The functional is given globally by antisymmetric component matrices and
-    restricted to the stated domain; the 2-norm must be the area lift.
+    restricted to the stated domain; the 2-norm is the area lift.  z and
+    C z must have finite squared lengths, so that no later step overflows.
     """
 
-    __slots__ = ("n", "M", "z", "functional", "norm", "_rf")
+    __slots__ = ("n", "M", "z", "functional", "_rf")
 
-    def __init__(
-        self,
-        n: int,
-        M: DSubmodule,
-        z: DVector,
-        functional: DBilinear2Functional,
-        norm: D2Norm | None = None,
-    ):
-        norm = norm if norm is not None else D2Norm()
-        if not norm.is_gramdet():
-            raise ValueError("the extension engine is built for the area 2-norm lift")
+    def __init__(self, n: int, M: DSubmodule, z: DVector, functional: DBilinear2Functional):
         if M.n != n or z.n != n or functional.n != n:
             raise ValueError("dimension mismatch between the problem parts")
-        with np.errstate(over="ignore"):
-            finite = all(np.isfinite(zc @ zc) for zc in z.split())
-        if not finite:
+        with np.errstate(over="ignore", invalid="ignore"):
+            z_finite = np.isfinite(_dot(z.c, z.c)).all()
+            cz = (functional.C @ z.c[:, :, None])[..., 0]
+            cz_finite = np.isfinite(_dot(cz, cz)).all()
+        if not z_finite:
             raise ValueError("z is too large: a component's squared length is non-finite")
+        if not cz_finite:
+            raise ValueError(
+                "the functional is too large: a component of C z has a non-finite squared length"
+            )
         self.n = n
         self.M = M
         self.z = z
         self.functional = functional
-        self.norm = norm
         self._rf = None
 
     def restriction(self) -> RestrictedFunctional:
@@ -247,7 +240,6 @@ class ExtensionProblem:
             DSubmodule.from_json(obj["M"]),
             DVector.from_json(obj["z"]),
             DBilinear2Functional.from_json(obj["functional"]),
-            D2Norm(),
         )
 
 
@@ -271,7 +263,7 @@ class ExtensionStep:
 
 def _gap_point(rf: RestrictedFunctional, x_prime: DVector) -> Hyperbolic:
     """<w, x'> per component: the single norm-preserving value of g(x', z)."""
-    return Hyperbolic(float(rf.w1 @ x_prime.c1), float(rf.w2 @ x_prime.c2))
+    return Hyperbolic(*_dot(rf.w, x_prime.c))
 
 
 def _step(rf: RestrictedFunctional, x_prime: DVector) -> ExtensionStep:
@@ -280,7 +272,7 @@ def _step(rf: RestrictedFunctional, x_prime: DVector) -> ExtensionStep:
         not rf.domain.component_contains(0, x_prime.c1),
         not rf.domain.component_contains(1, x_prime.c2),
     )
-    g = RestrictedFunctional(rf.domain.extend(x_prime), rf.z, rf.w1, rf.w2) if any(grew) else rf
+    g = RestrictedFunctional(rf.domain.extend(x_prime), rf.z, *rf.w) if any(grew) else rf
     return ExtensionStep(x_prime=x_prime, r=_gap_point(rf, x_prime), g=g, grew=grew)
 
 
@@ -321,20 +313,15 @@ def normalize_degenerate_z(problem: ExtensionProblem) -> ExtensionProblem:
     """
     if not problem.z.is_zero_divisor():
         raise NotDegenerate("z is not a zero divisor")
-    z1, z2 = problem.z.split()
-    n = problem.n
-    vanish = 0 if float(np.max(np.abs(z1), initial=0.0)) <= TOL else 1
-    keep = 1 - vanish
-    scale = float(np.linalg.norm(problem.z.split()[keep]))
-    u = np.zeros(n)
-    u[0] = scale
-    new_parts = [z1, z2]
-    new_parts[vanish] = u
-    z_new = DVector.from_components(new_parts[0], new_parts[1])
-    mats = [problem.functional.C1, problem.functional.C2]
-    mats[vanish] = np.zeros((n, n))
-    functional = DBilinear2Functional(mats[0], mats[1])
-    return ExtensionProblem(n, problem.M, z_new, functional, problem.norm)
+    z, n = problem.z.c, problem.n
+    vanish = problem.z._vanishing(TOL)
+    # the surviving component's length, placed on the first axis of the other
+    length = np.sqrt(_dot(z, z))[::-1, None]
+    z_new = np.where(vanish[:, None], length * np.eye(n)[0], z)
+    # order="K" keeps a transposed (Fortran-ordered) matrix's layout
+    C = problem.functional.C.copy(order="K")
+    C[vanish] = 0.0
+    return ExtensionProblem(n, problem.M, DVector._of(z_new), DBilinear2Functional(*C))
 
 
 @dataclass
@@ -402,13 +389,11 @@ class ExtensionTrace:
         draws = rng.standard_normal((samples, k + 2))
         xs = _domain_stack(prob.M, draws[:, :k])
         alpha = draws[:, k:].T
-        z = np.stack(prob.z.split())
-        cz = np.stack((prob.functional.C1 @ z[0], prob.functional.C2 @ z[1]))
+        z = prob.z.c
+        cz = (prob.functional.C @ z[:, :, None])[..., 0]
         f_vals = alpha * np.einsum("cmn,cn->cm", xs, cz)
-        ys = alpha[:, :, None] * z[:, None, :]
-        a = np.stack([_cyclic_coeffs(zc, yc) for zc, yc in zip(self.final.z.split(), ys)])
-        w = np.stack((self.final.w1, self.final.w2))
-        F_vals = a * np.einsum("cmn,cn->cm", xs, w)
+        a = _cyclic_coeffs(self.final.z.c, alpha[:, :, None] * z[:, None, :])
+        F_vals = a * np.einsum("cmn,cn->cm", xs, self.final.w)
         restr_err = float(np.max(np.abs(F_vals - f_vals), initial=0.0))
         scale = np.abs(alpha) * np.linalg.norm(xs, axis=-1) * np.linalg.norm(cz, axis=-1)[:, None]
         restr_scale = float(np.max(scale, initial=0.0))
@@ -419,14 +404,13 @@ class ExtensionTrace:
 
         # brackets: r against the gap point recomputed from the raw data
         wk = self.worked
-        zw = np.stack(wk.z.split())
+        zw = wk.z.c
         brackets_ok = True
         if self.steps:
             rs = np.array([(s.r.p, s.r.q) for s in self.steps]).T
-            xps = np.stack([np.stack(s.x_prime.split()) for s in self.steps], axis=1)
+            xps = np.stack([s.x_prime.c for s in self.steps], axis=1)
             bases = (wk.M.basis1, wk.M.basis2)
-            mats = (wk.functional.C1, wk.functional.C2)
-            for zc, basis, C, r, xp in zip(zw, bases, mats, rs, xps):
+            for zc, basis, C, r, xp in zip(zw, bases, wk.functional.C, rs, xps):
                 # rows scaled to unit length, so the rank cut is absolute
                 unit = basis / np.linalg.norm(basis, axis=1, keepdims=True)
                 perp = unit - np.outer(unit @ zc, zc) / (zc @ zc)
@@ -446,10 +430,9 @@ class ExtensionTrace:
         for state, step in zip(rf_states[:-1], self.steps):
             draws = rng.standard_normal((per_step, sum(state.domain.dims)))
             xs = _domain_stack(state.domain, draws)
-            a = np.stack([_cyclic_coeffs(zc, yc) for zc, yc in zip(state.z.split(), zw)])
-            w = np.stack((state.w1, state.w2))
-            lhs = np.abs(a[:, None] * np.einsum("cmn,cn->cm", xs, w) + [[step.r.p], [step.r.q]])
-            shifted = xs + np.stack(step.x_prime.split())[:, None, :]
+            a = _cyclic_coeffs(state.z.c, zw[:, None, :])
+            lhs = np.abs(a * np.einsum("cmn,cn->cm", xs, state.w) + [[step.r.p], [step.r.q]])
+            shifted = xs + step.x_prime.c[:, None, :]
             grams = wedge_area_batch(shifted.reshape(-1, n), np.repeat(zw, per_step, axis=0))
             rhs = [[nf.p], [nf.q]] * grams.reshape(2, per_step)
             excesses.append(np.max(lhs - rhs))
@@ -457,18 +440,10 @@ class ExtensionTrace:
 
         # independent norm recomputation: sampled supremum of the modulus
         # quotient over X x [z'], polished by hill climbing
-        sup_vals = []
-        for comp in (0, 1):
-            zc = self.worked.z.split()[comp]
-            w = self.final.moment(comp)
-            sup_vals.append(_ratio_sup(w, zc, n, rng))
-        norm_audit = Hyperbolic(sup_vals[0], sup_vals[1])
-        rel = []
-        for got, want in ((norm_audit.p, nf.p), (norm_audit.q, nf.q)):
-            if abs(want) <= 1e-12 and abs(got) <= 1e-12:
-                rel.append(0.0)
-            else:
-                rel.append(abs(got - want) / max(abs(want), 1e-12))
+        got = np.array([_ratio_sup(w, zc, n, rng) for w, zc in zip(self.final.w, zw)])
+        want = np.abs([nf.p, nf.q])
+        tiny = (want <= 1e-12) & (np.abs(got) <= 1e-12)
+        rel = np.where(tiny, 0.0, np.abs(got - want) / np.maximum(want, 1e-12)).tolist()
         norm_ok = max(rel) <= norm_rel_tol
 
         out = {
@@ -480,7 +455,7 @@ class ExtensionTrace:
             "pointwise_ok": pointwise_excess <= 1e-9,
             "norm_f": self.norm_f.to_json(),
             "norm_F": self.norm_F.to_json(),
-            "norm_F_audit": norm_audit.to_json(),
+            "norm_F_audit": Hyperbolic(*got).to_json(),
             "norm_rel_err": rel,
             "norm_ok": norm_ok,
             "steps": len(self.steps),
@@ -598,9 +573,7 @@ def full_extend(problem: ExtensionProblem) -> ExtensionTrace:
     )
 
 
-def corollary_functional(
-    x0: DVector, y0: DVector, norm: D2Norm | None = None
-) -> tuple[RestrictedFunctional, ExtensionTrace]:
+def corollary_functional(x0: DVector, y0: DVector) -> tuple[RestrictedFunctional, ExtensionTrace]:
     """The norm-one functional attaining the 2-norm at an independent pair.
 
     f0 on [x0] x [y0] maps (alpha x0, beta y0) to alpha*beta*gram(x0, y0);
@@ -608,24 +581,18 @@ def corollary_functional(
     Requires x0 and y0 to be componentwise independent (so the attained norm
     value is invertible) and neither to be zero or a zero divisor.
     """
-    norm = norm if norm is not None else D2Norm()
     n = x0.n
     for v, name in ((x0, "x0"), (y0, "y0")):
         if v.is_zero() or v.is_zero_divisor():
             raise ZeroDivisorInput(f"{name} is zero or a zero divisor")
-    target = norm(x0, y0)
+    target = D2Norm()(x0, y0)
     if min(target.p, target.q) <= 1e-9:
         raise DependentPair("x0 and y0 are dependent in some component")
-    moments = []
-    for comp in (0, 1):
-        xc = x0.split()[comp]
-        zc = y0.split()[comp]
-        p0 = _perp(zc, xc)
-        t = target.p if comp == 0 else target.q
-        moments.append(p0 * (t / float(p0 @ p0)))
+    p0 = _perp(y0.c, x0.c)
+    moments = p0 * (np.array([target.p, target.q]) / _dot(p0, p0))[:, None]
     M = DSubmodule(n, x0.c1[None, :], x0.c2[None, :])
-    f0 = RestrictedFunctional(M, y0, moments[0], moments[1])
-    problem = ExtensionProblem(n, M, y0, f0.as_functional(), norm)
+    f0 = RestrictedFunctional(M, y0, *moments)
+    problem = ExtensionProblem(n, M, y0, f0.as_functional())
     trace = full_extend(problem)
     return f0, trace
 
@@ -633,25 +600,28 @@ def corollary_functional(
 # -- independent gap estimators ---------------------------------------------
 
 
-def _gap_setup(problem: ExtensionProblem, x_prime: DVector, comp: int):
-    """One component's gap data: the orthonormal domain basis q, z, x', the
-    coefficients q C z of f(., z) in that basis, and |f|."""
-    q = problem.M.component_q(comp)
-    z = problem.z.split()[comp]
-    C = problem.functional.C1 if comp == 0 else problem.functional.C2
-    cz_q = (q @ (C @ z)) if q.size else np.zeros(0)
-    nf = problem.norm_f().p if comp == 0 else problem.norm_f().q
-    return q, z, x_prime.split()[comp], cz_q, nf
+def _gap_setup(problem: ExtensionProblem, x_prime: DVector) -> list[tuple]:
+    """The gap data of each component: the orthonormal domain basis q, z,
+    x', the coefficients q C z of f(., z) in that basis, and |f|."""
+    cz = (problem.functional.C @ problem.z.c[:, :, None])[..., 0]
+    nf = problem.norm_f()
+    return [
+        (q, z, xp, q @ czc, nfc)
+        for q, z, xp, czc, nfc in zip(
+            (problem.M.q1, problem.M.q2), problem.z.c, x_prime.c, cz, (nf.p, nf.q)
+        )
+    ]
 
 
-def _gap_objective(problem: ExtensionProblem, x_prime: DVector, comp: int, sign: float):
-    """Batched objective |f|*gram(x +- x', z) sign f(x, z) in coefficients.
+def _gap_objective(setup: tuple, sign: float):
+    """Batched objective |f|*gram(x +- x', z) sign f(x, z) in coefficients,
+    for one component's `_gap_setup` data.
 
     sign=+1 yields the infimum objective for m; sign=-1 the inner objective
     whose negated minimum is m0.  Coefficients parameterize the domain
     component in its orthonormal basis.
     """
-    q, z, xp, cz_q, nf = _gap_setup(problem, x_prime, comp)
+    q, z, xp, cz_q, nf = setup
 
     def objective(coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
@@ -680,14 +650,14 @@ def gap_interval_subgradient(
     """
     rng = np.random.default_rng(seed)
     los, his = [], []
-    for comp in (0, 1):
-        q, z, xp, cz_q, nf = _gap_setup(problem, x_prime, comp)
+    for setup in _gap_setup(problem, x_prime):
+        q, z, xp, cz_q, nf = setup
         nz = float(np.linalg.norm(z))
         k = q.shape[0]
 
         def minimize(sign: float) -> float:
             if k == 0:
-                obj, _ = _gap_objective(problem, x_prime, comp, sign)
+                obj, _ = _gap_objective(setup, sign)
                 return float(obj(np.zeros((1, 0)))[0])
             best = np.inf
             spread = 1.0 + float(np.linalg.norm(xp))
@@ -790,9 +760,9 @@ def gap_interval_grid(
 ) -> tuple[Hyperbolic, Hyperbolic]:
     """Dense-grid oracle for the gap endpoints (component dimensions <= 3)."""
     los, his = [], []
-    for comp in (0, 1):
-        obj_m, k = _gap_objective(problem, x_prime, comp, +1.0)
-        obj_s, _ = _gap_objective(problem, x_prime, comp, -1.0)
+    for setup in _gap_setup(problem, x_prime):
+        obj_m, k = _gap_objective(setup, +1.0)
+        obj_s, _ = _gap_objective(setup, -1.0)
         his.append(_grid_min(obj_m, k, tau_hi))
         los.append(-_grid_min(obj_s, k, tau_hi))
     return Hyperbolic(los[0], los[1]), Hyperbolic(his[0], his[1])

@@ -4,8 +4,10 @@ A map f(x, y) = e1*(x1' C1 y1) + e2*(x2' C2 y2) with antisymmetric C1, C2 is
 biadditive, scalar-bihomogeneous, and vanishes on dependent pairs; with the
 Euclidean area 2-norm these are exactly the bounded 2-functionals on D^n, and
 the operator norm of each component equals the largest singular value of its
-matrix.  Two independent norm computations are provided: the spectral value
-(exact) and a randomized supremum search (a refined lower estimate).
+matrix.  The two matrices are held as one read-only (2, n, n) stack `C`, so
+evaluation, scaling and the spectral norm are single array calls.  Two
+independent norm computations are provided: the spectral value (exact) and a
+randomized supremum search (a refined lower estimate).
 """
 
 from __future__ import annotations
@@ -55,13 +57,20 @@ def _as_antisymmetric(mat, n: int | None = None) -> np.ndarray:
 
 
 class DBilinear2Functional:
-    """A bounded 2-functional on D^n x D^n, one antisymmetric matrix per component."""
+    """A bounded 2-functional on D^n x D^n, one antisymmetric matrix per component.
 
-    __slots__ = ("C1", "C2")
+    `C` is the read-only (2, n, n) stack; `C1` and `C2` are its two planes.
+    The stack keeps each matrix's memory order (a transposed matrix stays
+    Fortran-ordered), because that order decides how BLAS sums C @ z.
+    """
+
+    __slots__ = ("C", "C1", "C2")
 
     def __init__(self, C1, C2):
-        self.C1 = _as_antisymmetric(C1)
-        self.C2 = _as_antisymmetric(C2, n=self.C1.shape[0])
+        C1 = _as_antisymmetric(C1)
+        self.C = np.stack((C1, _as_antisymmetric(C2, n=C1.shape[0])))
+        self.C.setflags(write=False)
+        self.C1, self.C2 = self.C
 
     @classmethod
     def zero(cls, n: int) -> "DBilinear2Functional":
@@ -81,7 +90,7 @@ class DBilinear2Functional:
     def __call__(self, x: DVector, y: DVector) -> Hyperbolic:
         if x.n != self.n or y.n != self.n:
             raise DimensionMismatch(f"functional on D^{self.n} applied to D^{x.n} x D^{y.n}")
-        return Hyperbolic(float(x.c1 @ self.C1 @ y.c1), float(x.c2 @ self.C2 @ y.c2))
+        return Hyperbolic(*(x.c[:, None, :] @ self.C @ y.c[:, :, None])[:, 0, 0])
 
     evaluate = __call__
 
@@ -89,7 +98,7 @@ class DBilinear2Functional:
         alpha = _as_scalar(alpha)
         if alpha is None:
             return NotImplemented
-        return DBilinear2Functional(alpha.p * self.C1, alpha.q * self.C2)
+        return DBilinear2Functional(*(np.array([alpha.p, alpha.q])[:, None, None] * self.C))
 
     __rmul__ = __mul__
 
@@ -154,32 +163,23 @@ class NormCertificate:
         }
 
 
-def _top_singular_pair(C: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    n = C.shape[0]
-    u_mat, s, vh = np.linalg.svd(C)
-    sigma = float(s[0]) if s.size else 0.0
-    if sigma <= 1e-300:
-        u = np.zeros(n)
-        v = np.zeros(n)
-        u[0] = 1.0
-        v[min(1, n - 1)] = 1.0
-        return 0.0, u, v
-    return sigma, u_mat[:, 0], vh[0, :]
-
-
-def norm_spectral(f: DBilinear2Functional, norm: D2Norm | None = None) -> NormCertificate:
+def norm_spectral(f: DBilinear2Functional) -> NormCertificate:
     """Exact operator norm w.r.t. the area 2-norm: top singular value per component.
 
     For antisymmetric C, |x' C y| <= sigma_max(C) * area(x, y) with equality
     at the top singular pair (project y orthogonal to x; x' C x = 0), so the
-    supremum of the modulus over unit-area pairs is exactly sigma_max.
+    supremum of the modulus over unit-area pairs is exactly sigma_max.  One
+    SVD of the (2, n, n) stack; a component with sigma_max <= 1e-300 gets
+    the value 0 and the first two standard basis vectors as its witness.
     """
-    if norm is not None and not norm.is_gramdet():
-        raise ValueError("the spectral norm formula requires the Gram-determinant 2-norm")
-    s1, u1, v1 = _top_singular_pair(f.C1)
-    s2, u2, v2 = _top_singular_pair(f.C2)
-    witness = (DVector.from_components(u1, u2), DVector.from_components(v1, v2))
-    return NormCertificate(Hyperbolic(s1, s2), witness, Method.SPECTRAL)
+    u_mat, s, vh = np.linalg.svd(f.C)
+    sigma = s[:, 0]
+    null = sigma <= 1e-300
+    eye = np.eye(f.n)
+    u = np.where(null[:, None], eye[0], u_mat[:, :, 0])
+    v = np.where(null[:, None], eye[min(1, f.n - 1)], vh[:, 0, :])
+    value = Hyperbolic(*np.where(null, 0.0, sigma))
+    return NormCertificate(value, (DVector._of(u), DVector._of(v)), Method.SPECTRAL)
 
 
 def _component_ratios(C: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -287,7 +287,6 @@ def _bruteforce_component(
 
 def norm_bruteforce(
     f: DBilinear2Functional,
-    norm: D2Norm | None = None,
     budget: int = 20000,
     seed: int = 0,
     formula: str = "quotient",
@@ -303,14 +302,12 @@ def norm_bruteforce(
     quotient form ("quotient") or the unit-normalized form ("unit"); the two
     agree in the limit.
     """
-    if norm is not None and not norm.is_gramdet():
-        raise ValueError("the brute-force search is built around the area 2-norm")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if formula not in ("quotient", "unit"):
         raise ValueError(f"unknown formula {formula!r}")
     results = []
-    for comp, C in enumerate((f.C1, f.C2)):
+    for comp, C in enumerate(f.C):
         rng = np.random.default_rng([seed, comp, 0 if formula == "quotient" else 1])
         results.append(_bruteforce_component(C, budget, rng, formula, climb_steps))
     (b1, u1, v1), (b2, u2, v2) = results
@@ -357,8 +354,8 @@ def is_bounded_check(
     n = f.n
     x, y, s = _split_draws(rng.standard_normal((samples, 4 * n + 2)), n, 2)
     wx, wy = norm_spectral(f).witness
-    spectral_x = np.array([1.0, 0.5, 2.0])[:, None] * np.stack(wx.split())[:, None, :]
-    spectral_y = np.broadcast_to(np.stack(wy.split())[:, None, :], spectral_x.shape)
+    spectral_x = np.array([1.0, 0.5, 2.0])[:, None] * wx.c[:, None, :]
+    spectral_y = np.broadcast_to(wy.c[:, None, :], spectral_x.shape)
     # per sample (x, y), then the dependent corner (x, s x), where the bound
     # degenerates to |f| <= 0
     xs = np.concatenate((spectral_x, np.repeat(x, 2, axis=1)), axis=1)
@@ -366,7 +363,7 @@ def is_bounded_check(
         (spectral_y, np.stack((y, s[..., None] * x), axis=2).reshape(2, 2 * samples, n)), axis=1
     )
 
-    lhs = np.abs(np.einsum("cmi,cmi->cm", np.stack((xs[0] @ f.C1, xs[1] @ f.C2)), ys))
+    lhs = np.abs(np.einsum("cmi,cmi->cm", xs @ f.C, ys))
     rhs = np.array([[delta.p], [delta.q]]) * _stack_evaluator(norm)(xs, ys)
     excess = np.max(lhs - rhs, axis=0)
     i = int(np.argmax(excess))

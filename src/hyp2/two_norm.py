@@ -60,8 +60,6 @@ class GramDet2Norm:
     cancellation the direct formula suffers near dependent pairs.
     """
 
-    kind = "gramdet"
-
     def __call__(self, x: np.ndarray, y: np.ndarray) -> float:
         return wedge_area(x, y)
 
@@ -105,11 +103,6 @@ class D2Norm:
         return np.stack(
             (_real_batch(self.norm1, xs[0], ys[0]), _real_batch(self.norm2, xs[1], ys[1]))
         )
-
-    def is_gramdet(self) -> bool:
-        return getattr(self.norm1, "kind", None) == "gramdet" and getattr(
-            self.norm2, "kind", None
-        ) == "gramdet"
 
     def __repr__(self) -> str:
         return f"D2Norm({self.norm1!r}, {self.norm2!r})"
@@ -236,19 +229,24 @@ def axiom_check(
     (samples, 6n + 4) standard-normal block, per row x1 x2 y1 y2 z1 z2, the
     scalar alpha of the dependent pairs, then the random homogeneity scalar;
     this is the stream of drawing sample after sample.  A NaN value counts
-    as a violation.
+    as a violation.  Under (i), a value <= 0 in a component where the pair
+    is independent counts as a violation of 1 + |value|, so a map that
+    vanishes on independent pairs fails at every tolerance below 1.
     """
     evaluate = _stack_evaluator(norm_fn)
     rng = np.random.default_rng(rng if rng is not None else 0)
     x, y, z, alpha, scalar = _split_draws(rng.standard_normal((samples, 6 * n + 4)), n, 3)
 
     # (i) dependent pairs (x, s x) must evaluate to zero, for s = alpha,
-    # e1 alpha and e2 alpha, and independent pairs must not go negative
+    # e1 alpha and e2 alpha; independent pairs must not go negative, and
+    # must be positive in each component where they are independent
     factors = (alpha, alpha * [[1.0], [0.0]], alpha * [[0.0], [1.0]])
     dependent = [np.abs(evaluate(x, s[..., None] * x)) for s in factors]
     base = evaluate(x, y)
-    independent = ~(_dependent_pair(x[0], y[0]) & _dependent_pair(x[1], y[1]))
-    worst_i = _worst(*dependent, -np.min(base[:, independent], axis=0))
+    split_dependent = _dependent_pair(x, y)
+    independent = ~np.all(split_dependent, axis=0)
+    vanishing = np.where(~split_dependent & (base <= 0.0), 1.0 + np.abs(base), 0.0)
+    worst_i = _worst(*dependent, -np.min(base[:, independent], axis=0), vanishing)
 
     # (ii) symmetry
     worst_ii = _worst(np.abs(base - evaluate(y, x)))

@@ -174,11 +174,17 @@ def _set_huge_z(blob):
         c["p"], c["q"] = (1e200, -1e200) if i % 2 else (-1e200, 1e200)
 
 
+def _set_huge_functional(blob):
+    # every entry finite, but C z and its squared length overflow
+    blob["functional"]["C1"] = (np.array(blob["functional"]["C1"]) * 1e307).tolist()
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "command,corrupt",
         [("norm", _set_nan_functional), ("extend", _set_nan_z), ("extend", _set_inf_basis),
-         ("extend", _set_nan_functional), ("extend", _set_huge_z)],
+         ("extend", _set_nan_functional), ("extend", _set_huge_z),
+         ("extend", _set_huge_functional)],
     )
     def test_exit_2_with_one_line(self, capsys, instance_path, tmp_path, command, corrupt):
         blob = json.loads(instance_path.read_text())

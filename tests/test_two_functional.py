@@ -197,12 +197,6 @@ class TestNormSpectral:
         scale = cert.value * norm(x, y)
         assert (attained - scale).max_abs() <= 1e-9
 
-    def test_rejects_non_gramdet(self):
-        from hyp2.acceptance import BrokenTriangle2Norm
-
-        with pytest.raises(ValueError):
-            norm_spectral(DBilinear2Functional.zero(2), D2Norm(BrokenTriangle2Norm(), None))
-
 
 class TestNormBruteforce:
     def test_zero_functional(self):

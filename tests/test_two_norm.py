@@ -339,6 +339,17 @@ class TestAxiomCheckBatched:
             others = {k: v for k, v in report.worst.items() if k != axiom}
             assert max(others.values()) <= 1e-9, others
 
+    @pytest.mark.parametrize(
+        "norm_fn",
+        [lambda x, y: Hyperbolic(0.0, 0.0), D2Norm(GramDet2Norm(), lambda x, y: 0.0)],
+        ids=["zero", "zero_on_e2"],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_vanishing_on_independent_pairs_fails_axiom_i_only(self, norm_fn, n):
+        report = axiom_check(norm_fn, n, samples=50, rng=0)
+        assert np.isfinite(report.worst["i"]) and report.worst["i"] > 1e-9
+        assert [k for k, v in report.worst.items() if v > 1e-9] == ["i"]
+
     def test_nan_values_fail_the_check(self):
         def nan_norm(x, y):
             return Hyperbolic(float("nan"), 0.0)
