@@ -265,15 +265,15 @@ def _first_missing_basis_vector(problem: ExtensionProblem) -> DVector | None:
 
 def criterion_extension_engine(count: int = 100, seed: int = 0) -> CriterionResult:
     """Full extensions on random problems: restriction agreement at 1e-10,
-    norm preservation at 1e-5 relative per component, every step's r is the
-    independently recomputed gap point (the audit's brackets_ok), and the
-    dense-grid oracle confirms the gap endpoints at 1e-4 for component
-    dimensions <= 2.  Under 60 s."""
+    norm preservation at 1e-5 relative per component, every audit passes
+    (among its checks, every step's r is the independently recomputed gap
+    point), and the dense-grid oracle confirms the gap endpoints at 1e-4 for
+    component dimensions <= 2.  Under 60 s."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_restr = 0.0
     worst_norm_rel = 0.0
-    brackets_ok = True
+    audits_passed = True
     worst_oracle = 0.0
     oracle_runs = 0
     for i in range(count):
@@ -282,7 +282,7 @@ def criterion_extension_engine(count: int = 100, seed: int = 0) -> CriterionResu
         audit = trace.audit(samples=1000, seed=seed * 100 + i)
         worst_restr = max(worst_restr, audit["restriction_max_err"])
         worst_norm_rel = max(worst_norm_rel, *audit["norm_rel_err"])
-        brackets_ok = brackets_ok and audit["brackets_ok"]
+        audits_passed = audits_passed and audit["passed"]
         if max(problem.M.dims) <= 2 and oracle_runs < 25 and not problem.z_is_degenerate():
             xp = _first_missing_basis_vector(problem)
             if xp is not None:
@@ -298,7 +298,7 @@ def criterion_extension_engine(count: int = 100, seed: int = 0) -> CriterionResu
     passed = (
         worst_restr <= 1e-10
         and worst_norm_rel <= 1e-5
-        and brackets_ok
+        and audits_passed
         and worst_oracle <= 1e-4
         and oracle_runs > 0
         and runtime < 60.0

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import acceptance
 from .dmodule import DSubmodule, DVector
-from .hahn_banach import ExtensionProblem, corollary_functional, full_extend
+from .hahn_banach import ExtensionProblem, _exact_norm, corollary_functional, full_extend
 from .hyperbolic import Hyperbolic
 from .two_functional import (
     DBilinear2Functional,
@@ -231,15 +231,18 @@ def cmd_corollary(args) -> int:
     target = norm(x0, y0)
     rng = np.random.default_rng(args.seed)
     cases = acceptance.corollary_case_table(f0, x0, y0, norm, rng)
+    # the norm on X x [y0] of the matrices printed as "f"
+    F = trace.final.as_functional()
+    _, norm_F = _exact_norm((F.C @ y0.c[:, :, None])[..., 0], y0.c)
     checks = {
         "f0_norm_one": (f0.norm() - one).max_abs() <= tol,
-        "f_norm_one": (trace.final.norm() - one).max_abs() <= tol,
+        "f_norm_one": (Hyperbolic(*norm_F) - one).max_abs() <= tol,
         "value_attained": (trace.final.evaluate(x0, y0) - target).max_abs() <= 1e-10,
         "case_table_ok": all(row["bounded"] and row["matched"] for row in cases),
     }
     report = {
         "f0": f0.as_functional().to_json(),
-        "f": trace.final.as_functional().to_json(),
+        "f": F.to_json(),
         "norm_f0": f0.norm().to_json(),
         "norm_f": trace.final.norm().to_json(),
         "value": trace.final.evaluate(x0, y0).to_json(),

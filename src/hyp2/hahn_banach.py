@@ -21,9 +21,11 @@ never changes: every step, and so the whole extension, only enlarges the
 domain.  gap_interval returns the point in closed form and every extension
 step takes its r from the same formula.  gap_interval_subgradient and
 gap_interval_grid bound the endpoints by direct optimization of the defining
-sup/inf objectives and serve as independent cross-checks; the audit checks
-each step's r against the gap point recomputed by SVD from the problem's
-raw data.
+sup/inf objectives and serve as independent cross-checks.  The audit reads
+the printed matrices C_F of F: it checks each step's r and F's moment
+against the gap point and moment recomputed by SVD from the problem's raw
+data, and F's norm ||P C_F z|| / ||z|| (P projects onto z-perp) against
+the reported |F|.
 
 Storage.  Vectors, matrices and moments are (2, ...) component stacks, so
 each D-level step below is one array call over the leading axis.  What
@@ -74,28 +76,6 @@ def _perp(z: np.ndarray, v: np.ndarray) -> np.ndarray:
     nz2 = _dot(z, z)[..., None]
     vanish = nz2 <= TOL * TOL
     return np.where(vanish, v, v - z * (_dot(z, v)[..., None] / np.where(vanish, 1.0, nz2)))
-
-
-def _cyclic_coeffs(z: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Solve y = alpha * z per component: z is a (2, n) stack and y a
-    (2, m, n) stack of m vectors per component; returns the (2, m) alphas.
-
-    A component where z vanishes admits only y = 0 there, with alpha = 0.
-    Raises ValueError when some y lies outside [z].
-    """
-    nz2 = _dot(z, z)[:, None]
-    live = nz2 > TOL * TOL
-    yz = (y @ z[:, :, None])[..., 0]
-    a = np.divide(yz, nz2, out=np.zeros_like(yz), where=live)
-    resid = np.linalg.norm(y - a[..., None] * z[:, None, :], axis=-1)
-    outside = np.where(
-        live,
-        resid > tol * (1.0 + np.linalg.norm(y, axis=-1)),
-        np.max(np.abs(y), axis=-1, initial=0.0) > tol,
-    )
-    if np.any(outside):
-        raise ValueError("second argument lies outside the cyclic domain [z]")
-    return a
 
 
 def _domain_stack(domain: DSubmodule, coeffs: np.ndarray) -> np.ndarray:
@@ -155,10 +135,19 @@ class RestrictedFunctional:
         return Hyperbolic(*np.divide(nw, nz, out=np.zeros(2), where=nz > TOL))
 
     def evaluate(self, x: DVector, y: DVector, check_domain: bool = True) -> Hyperbolic:
-        """Value at (x, y) with x in M and y in [z]; rejects y outside [z]."""
+        """Value at (x, y) with x in M and y = alpha z in [z]; rejects y
+        outside [z].  A component where z vanishes admits only y = 0 there,
+        with alpha = 0."""
         if check_domain and not self.domain.contains(x):
             raise ValueError("first argument lies outside the domain submodule")
-        alpha = _cyclic_coeffs(self.z.c, y.c[:, None, :])[:, 0]
+        z, yc = self.z.c, y.c
+        nz2 = _dot(z, z)
+        live = nz2 > TOL * TOL
+        alpha = np.divide(_dot(yc, z), nz2, out=np.zeros(2), where=live)
+        resid = np.linalg.norm(yc - alpha[:, None] * z, axis=-1)
+        bound = 1e-9 * (1.0 + np.linalg.norm(yc, axis=-1))
+        if np.any(np.where(live, resid > bound, np.max(np.abs(yc), axis=-1) > 1e-9)):
+            raise ValueError("second argument lies outside the cyclic domain [z]")
         return Hyperbolic(*(alpha * _dot(self.w, x.c)))
 
     __call__ = evaluate
@@ -351,25 +340,30 @@ class ExtensionTrace:
         restriction_tol: float = 1e-10,
         norm_rel_tol: float = 1e-5,
     ) -> dict:
-        """Independent checks: restriction agreement, brackets, pointwise
-        bound, and a sampled-supremum recomputation of the extended norm.
+        """Independent checks of F = final.as_functional(), the matrices
+        that extend prints.
 
-        Brackets: each step's r must be the gap point <w', x'>, where w' is
-        C z projected onto the span of the z-perp projections of M's given
-        basis rows, computed by SVD on the worked problem's raw data and
-        sharing no code with the engine.  The rows are scaled to unit length
-        first and singular values <= 1e-12 are dropped, so a row along z
-        adds no direction.  brackets_ok requires |r - <w', x'>| <=
-        restriction_tol * ||C z|| * ||x'|| for every step and component, the
-        scale of the restriction check.
+        Restriction: alpha * x' C_F z against alpha * x' C z on `samples`
+        random pairs of M x [z].  restriction_max_err is the largest absolute
+        difference and restriction_rel_err that difference over the largest
+        |alpha| * ||x|| * ||C z|| of the samples (0 for no difference, inf for
+        a difference at zero scale); restriction_ok compares it with
+        restriction_tol, so the verdict does not depend on the scale of f, z
+        or M.
 
-        Restriction: F(x, alpha z) is compared with alpha * x' C z on
-        `samples` random pairs of M x [z].  restriction_max_err is the largest
-        absolute difference and restriction_rel_err that difference over the
-        largest |alpha| * ||x|| * ||C z|| of the samples (0 for no difference,
-        inf for a difference at zero scale); restriction_ok compares the
-        relative error with restriction_tol, so the verdict does not depend on
-        the scale of f, z or M.
+        w' is C z projected onto the span of the z-perp parts of M's basis
+        rows, by SVD on the worked problem's raw data (rows scaled to unit
+        length, singular values <= 1e-12 dropped); it shares no code with the
+        engine.  brackets_ok: every step's r is <w', x'> within
+        restriction_tol * ||C z|| * ||x'||.
+
+        Norm on X x [z'] (z' the worked generator, P the projection onto
+        z'-perp): norm_F_audit = ||P C_F z'|| / ||z'|| exactly, and
+        norm_rel_err is its relative gap to norm_F.  That value moves only to
+        second order under a change of F off M, so norm_ok also requires
+        moment_rel_err = ||P C_F z' - w'|| / ||C z'|| <= restriction_tol, and
+        norm_F_sampled, the largest sampled |x' C_F z'| / gram(x, z'), at most
+        norm_F_audit * (1 + norm_rel_tol).
 
         Seed contract: one generator seeded by `seed` supplies, in order, a
         (samples, k1 + k2 + 2) standard-normal block for the restriction
@@ -377,12 +371,14 @@ class ExtensionTrace:
         bases, then alpha's two idempotent coordinates), one (m, kk1 + kk2)
         block per extension step for the pointwise bound, with
         m = max(8, samples // max(1, 4 * steps)) and kk the step's domain
-        dimensions, and then the draws of the norm recomputation.  The stream
-        matches one scalar draw after another in that order.
+        dimensions, and then one (2000, n) block per component where z' does
+        not vanish, for norm_F_sampled.  The stream matches one scalar draw
+        after another in that order.
         """
         rng = np.random.default_rng(seed)
-        prob = self.problem
+        prob, wk = self.problem, self.worked
         n = prob.n
+        F = self.final.as_functional()
 
         # restriction agreement against the original matrix data on M x [z]
         k = sum(prob.M.dims)
@@ -392,35 +388,33 @@ class ExtensionTrace:
         z = prob.z.c
         cz = (prob.functional.C @ z[:, :, None])[..., 0]
         f_vals = alpha * np.einsum("cmn,cn->cm", xs, cz)
-        a = _cyclic_coeffs(self.final.z.c, alpha[:, :, None] * z[:, None, :])
-        F_vals = a * np.einsum("cmn,cn->cm", xs, self.final.w)
+        F_vals = alpha * np.einsum("cmn,cn->cm", xs, (F.C @ z[:, :, None])[..., 0])
         restr_err = float(np.max(np.abs(F_vals - f_vals), initial=0.0))
         scale = np.abs(alpha) * np.linalg.norm(xs, axis=-1) * np.linalg.norm(cz, axis=-1)[:, None]
-        restr_scale = float(np.max(scale, initial=0.0))
-        if restr_err == 0.0:
-            restr_rel = 0.0
-        else:
-            restr_rel = restr_err / restr_scale if restr_scale > 0.0 else float("inf")
+        restr_rel = float(_rel_err(restr_err, np.max(scale, initial=0.0)))
 
-        # brackets: r against the gap point recomputed from the raw data
-        wk = self.worked
+        # the reference moment w' from the worked problem's raw data
         zw = wk.z.c
-        brackets_ok = True
-        if self.steps:
-            rs = np.array([(s.r.p, s.r.q) for s in self.steps]).T
-            xps = np.stack([s.x_prime.c for s in self.steps], axis=1)
-            bases = (wk.M.basis1, wk.M.basis2)
-            for zc, basis, C, r, xp in zip(zw, bases, wk.functional.C, rs, xps):
+        czw = (wk.functional.C @ zw[:, :, None])[..., 0]
+        w_ref = np.zeros_like(zw)
+        for c, (zc, basis) in enumerate(zip(zw, (wk.M.basis1, wk.M.basis2))):
+            if zc @ zc > 0.0:
                 # rows scaled to unit length, so the rank cut is absolute
                 unit = basis / np.linalg.norm(basis, axis=1, keepdims=True)
                 perp = unit - np.outer(unit @ zc, zc) / (zc @ zc)
                 _, sv, vt = np.linalg.svd(perp, full_matrices=False)
                 span = vt[sv > 1e-12]
-                cz = C @ zc
-                w_ls = span.T @ (span @ cz)
-                err = np.abs(r - xp @ w_ls)
-                bound = restriction_tol * np.linalg.norm(cz) * np.linalg.norm(xp, axis=1)
-                brackets_ok = brackets_ok and bool(np.all(err <= bound))
+                w_ref[c] = span.T @ (span @ czw[c])
+        ncz = np.linalg.norm(czw, axis=-1)
+
+        # brackets: r against the gap point <w', x'>
+        brackets_ok = True
+        if self.steps:
+            rs = np.array([(s.r.p, s.r.q) for s in self.steps]).T
+            xps = np.stack([s.x_prime.c for s in self.steps], axis=1)
+            err = np.abs(rs - (xps @ w_ref[:, :, None])[..., 0])
+            bound = restriction_tol * ncz[:, None] * np.linalg.norm(xps, axis=-1)
+            brackets_ok = bool(np.all(err <= bound))
 
         # pointwise bound |f(x,z) + r|_k <=' |f| * norm(x + x', z) per step
         rf_states = [wk.restriction()] + [s.g for s in self.steps]
@@ -430,21 +424,26 @@ class ExtensionTrace:
         for state, step in zip(rf_states[:-1], self.steps):
             draws = rng.standard_normal((per_step, sum(state.domain.dims)))
             xs = _domain_stack(state.domain, draws)
-            a = _cyclic_coeffs(state.z.c, zw[:, None, :])
-            lhs = np.abs(a * np.einsum("cmn,cn->cm", xs, state.w) + [[step.r.p], [step.r.q]])
+            lhs = np.abs(np.einsum("cmn,cn->cm", xs, state.w) + [[step.r.p], [step.r.q]])
             shifted = xs + step.x_prime.c[:, None, :]
             grams = wedge_area_batch(shifted.reshape(-1, n), np.repeat(zw, per_step, axis=0))
             rhs = [[nf.p], [nf.q]] * grams.reshape(2, per_step)
             excesses.append(np.max(lhs - rhs))
         pointwise_excess = float(np.max(excesses, initial=0.0))
 
-        # independent norm recomputation: sampled supremum of the modulus
-        # quotient over X x [z'], polished by hill climbing
-        got = np.array([_ratio_sup(w, zc, n, rng) for w, zc in zip(self.final.w, zw)])
-        want = np.abs([nf.p, nf.q])
+        # F's norm on X x [z']: exact value, first-order moment, sampled bound
+        cFz = (F.C @ zw[:, :, None])[..., 0]
+        moment, got = _exact_norm(cFz, zw)
+        want = np.abs([self.norm_F.p, self.norm_F.q])
         tiny = (want <= 1e-12) & (np.abs(got) <= 1e-12)
         rel = np.where(tiny, 0.0, np.abs(got - want) / np.maximum(want, 1e-12)).tolist()
-        norm_ok = max(rel) <= norm_rel_tol
+        moment_rel = _rel_err(np.linalg.norm(moment - w_ref, axis=-1), ncz).tolist()
+        sampled = np.array([_ratio_sup(v, zc, n, rng) for v, zc in zip(cFz, zw)])
+        norm_ok = bool(
+            max(rel) <= norm_rel_tol
+            and max(moment_rel) <= restriction_tol
+            and np.all(sampled <= got * (1.0 + norm_rel_tol))
+        )
 
         out = {
             "restriction_max_err": restr_err,
@@ -457,6 +456,8 @@ class ExtensionTrace:
             "norm_F": self.norm_F.to_json(),
             "norm_F_audit": Hyperbolic(*got).to_json(),
             "norm_rel_err": rel,
+            "moment_rel_err": moment_rel,
+            "norm_F_sampled": Hyperbolic(*sampled).to_json(),
             "norm_ok": norm_ok,
             "steps": len(self.steps),
             "repaired": self.repaired,
@@ -480,46 +481,39 @@ class ExtensionTrace:
         }
 
 
-def _ratio_sup(
-    w: np.ndarray, z: np.ndarray, n: int, rng: np.random.Generator,
-    samples: int = 2000, climb: int = 80,
-) -> float:
-    """sup_x |<w, x>| / gram(x, z): sampled then polished coordinatewise.
+def _rel_err(err, scale):
+    """err / scale, with 0 for no error and inf for an error at zero scale."""
+    err, scale = np.asarray(err, dtype=float), np.asarray(scale, dtype=float)
+    out = np.where(err == 0.0, 0.0, np.inf)
+    return np.divide(err, scale, out=out, where=(err != 0.0) & (scale > 0.0))
 
-    Candidates with gram(x, z) <= SAMPLE_REJECT_TOL * ||x|| * ||z||, i.e.
-    x within an angle of about 1e-3 of the line of z, are rejected.  This
-    cannot lower the supremum: w is orthogonal to z, so the quotient depends
-    only on the direction of x's part orthogonal to z, and every such
-    direction has a representative orthogonal to z.  Near that line the
-    rounding residue of w along z, divided by the small gram, would
-    dominate the quotient; the test is relative, so it does not depend on
-    the scale of z.
+
+def _exact_norm(cz: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The moment P C z and the norm ||P C z|| / ||z|| on X x [z] of an
+    antisymmetric-matrix functional, given the (2, n) stacks C z and z; P
+    projects onto z-perp.  The norm is 0 where z vanishes, as in |f|."""
+    moment = _perp(z, cz)
+    nz = np.sqrt(_dot(z, z))
+    return moment, np.divide(np.sqrt(_dot(moment, moment)), nz, out=np.zeros(2), where=nz > TOL)
+
+
+def _ratio_sup(v: np.ndarray, z: np.ndarray, n: int, rng: np.random.Generator) -> float:
+    """The largest |<v, x>| / gram(x, z) over 2000 standard-normal x.
+
+    x within about 1e-3 rad of the line of z, gram(x, z) <= SAMPLE_REJECT_TOL
+    * ||x|| * ||z||, is rejected: there the rounding residue of v along z
+    would dominate the quotient.  For v orthogonal to z this cannot lower the
+    supremum, which depends only on the direction of x's part orthogonal to
+    z.  The test is relative, so it does not depend on the scale of z.
     """
     nz = float(np.linalg.norm(z))
     if nz <= TOL:
         return 0.0
-
-    def ratio(xs: np.ndarray) -> np.ndarray:
-        num = np.abs(xs @ w)
-        den = wedge_area_batch(xs, np.broadcast_to(z, xs.shape))
-        ok = den > SAMPLE_REJECT_TOL * nz * np.sqrt(np.einsum("ij,ij->i", xs, xs))
-        return np.where(ok, num / np.where(ok, den, 1.0), -1.0)
-
-    xs = rng.standard_normal((samples, n))
-    vals = ratio(xs)
-    i = int(np.argmax(vals))
-    best, x = float(vals[i]), xs[i]
-    delta, eye = 0.25, np.eye(n)
-    for _ in range(climb):
-        cands = np.vstack([x + delta * eye, x - delta * eye])
-        vals = ratio(cands)
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best, x = float(vals[j]), cands[j]
-            x = x / max(1e-12, float(np.linalg.norm(x)))
-        else:
-            delta *= 0.5
-    return best
+    xs = rng.standard_normal((2000, n))
+    num = np.abs(xs @ v)
+    den = wedge_area_batch(xs, np.broadcast_to(z, xs.shape))
+    ok = den > SAMPLE_REJECT_TOL * nz * np.sqrt(np.einsum("ij,ij->i", xs, xs))
+    return float(np.max(num[ok] / den[ok], initial=0.0))
 
 
 def full_extend(problem: ExtensionProblem) -> ExtensionTrace:
