@@ -8,10 +8,16 @@ matrix.  The two matrices are held as one read-only (2, n, n) stack `C`, so
 evaluation, scaling and the spectral norm are single array calls.  Two
 independent norm computations are provided: the spectral value (exact) and a
 randomized supremum search (a refined lower estimate).
+
+The search samples each component from its own RNG substream.  It draws
+`xs` per chunk and `ys` in cache-sized blocks, samples the two components on
+two threads at once, and climbs them one after the other on the calling
+thread.  Neither the blocks nor the threads change a bit of its result.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +38,10 @@ REJECT_TOL = 1e-6
 #: depends only on the spanned plane, every plane has well-conditioned
 #: representatives, and thin pairs only add round-off noise to the argmax.
 SAMPLE_REJECT_TOL = 1e-3
+
+#: Rows of `ys` that `norm_bruteforce` draws and scores at a time; a block
+#: and its temporaries stay in cache.
+_BLOCK = 8192
 
 
 class Method(Enum):
@@ -240,13 +250,18 @@ def _climb_component(
     return (final if final >= 0.0 else best), u, v
 
 
-def _bruteforce_component(
-    C: np.ndarray,
-    budget: int,
-    rng: np.random.Generator,
-    formula: str,
-    climb_steps: int,
+def _sample_component(
+    C: np.ndarray, budget: int, rng: np.random.Generator, formula: str
 ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Best of `budget` sampled pairs of one component, before the climb.
+
+    Per chunk of up to 131072 pairs, all `xs` are drawn and normalised at
+    once, then `ys` is drawn and scored in blocks of `_BLOCK` rows paired with
+    the matching rows of `xs`.  Generator fills consume the stream in order,
+    so the blocks are exactly the rows of one `(m, n)` fill after `xs`, and
+    every score is computed row by row as on the whole chunk.  The first pair
+    of largest score wins.
+    """
     n = C.shape[0]
     best, bu, bv = 0.0, np.eye(n)[0], np.eye(n)[min(1, n - 1)]
     chunk = 131072
@@ -254,34 +269,35 @@ def _bruteforce_component(
     while done < budget:
         m = min(chunk, budget - done)
         done += m
-        draws = rng.standard_normal((2 * m, n))
-        xs, ys = draws[:m], draws[m:]
-        xs *= (1.0 / np.sqrt(np.einsum("bi,bi->b", xs, xs)))[:, None]
-        ys *= (1.0 / np.sqrt(np.einsum("bi,bi->b", ys, ys)))[:, None]
-        # unit rows: area^2 = 1 - <u,v>^2; fine here because thin pairs are
-        # rejected outright and the winner is re-measured by the climb
-        dots = np.einsum("bi,bi->b", xs, ys)
-        den = np.sqrt(np.maximum(1.0 - dots * dots, 0.0))
-        if formula == "unit":
-            # rescale each pair to unit area first, then take |f| directly
-            ok = den > SAMPLE_REJECT_TOL
-            scale = 1.0 / np.sqrt(den[ok])
-            us, vs = xs[ok] * scale[:, None], ys[ok] * scale[:, None]
-            vals = np.abs(np.einsum("bj,bj->b", us @ C, vs))
-            if vals.size:
-                i = int(np.argmax(vals))
-                if vals[i] > best:
-                    best, bu, bv = float(vals[i]), us[i], vs[i]
-        else:
-            num = np.abs(np.einsum("bj,bj->b", xs @ C, ys))
-            ratios = np.where(
-                den > SAMPLE_REJECT_TOL, num / np.maximum(den, SAMPLE_REJECT_TOL), -1.0
-            )
-            i = int(np.argmax(ratios))
-            if ratios[i] > best:
-                best, bu, bv = float(ratios[i]), xs[i], ys[i]
-    if climb_steps > 0:
-        best, bu, bv = _climb_component(C, bu, bv, climb_steps)
+        xs_all = rng.standard_normal((m, n))
+        xs_all *= (1.0 / np.sqrt(np.einsum("bi,bi->b", xs_all, xs_all)))[:, None]
+        for start in range(0, m, _BLOCK):
+            ys = rng.standard_normal((min(_BLOCK, m - start), n))
+            xs = xs_all[start : start + len(ys)]
+            ys *= (1.0 / np.sqrt(np.einsum("bi,bi->b", ys, ys)))[:, None]
+            # unit rows: area^2 = 1 - <u,v>^2; fine here because thin pairs are
+            # rejected outright and the winner is re-measured by the climb
+            dots = np.einsum("bi,bi->b", xs, ys)
+            den = np.sqrt(np.maximum(1.0 - dots * dots, 0.0))
+            if formula == "unit":
+                # rescale each pair to unit area first, then take |f| directly
+                ok = den > SAMPLE_REJECT_TOL
+                scale = 1.0 / np.sqrt(den[ok])
+                us, vs = xs[ok] * scale[:, None], ys[ok] * scale[:, None]
+                vals = np.abs(np.einsum("bj,bj->b", us @ C, vs))
+                if vals.size:
+                    i = int(np.argmax(vals))
+                    if vals[i] > best:
+                        best, bu, bv = float(vals[i]), us[i], vs[i]
+            else:
+                num = np.abs(np.einsum("bj,bj->b", xs @ C, ys))
+                ratios = np.where(
+                    den > SAMPLE_REJECT_TOL, num / np.maximum(den, SAMPLE_REJECT_TOL), -1.0
+                )
+                i = int(np.argmax(ratios))
+                if ratios[i] > best:
+                    # a copy, so the winner does not keep its chunk's xs alive
+                    best, bu, bv = float(ratios[i]), xs[i].copy(), ys[i]
     return best, bu, bv
 
 
@@ -301,15 +317,42 @@ def norm_bruteforce(
     The result is a lower estimate of the true norm.  `formula` selects the
     quotient form ("quotient") or the unit-normalized form ("unit"); the two
     agree in the limit.
+
+    The two components are sampled at once: the second on a worker thread,
+    the first on the calling thread (numpy releases the GIL while it fills
+    and scores the blocks of `_sample_component`).  They share no buffers,
+    and a worker's exception is re-raised here.  The climbs then run one
+    after the other on the calling thread.  The values and witnesses are
+    bit for bit those of sampling each component serially in one fill.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if formula not in ("quotient", "unit"):
         raise ValueError(f"unknown formula {formula!r}")
+    tag = 0 if formula == "quotient" else 1
+    sampled: list = [None, None]
+
+    def sample(comp: int) -> None:
+        rng = np.random.default_rng([seed, comp, tag])
+        try:
+            sampled[comp] = _sample_component(f.C[comp], budget, rng, formula)
+        except BaseException as exc:  # re-raised on the calling thread
+            sampled[comp] = exc
+
+    worker = threading.Thread(target=sample, args=(1,), name="hyp2-norm_bruteforce")
+    worker.start()
+    try:
+        sample(0)
+    finally:
+        worker.join()
     results = []
-    for comp, C in enumerate(f.C):
-        rng = np.random.default_rng([seed, comp, 0 if formula == "quotient" else 1])
-        results.append(_bruteforce_component(C, budget, rng, formula, climb_steps))
+    for C, found in zip(f.C, sampled):
+        if isinstance(found, BaseException):
+            raise found
+        best, bu, bv = found
+        if climb_steps > 0:
+            best, bu, bv = _climb_component(C, bu, bv, climb_steps)
+        results.append((best, bu, bv))
     (b1, u1, v1), (b2, u2, v2) = results
     witness = (DVector.from_components(u1, u2), DVector.from_components(v1, v2))
     return NormCertificate(Hyperbolic(b1, b2), witness, Method.BRUTE_FORCE)

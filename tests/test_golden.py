@@ -1,8 +1,10 @@
 """Pinned CLI reports on fixed instances.
 
 The instance files and the expected stdout in tests/golden were written by
-`hyp2 gen` and the matching `hyp2 extend` / `hyp2 corollary` runs; a change
-to any report shows up here.  Keys, booleans and integers must match exactly.
+`hyp2 gen` and the matching `hyp2 norm` / `hyp2 extend` / `hyp2 corollary`
+runs; a change to any report shows up here.  The `norm` reports pin the
+brute-force values and witnesses, so they also pin the sampling kernel's
+draws and its choice of the first best pair.  Keys, booleans and integers must match exactly.
 Floats must agree to 1e-12 relative, with values below 1e-12 in magnitude
 (rounding residues such as restriction_max_err) compared absolutely, so that
 a different BLAS does not break the test.
@@ -25,6 +27,8 @@ CASES = [
     ("extend_seed3_n3_full", ["extend", "seed3_n3_full.json"]),
     ("extend_seed1_n8", ["extend", "seed1_n8.json"]),
     ("corollary_pair_n3", ["corollary", "pair_n3.json"]),
+    ("norm_seed1_n3", ["norm", "seed1_n3.json"]),
+    ("norm_seed1_n8", ["norm", "seed1_n8.json"]),
 ]
 
 

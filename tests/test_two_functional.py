@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+import hyp2.two_functional as tf
 from hyp2 import (
     E1,
     E2,
@@ -228,6 +231,114 @@ class TestNormBruteforce:
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             norm_bruteforce(DBilinear2Functional.zero(2), budget=0)
+
+
+def reference_sample_component(C, budget, rng, formula):
+    """The one-shot sampling loop that the blocked, threaded one replaced.
+
+    One (2m, n) fill per chunk, both halves normalised whole, scored whole;
+    kept here as the bit-for-bit oracle of `norm_bruteforce` before its climb.
+    """
+    n = C.shape[0]
+    best, bu, bv = 0.0, np.eye(n)[0], np.eye(n)[min(1, n - 1)]
+    chunk = 131072
+    done = 0
+    while done < budget:
+        m = min(chunk, budget - done)
+        done += m
+        draws = rng.standard_normal((2 * m, n))
+        xs, ys = draws[:m], draws[m:]
+        xs *= (1.0 / np.sqrt(np.einsum("bi,bi->b", xs, xs)))[:, None]
+        ys *= (1.0 / np.sqrt(np.einsum("bi,bi->b", ys, ys)))[:, None]
+        dots = np.einsum("bi,bi->b", xs, ys)
+        den = np.sqrt(np.maximum(1.0 - dots * dots, 0.0))
+        if formula == "unit":
+            ok = den > tf.SAMPLE_REJECT_TOL
+            scale = 1.0 / np.sqrt(den[ok])
+            us, vs = xs[ok] * scale[:, None], ys[ok] * scale[:, None]
+            vals = np.abs(np.einsum("bj,bj->b", us @ C, vs))
+            if vals.size:
+                i = int(np.argmax(vals))
+                if vals[i] > best:
+                    best, bu, bv = float(vals[i]), us[i], vs[i]
+        else:
+            num = np.abs(np.einsum("bj,bj->b", xs @ C, ys))
+            ratios = np.where(
+                den > tf.SAMPLE_REJECT_TOL, num / np.maximum(den, tf.SAMPLE_REJECT_TOL), -1.0
+            )
+            i = int(np.argmax(ratios))
+            if ratios[i] > best:
+                best, bu, bv = float(ratios[i]), xs[i], ys[i]
+    return best, bu, bv
+
+
+class TestBruteforceKernel:
+    # block edges (8191, 8192, 8193) and chunk edges (131072, 200000 = two chunks)
+    @pytest.mark.parametrize("budget", [1, 8191, 8192, 8193, 20000, 131072, 200000])
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("formula", ["quotient", "unit"])
+    def test_bit_identical_to_one_shot_reference(self, formula, n, budget):
+        f = DBilinear2Functional.random(n, 300 + n)
+        tag = 0 if formula == "quotient" else 1
+        sampled = [
+            reference_sample_component(C, budget, np.random.default_rng([7, comp, tag]), formula)
+            for comp, C in enumerate(f.C)
+        ]
+        for steps in (0, 100):
+            cert = norm_bruteforce(f, budget=budget, seed=7, formula=formula, climb_steps=steps)
+            want = [
+                tf._climb_component(C, u, v, steps) if steps else (b, u, v)
+                for C, (b, u, v) in zip(f.C, sampled)
+            ]
+            assert (cert.value.p, cert.value.q) == (want[0][0], want[1][0])
+            x, y = cert.witness
+            assert np.array_equal(x.c, np.stack((want[0][1], want[1][1])))
+            assert np.array_equal(y.c, np.stack((want[0][2], want[1][2])))
+
+    @pytest.mark.parametrize("formula", ["quotient", "unit"])
+    def test_second_component_does_not_touch_the_first(self, formula):
+        f = DBilinear2Functional.random(4, 21)
+        g = DBilinear2Functional(f.C1, 3.0 * DBilinear2Functional.random(4, 22).C2)
+        a = norm_bruteforce(f, budget=20000, seed=3, formula=formula)
+        b = norm_bruteforce(g, budget=20000, seed=3, formula=formula)
+        assert a.value.p == b.value.p and a.value.q != b.value.q
+        for wa, wb in zip(a.witness, b.witness):
+            assert np.array_equal(wa.c1, wb.c1)
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        caller = threading.current_thread()
+        sample = tf._sample_component
+
+        def failing(C, budget, rng, formula):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("worker component failed")
+            return sample(C, budget, rng, formula)
+
+        monkeypatch.setattr(tf, "_sample_component", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker component failed"):
+            norm_bruteforce(DBilinear2Functional.random(3, 23), budget=9000)
+        assert threading.active_count() == before
+
+    def test_no_thread_left_behind(self):
+        before = threading.active_count()
+        norm_bruteforce(DBilinear2Functional.random(3, 24), budget=20000)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("formula", ["quotient", "unit"])
+    @pytest.mark.parametrize("steps,rel", [(100, 1e-12), (0, 1e-8)])
+    def test_witness_attains_value(self, formula, steps, rel):
+        # the pair printed as the witness must give the printed value
+        for n in (2, 3, 5, 8):
+            f = DBilinear2Functional.random(n, 400 + n)
+            cert = norm_bruteforce(f, budget=20000, seed=n, formula=formula, climb_steps=steps)
+            x, y = cert.witness
+            attained, area = f(x, y).modulus(), D2Norm()(x, y)
+            for got, value, a in (
+                (attained.p, cert.value.p, area.p),
+                (attained.q, cert.value.q, area.q),
+            ):
+                assert got / a == pytest.approx(value, rel=rel)
 
 
 class TestBoundedness:
