@@ -14,7 +14,6 @@ from .hyperbolic import (
     E2,
     K,
     ONE,
-    TOL,
     ZERO,
     EmptyCollection,
     Hyperbolic,
@@ -24,7 +23,6 @@ from .hyperbolic import (
     sup_d,
 )
 from .dmodule import (
-    SPAN_TOL,
     AlreadyContained,
     DimensionMismatch,
     DSubmodule,
@@ -76,9 +74,7 @@ __all__ = [
     "E2",
     "K",
     "ONE",
-    "TOL",
     "ZERO",
-    "SPAN_TOL",
     "EmptyCollection",
     "Hyperbolic",
     "NotInvertible",

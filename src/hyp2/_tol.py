@@ -1,0 +1,33 @@
+"""The package's one tolerance policy; nothing here is exported.
+
+A quantity is negligible when |x| <= rel * scale, with scale taken from the
+operands of the comparison (README, "Tolerances", lists each one).  With no
+operand scale only 0.0, an underflowed square included, is zero.  So no
+verdict changes when the data are rescaled.
+"""
+
+import numpy as np
+
+#: What rounding leaves: zero divisors, equality, antisymmetry, rank cuts.
+ROUND = 1e-12
+
+#: Dependence, span membership and the slack of a check.
+SPAN = 1e-9
+
+#: The sine of the angle at or below which a pair is too thin to score.
+THIN = 1e-3
+
+
+def negligible(x, scale, rel: float = ROUND):
+    """|x| <= rel * scale, elementwise on arrays; at scale 0 only x = 0."""
+    return abs(x) <= rel * scale
+
+
+def within(x, scale, rel: float = ROUND) -> bool:
+    """Every entry of x negligible beside its scale."""
+    return bool(np.all(negligible(np.asarray(x), scale, rel)))
+
+
+def null(x):
+    """x == 0: the verdict for a quantity with no operand scale."""
+    return x == 0.0

@@ -4,8 +4,8 @@ Subcommands: gen (deterministic instance files), check-axioms, norm, extend,
 corollary, and selftest (the acceptance suite).  Reports are JSON on stdout;
 exit code 0 means every configured check passed, 1 means a check failed, and
 2 means the input could not be parsed or validated.  The HYP2_TOL environment
-variable overrides a command's default tolerance; an explicit --tol wins over
-both.
+variable overrides a command's default tolerance (relative in norm and
+corollary); an explicit --tol wins over both.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import acceptance
+from ._tol import within
 from .dmodule import DSubmodule, DVector
 from .hahn_banach import ExtensionProblem, _exact_norm, corollary_functional, full_extend
 from .hyperbolic import Hyperbolic
@@ -35,11 +36,15 @@ class InstanceError(ValueError):
     """An instance file failed validation (reported with exit code 2)."""
 
 
-def _tol(args, default: float) -> float:
+def _tol_arg(args, default: float) -> float:
     if getattr(args, "tol", None) is not None:
         return float(args.tol)
     env = os.environ.get("HYP2_TOL")
     return float(env) if env else default
+
+
+def _pq(v: Hyperbolic) -> np.ndarray:
+    return np.array([v.p, v.q])
 
 
 def _emit(report: dict) -> None:
@@ -143,7 +148,7 @@ def cmd_gen(args) -> int:
 
 def cmd_check_axioms(args) -> int:
     inst = _parse_instance(_load_json(args.instance), need=())
-    tol = _tol(args, 1e-9)
+    tol = _tol_arg(args, 1e-9)
     report = axiom_check(inst["norm"], inst["n"], samples=args.samples, rng=args.seed)
     _emit(report.to_json(tol))
     return 0 if report.passed(tol) else 1
@@ -156,20 +161,18 @@ def cmd_norm(args) -> int:
     inst = _parse_instance(_load_json(args.instance), need=("functional",))
     f = inst["functional"]
     norm = inst["norm"]
-    tol = _tol(args, 1e-9)
+    tol = _tol_arg(args, 1e-9)
     spectral = norm_spectral(f)
     quot = norm_bruteforce(f, budget=args.samples, seed=args.seed, formula="quotient")
     unit = norm_bruteforce(f, budget=args.samples, seed=args.seed, formula="unit")
     gap = certificate_gap(spectral, quot)
     bounded = is_bounded_check(f, norm, spectral.value, samples=1000, seed=args.seed, tol=tol)
-    scale = 1.0 + spectral.value.max_abs()
+    # per component, relative to the spectral value sigma
+    sigma, brute = _pq(spectral.value), _pq(quot.value)
     checks = {
-        "brute_not_above_spectral": gap.is_nonneg(tol),
-        "brute_within_2pct": bool(
-            quot.value.p >= 0.98 * spectral.value.p - tol
-            and quot.value.q >= 0.98 * spectral.value.q - tol
-        ),
-        "sup_formulas_agree": (quot.value - unit.value).max_abs() <= 1e-4 * scale,
+        "brute_not_above_spectral": within(np.minimum(sigma - brute, 0.0), sigma, tol),
+        "brute_within_2pct": within(np.maximum(0.98 * sigma - brute, 0.0), sigma, tol),
+        "sup_formulas_agree": within(brute - _pq(unit.value), sigma, 1e-4),
         "bounded_at_spectral": bool(bounded),
     }
     report = {
@@ -200,7 +203,7 @@ def cmd_extend(args) -> int:
     except (TypeError, ValueError) as exc:
         raise InstanceError(str(exc)) from exc
     trace = full_extend(problem)
-    audit = trace.audit(samples=args.samples, seed=args.seed, norm_rel_tol=_tol(args, 1e-5))
+    audit = trace.audit(samples=args.samples, seed=args.seed, norm_rel_tol=_tol_arg(args, 1e-5))
     report = trace.to_json()
     if args.swap_domain:
         # present F back in the caller's [z] x M orientation
@@ -222,22 +225,22 @@ def cmd_extend(args) -> int:
 def cmd_corollary(args) -> int:
     inst = _parse_instance(_load_json(args.instance), need=("x0", "y0"))
     x0, y0, norm = inst["x0"], inst["y0"], inst["norm"]
-    tol = _tol(args, 1e-9)
+    tol = _tol_arg(args, 1e-9)
     try:
         f0, trace = corollary_functional(x0, y0)
     except ValueError as exc:
         raise InstanceError(str(exc)) from exc
-    one = Hyperbolic(1.0, 1.0)
     target = norm(x0, y0)
+    value = trace.final.evaluate(x0, y0)
     rng = np.random.default_rng(args.seed)
     cases = acceptance.corollary_case_table(f0, x0, y0, norm, rng)
     # the norm on X x [y0] of the matrices printed as "f"
     F = trace.final.as_functional()
     _, norm_F = _exact_norm((F.C @ y0.c[:, :, None])[..., 0], y0.c)
     checks = {
-        "f0_norm_one": (f0.norm() - one).max_abs() <= tol,
-        "f_norm_one": (Hyperbolic(*norm_F) - one).max_abs() <= tol,
-        "value_attained": (trace.final.evaluate(x0, y0) - target).max_abs() <= 1e-10,
+        "f0_norm_one": within(_pq(f0.norm()) - 1.0, 1.0, tol),
+        "f_norm_one": within(norm_F - 1.0, 1.0, tol),
+        "value_attained": within(_pq(value) - _pq(target), _pq(target), 1e-10),
         "case_table_ok": all(row["bounded"] and row["matched"] for row in cases),
     }
     report = {
@@ -245,7 +248,7 @@ def cmd_corollary(args) -> int:
         "f": F.to_json(),
         "norm_f0": f0.norm().to_json(),
         "norm_f": trace.final.norm().to_json(),
-        "value": trace.final.evaluate(x0, y0).to_json(),
+        "value": value.to_json(),
         "target": target.to_json(),
         "cases": cases,
         "checks": checks,

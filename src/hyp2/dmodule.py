@@ -11,8 +11,8 @@ differ in dimension).
 Dot products and lengths over the last axis go through `_dot`, a stacked
 `@` that gives the same bits as one `@` per row.
 
-Rank and span-membership tests use orthogonalization residuals with the
-tolerance SPAN_TOL.
+Rank and span-membership tests compare an orthogonalization residual with
+the length of the vector tested.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hyperbolic import TOL, Hyperbolic, _as_scalar, _coerce
-
-#: Residual tolerance for rank / span-membership decisions.
-SPAN_TOL = 1e-9
+from ._tol import SPAN, negligible, null
+from .hyperbolic import Hyperbolic, _as_scalar, _coerce
 
 
 class DimensionMismatch(ValueError):
@@ -142,24 +140,31 @@ class DVector:
 
     # -- predicates --------------------------------------------------------
 
-    def _vanishing(self, tol: float) -> np.ndarray:
-        """Per component: does the real vector vanish to within tol?"""
-        return np.max(np.abs(self.c), axis=1, initial=0.0) <= tol
+    def _vanishing(self) -> np.ndarray:
+        """Per component: is the real vector negligible beside the other?"""
+        size = np.sqrt(_dot(self.c, self.c))
+        return negligible(size, size[::-1])
 
-    def is_zero(self, tol: float = TOL) -> bool:
-        return float(np.max(np.abs(self.c), initial=0.0)) <= tol
+    def is_zero(self) -> bool:
+        """Both squared lengths are 0 (an underflowed one included)."""
+        return bool(np.all(null(_dot(self.c, self.c))))
 
-    def is_zero_divisor(self, tol: float = TOL) -> bool:
+    def is_zero_divisor(self) -> bool:
         """Nonzero with exactly one vanishing real component vector."""
-        z1, z2 = self._vanishing(tol)
+        z1, z2 = self._vanishing()
         return bool(z1 != z2)
+
+    def is_degenerate(self) -> bool:
+        """Zero or a zero divisor: some component vector vanishes."""
+        return bool(np.any(self._vanishing()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DVector):
             return NotImplemented
         if other.n != self.n:
             return False
-        return bool(np.allclose(self.c, other.c, atol=TOL, rtol=0.0))
+        size = max(np.max(np.abs(self.c), initial=0.0), np.max(np.abs(other.c), initial=0.0))
+        return bool(negligible(np.max(np.abs(self.c - other.c), initial=0.0), size))
 
     def __repr__(self) -> str:
         return f"DVector(c1={self.c1.tolist()}, c2={self.c2.tolist()})"
@@ -176,20 +181,20 @@ class DVector:
         return cls([Hyperbolic.from_json(c) for c in obj])
 
 
-def _dependent_pair(u: np.ndarray, v: np.ndarray, tol: float = SPAN_TOL) -> np.ndarray:
-    """Real dependence of two vectors via the orthogonalization residual.
+def _dependent_pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Real dependence: u or v zero, or v's residual off u's line negligible beside ||v||.
 
     Row-wise over the last axis: a (m, n) pair of stacks gives m verdicts.
     """
     nu = np.linalg.norm(u, axis=-1)
     nv = np.linalg.norm(v, axis=-1)
-    short = (nu <= tol) | (nv <= tol)
+    short = null(nu) | null(nv)
     coef = np.einsum("...i,...i->...", u, v) / np.where(short, 1.0, nu * nu)
     resid = np.linalg.norm(v - u * coef[..., None], axis=-1)
-    return short | (resid <= tol * np.maximum(1.0, nv))
+    return short | negligible(resid, nv, SPAN)
 
 
-def linear_dependent(x: DVector, y: DVector, tol: float = SPAN_TOL) -> bool:
+def linear_dependent(x: DVector, y: DVector) -> bool:
     """Dependence over D: real dependence in both idempotent components.
 
     This is the reading forced by the 2-norm axiom that the norm vanishes
@@ -197,16 +202,17 @@ def linear_dependent(x: DVector, y: DVector, tol: float = SPAN_TOL) -> bool:
     pairs are dependent over the reals.
     """
     x._check_same(y)
-    return bool(np.all(_dependent_pair(x.c, y.c, tol)))
+    return bool(np.all(_dependent_pair(x.c, y.c)))
 
 
 def _orthonormal_rows(
-    basis: np.ndarray, tol: float = SPAN_TOL
+    basis: np.ndarray, rel: float = SPAN, length: float | None = None
 ) -> tuple[np.ndarray, list[int]]:
-    """Gram-Schmidt with a residual tolerance.
+    """Gram-Schmidt with a relative residual tolerance.
 
     Returns the orthonormal rows kept and the indices of the input rows
-    dropped because their residual is at most tol * max(1, ||row||).
+    dropped because their residual is at most rel * ||row||, or rel *
+    length when the rows are projections of rows of that length.
     """
     rows: list[np.ndarray] = []
     dropped: list[int] = []
@@ -218,16 +224,16 @@ def _orthonormal_rows(
         for r in rows:
             w -= r * float(r @ w)
         norm = float(np.linalg.norm(w))
-        if norm <= tol * max(1.0, float(np.linalg.norm(v))):
+        if negligible(norm, float(np.linalg.norm(v)) if length is None else length, rel):
             dropped.append(i)
         else:
             rows.append(w / norm)
     return (np.array(rows) if rows else np.zeros((0, basis.shape[1]))), dropped
 
 
-def _in_span(q_rows: np.ndarray, v: np.ndarray, tol: float = SPAN_TOL) -> bool:
+def _in_span(q_rows: np.ndarray, v: np.ndarray) -> bool:
     resid = v - q_rows.T @ (q_rows @ v) if q_rows.size else v
-    return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(v)))
+    return negligible(float(np.linalg.norm(resid)), float(np.linalg.norm(v)), SPAN)
 
 
 class DSubmodule:
@@ -240,12 +246,12 @@ class DSubmodule:
 
     __slots__ = ("n", "basis1", "basis2", "q1", "q2")
 
-    def __init__(self, n: int, basis1: Sequence, basis2: Sequence, tol: float = SPAN_TOL):
+    def __init__(self, n: int, basis1: Sequence, basis2: Sequence):
         self.n = int(n)
         b1 = np.array(basis1, dtype=float).reshape(-1, self.n)
         b2 = np.array(basis2, dtype=float).reshape(-1, self.n)
-        self.q1, drop1 = _orthonormal_rows(b1, tol)
-        self.q2, drop2 = _orthonormal_rows(b2, tol)
+        self.q1, drop1 = _orthonormal_rows(b1)
+        self.q2, drop2 = _orthonormal_rows(b2)
         if drop1 or drop2:
             raise ValueError(
                 "submodule basis is not linearly independent: "
@@ -274,31 +280,31 @@ class DSubmodule:
     def component_q(self, comp: int) -> np.ndarray:
         return self.q1 if comp == 0 else self.q2
 
-    def component_contains(self, comp: int, v: np.ndarray, tol: float = SPAN_TOL) -> bool:
+    def component_contains(self, comp: int, v: np.ndarray) -> bool:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise DimensionMismatch(f"expected a vector of length {self.n}")
-        return _in_span(self.component_q(comp), v, tol)
+        return _in_span(self.component_q(comp), v)
 
-    def contains(self, x: DVector, tol: float = SPAN_TOL) -> bool:
+    def contains(self, x: DVector) -> bool:
         if x.n != self.n:
             raise DimensionMismatch(f"{x.n} != {self.n}")
-        return self.component_contains(0, x.c1, tol) and self.component_contains(1, x.c2, tol)
+        return self.component_contains(0, x.c1) and self.component_contains(1, x.c2)
 
-    def extend(self, x: DVector, tol: float = SPAN_TOL) -> "DSubmodule":
+    def extend(self, x: DVector) -> "DSubmodule":
         """Adjoin a generator: augment each component basis whose span misses it.
 
         Raises AlreadyContained when the vector lies in the submodule.
         """
         if x.n != self.n:
             raise DimensionMismatch(f"{x.n} != {self.n}")
-        grow1 = not self.component_contains(0, x.c1, tol)
-        grow2 = not self.component_contains(1, x.c2, tol)
+        grow1 = not self.component_contains(0, x.c1)
+        grow2 = not self.component_contains(1, x.c2)
         if not (grow1 or grow2):
             raise AlreadyContained("vector already lies in the submodule")
         b1 = np.vstack([self.basis1, x.c1[None, :]]) if grow1 else self.basis1
         b2 = np.vstack([self.basis2, x.c2[None, :]]) if grow2 else self.basis2
-        return DSubmodule(self.n, b1, b2, tol)
+        return DSubmodule(self.n, b1, b2)
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> DVector:
         """Random element with standard-normal coefficients per component."""

@@ -44,9 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmodule import DSubmodule, DVector, _dot, _orthonormal_rows
-from .hyperbolic import TOL, Hyperbolic
-from .two_functional import SAMPLE_REJECT_TOL, DBilinear2Functional
+from ._tol import ROUND, SPAN, THIN, negligible, null, within
+from .dmodule import DSubmodule, DVector, _dependent_pair, _dot, _orthonormal_rows
+from .hyperbolic import Hyperbolic
+from .two_functional import DBilinear2Functional
 from .two_norm import D2Norm, wedge_area_batch
 
 
@@ -74,7 +75,7 @@ def _perp(z: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Part of v orthogonal to z, row-wise over the last axis (v itself
     where z = 0)."""
     nz2 = _dot(z, z)[..., None]
-    vanish = nz2 <= TOL * TOL
+    vanish = null(nz2)
     return np.where(vanish, v, v - z * (_dot(z, v)[..., None] / np.where(vanish, 1.0, nz2)))
 
 
@@ -117,14 +118,14 @@ class RestrictedFunctional:
         Per component the restriction's moment is the projection of C z onto
         W = proj_{z-perp}(M): for x in M, x' C z = <proj_W(C z), x> because
         C z is already orthogonal to z.  The rank of W drops by one when z
-        lies in the component; the dependent row is dropped.  The domain's
-        two bases may differ in dimension, so the projection runs per
-        component.
+        lies in the component; the dependent row, a residual negligible
+        beside q's unit rows, is dropped.  The domain's two bases may differ
+        in dimension, so the projection runs per component.
         """
         cz = (functional.C @ z.c[:, :, None])[..., 0]
         moments = []
         for q, zc, czc in zip((domain.q1, domain.q2), z.c, cz):
-            wb, _ = _orthonormal_rows(_perp(zc, q), 1e-12)
+            wb, _ = _orthonormal_rows(_perp(zc, q), ROUND, length=1.0)
             moments.append(wb.T @ (wb @ czc))
         return cls(domain, z, *moments)
 
@@ -132,21 +133,19 @@ class RestrictedFunctional:
         """Operator norm on M x [z]: ||w|| / ||z|| per component (0 for z = 0)."""
         nz = np.sqrt(_dot(self.z.c, self.z.c))
         nw = np.sqrt(_dot(self.w, self.w))
-        return Hyperbolic(*np.divide(nw, nz, out=np.zeros(2), where=nz > TOL))
+        return Hyperbolic(*np.divide(nw, nz, out=np.zeros(2), where=~null(nz)))
 
     def evaluate(self, x: DVector, y: DVector, check_domain: bool = True) -> Hyperbolic:
         """Value at (x, y) with x in M and y = alpha z in [z]; rejects y
-        outside [z].  A component where z vanishes admits only y = 0 there,
-        with alpha = 0."""
+        whose residual off the line of z is not negligible beside ||y||.  A
+        component where z vanishes admits only y = 0 there, with alpha = 0."""
         if check_domain and not self.domain.contains(x):
             raise ValueError("first argument lies outside the domain submodule")
         z, yc = self.z.c, y.c
         nz2 = _dot(z, z)
-        live = nz2 > TOL * TOL
-        alpha = np.divide(_dot(yc, z), nz2, out=np.zeros(2), where=live)
+        alpha = np.divide(_dot(yc, z), nz2, out=np.zeros(2), where=~null(nz2))
         resid = np.linalg.norm(yc - alpha[:, None] * z, axis=-1)
-        bound = 1e-9 * (1.0 + np.linalg.norm(yc, axis=-1))
-        if np.any(np.where(live, resid > bound, np.max(np.abs(yc), axis=-1) > 1e-9)):
+        if not within(resid, np.linalg.norm(yc, axis=-1), SPAN):
             raise ValueError("second argument lies outside the cyclic domain [z]")
         return Hyperbolic(*(alpha * _dot(self.w, x.c)))
 
@@ -162,7 +161,7 @@ class RestrictedFunctional:
         nz2 = _dot(z, z)[:, None, None]
         outer = w[:, :, None] * z[:, None, :] - z[:, :, None] * w[:, None, :]
         return DBilinear2Functional(
-            *np.divide(outer, nz2, out=np.zeros_like(outer), where=nz2 > TOL * TOL)
+            *np.divide(outer, nz2, out=np.zeros_like(outer), where=~null(nz2))
         )
 
     def __repr__(self) -> str:
@@ -205,9 +204,6 @@ class ExtensionProblem:
 
     def norm_f(self) -> Hyperbolic:
         return self.restriction().norm()
-
-    def z_is_degenerate(self) -> bool:
-        return self.z.is_zero() or self.z.is_zero_divisor()
 
     def to_json(self) -> dict:
         return {
@@ -286,7 +282,7 @@ def one_step_extend(problem: ExtensionProblem, x_prime: DVector) -> ExtensionSte
     the identity (g = f and r is the forced value f(x', z)).  Degenerate z
     must be repaired first; see normalize_degenerate_z.
     """
-    if problem.z.is_zero() or problem.z.is_zero_divisor():
+    if problem.z.is_degenerate():
         raise DegenerateZ("z is zero or a zero divisor; route through normalize_degenerate_z")
     return _step(problem.restriction(), x_prime)
 
@@ -303,7 +299,7 @@ def normalize_degenerate_z(problem: ExtensionProblem) -> ExtensionProblem:
     if not problem.z.is_zero_divisor():
         raise NotDegenerate("z is not a zero divisor")
     z, n = problem.z.c, problem.n
-    vanish = problem.z._vanishing(TOL)
+    vanish = problem.z._vanishing()
     # the surviving component's length, placed on the first axis of the other
     length = np.sqrt(_dot(z, z))[::-1, None]
     z_new = np.where(vanish[:, None], length * np.eye(n)[0], z)
@@ -353,9 +349,10 @@ class ExtensionTrace:
 
         w' is C z projected onto the span of the z-perp parts of M's basis
         rows, by SVD on the worked problem's raw data (rows scaled to unit
-        length, singular values <= 1e-12 dropped); it shares no code with the
-        engine.  brackets_ok: every step's r is <w', x'> within
-        restriction_tol * ||C z|| * ||x'||.
+        length, singular values negligible beside 1 dropped); it shares no
+        code with the engine.  brackets_ok: every step's r is <w', x'> within
+        restriction_tol * ||C z|| * ||x'||.  pointwise_ok: every sampled
+        |f(x, z) + r| exceeds |f| * gram(x + x', z) by at most 1e-9 times it.
 
         Norm on X x [z'] (z' the worked generator, P the projection onto
         z'-perp): norm_F_audit = ||P C_F z'|| / ||z'|| exactly, and
@@ -398,12 +395,12 @@ class ExtensionTrace:
         czw = (wk.functional.C @ zw[:, :, None])[..., 0]
         w_ref = np.zeros_like(zw)
         for c, (zc, basis) in enumerate(zip(zw, (wk.M.basis1, wk.M.basis2))):
-            if zc @ zc > 0.0:
-                # rows scaled to unit length, so the rank cut is absolute
+            if not null(zc @ zc):
+                # rows scaled to unit length, so the rank cut is against 1
                 unit = basis / np.linalg.norm(basis, axis=1, keepdims=True)
                 perp = unit - np.outer(unit @ zc, zc) / (zc @ zc)
                 _, sv, vt = np.linalg.svd(perp, full_matrices=False)
-                span = vt[sv > 1e-12]
+                span = vt[~negligible(sv, 1.0)]
                 w_ref[c] = span.T @ (span @ czw[c])
         ncz = np.linalg.norm(czw, axis=-1)
 
@@ -420,7 +417,7 @@ class ExtensionTrace:
         rf_states = [wk.restriction()] + [s.g for s in self.steps]
         nf = self.norm_f
         per_step = max(8, samples // max(1, len(self.steps) * 4))
-        excesses = []
+        excesses, pointwise_ok = [], True
         for state, step in zip(rf_states[:-1], self.steps):
             draws = rng.standard_normal((per_step, sum(state.domain.dims)))
             xs = _domain_stack(state.domain, draws)
@@ -429,14 +426,14 @@ class ExtensionTrace:
             grams = wedge_area_batch(shifted.reshape(-1, n), np.repeat(zw, per_step, axis=0))
             rhs = [[nf.p], [nf.q]] * grams.reshape(2, per_step)
             excesses.append(np.max(lhs - rhs))
+            pointwise_ok &= within(np.maximum(lhs - rhs, 0.0), rhs, SPAN)
         pointwise_excess = float(np.max(excesses, initial=0.0))
 
         # F's norm on X x [z']: exact value, first-order moment, sampled bound
         cFz = (F.C @ zw[:, :, None])[..., 0]
         moment, got = _exact_norm(cFz, zw)
         want = np.abs([self.norm_F.p, self.norm_F.q])
-        tiny = (want <= 1e-12) & (np.abs(got) <= 1e-12)
-        rel = np.where(tiny, 0.0, np.abs(got - want) / np.maximum(want, 1e-12)).tolist()
+        rel = _rel_err(np.abs(got - want), want).tolist()
         moment_rel = _rel_err(np.linalg.norm(moment - w_ref, axis=-1), ncz).tolist()
         sampled = np.array([_ratio_sup(v, zc, n, rng) for v, zc in zip(cFz, zw)])
         norm_ok = bool(
@@ -451,7 +448,7 @@ class ExtensionTrace:
             "restriction_ok": restr_rel <= restriction_tol,
             "brackets_ok": brackets_ok,
             "pointwise_bound_excess": pointwise_excess,
-            "pointwise_ok": pointwise_excess <= 1e-9,
+            "pointwise_ok": pointwise_ok,
             "norm_f": self.norm_f.to_json(),
             "norm_F": self.norm_F.to_json(),
             "norm_F_audit": Hyperbolic(*got).to_json(),
@@ -494,25 +491,25 @@ def _exact_norm(cz: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     projects onto z-perp.  The norm is 0 where z vanishes, as in |f|."""
     moment = _perp(z, cz)
     nz = np.sqrt(_dot(z, z))
-    return moment, np.divide(np.sqrt(_dot(moment, moment)), nz, out=np.zeros(2), where=nz > TOL)
+    return moment, np.divide(np.sqrt(_dot(moment, moment)), nz, out=np.zeros(2), where=~null(nz))
 
 
 def _ratio_sup(v: np.ndarray, z: np.ndarray, n: int, rng: np.random.Generator) -> float:
     """The largest |<v, x>| / gram(x, z) over 2000 standard-normal x.
 
-    x within about 1e-3 rad of the line of z, gram(x, z) <= SAMPLE_REJECT_TOL
-    * ||x|| * ||z||, is rejected: there the rounding residue of v along z
-    would dominate the quotient.  For v orthogonal to z this cannot lower the
+    x within about 1e-3 rad of the line of z, gram(x, z) <= THIN * ||x|| *
+    ||z||, is rejected: there the rounding residue of v along z would
+    dominate the quotient.  For v orthogonal to z this cannot lower the
     supremum, which depends only on the direction of x's part orthogonal to
     z.  The test is relative, so it does not depend on the scale of z.
     """
     nz = float(np.linalg.norm(z))
-    if nz <= TOL:
+    if null(nz):
         return 0.0
     xs = rng.standard_normal((2000, n))
     num = np.abs(xs @ v)
     den = wedge_area_batch(xs, np.broadcast_to(z, xs.shape))
-    ok = den > SAMPLE_REJECT_TOL * nz * np.sqrt(np.einsum("ij,ij->i", xs, xs))
+    ok = ~negligible(den, nz * np.sqrt(np.einsum("ij,ij->i", xs, xs)), THIN)
     return float(np.max(num[ok] / den[ok], initial=0.0))
 
 
@@ -528,17 +525,9 @@ def full_extend(problem: ExtensionProblem) -> ExtensionTrace:
     original = problem
     n = problem.n
     if problem.z.is_zero():
-        final = RestrictedFunctional(
-            DSubmodule.full(n), problem.z, np.zeros(n), np.zeros(n)
-        )
-        return ExtensionTrace(
-            problem=original,
-            worked=original,
-            steps=[],
-            final=final,
-            norm_f=Hyperbolic(0.0, 0.0),
-            norm_F=Hyperbolic(0.0, 0.0),
-        )
+        final = RestrictedFunctional(DSubmodule.full(n), problem.z, np.zeros(n), np.zeros(n))
+        zero = Hyperbolic(0.0, 0.0)
+        return ExtensionTrace(original, original, steps=[], final=final, norm_f=zero, norm_F=zero)
     if problem.z.is_zero_divisor():
         problem = normalize_degenerate_z(problem)
     rf = problem.restriction()
@@ -557,14 +546,7 @@ def full_extend(problem: ExtensionProblem) -> ExtensionTrace:
         rf = step.g
     if not rf.domain.is_full():
         raise OptimizationFailure("extension finished without exhausting the module")
-    return ExtensionTrace(
-        problem=original,
-        worked=problem,
-        steps=steps,
-        final=rf,
-        norm_f=norm_f,
-        norm_F=rf.norm(),
-    )
+    return ExtensionTrace(original, problem, steps, final=rf, norm_f=norm_f, norm_F=rf.norm())
 
 
 def corollary_functional(x0: DVector, y0: DVector) -> tuple[RestrictedFunctional, ExtensionTrace]:
@@ -577,11 +559,11 @@ def corollary_functional(x0: DVector, y0: DVector) -> tuple[RestrictedFunctional
     """
     n = x0.n
     for v, name in ((x0, "x0"), (y0, "y0")):
-        if v.is_zero() or v.is_zero_divisor():
+        if v.is_degenerate():
             raise ZeroDivisorInput(f"{name} is zero or a zero divisor")
-    target = D2Norm()(x0, y0)
-    if min(target.p, target.q) <= 1e-9:
+    if np.any(_dependent_pair(x0.c, y0.c)):
         raise DependentPair("x0 and y0 are dependent in some component")
+    target = D2Norm()(x0, y0)
     p0 = _perp(y0.c, x0.c)
     moments = p0 * (np.array([target.p, target.q]) / _dot(p0, p0))[:, None]
     M = DSubmodule(n, x0.c1[None, :], x0.c2[None, :])
@@ -662,7 +644,7 @@ def gap_interval_subgradient(
                     u = c @ q + xp
                     pu = _perp(z, u)
                     npu = float(np.linalg.norm(pu))
-                    grad_norm = (q @ (pu / npu)) * (nf * nz) if npu > 1e-14 else np.zeros(k)
+                    grad_norm = np.zeros(k) if null(npu) else (q @ (pu / npu)) * (nf * nz)
                     g = grad_norm - sign * cz_q
                     val = nf * npu * nz - sign * float(c @ cz_q)
                     if val < best:
@@ -704,55 +686,35 @@ def _radial_min(objective, dirs: np.ndarray, tau_hi: float, iters: int = 90) -> 
 
 
 def _grid_min(objective, k: int, tau_hi: float = 1e7) -> float:
-    """Dense direction grid + radial line search, with angular zooming.
+    """Radial line searches along directions on S^(k-1), with zooming.
 
-    Covers the whole coefficient space through a radial compactification
-    (directions x radius up to tau_hi), which is required because the
-    infimum may be approached only along an escaping ray.
+    Each round draws normalised standard-normal rows about a centre: first
+    0 (uniform on the sphere), then the best direction so far at a smaller
+    spread.  Radii go up to tau_hi, since the infimum may be approached only
+    along an escaping ray.
     """
+    best = float(objective(np.zeros((1, k)))[0])
     if k == 0:
-        return float(objective(np.zeros((1, 0)))[0])
-    if k == 1:
-        dirs = np.array([[1.0], [-1.0]])
-        return float(np.min(_radial_min(objective, dirs, tau_hi)))
-    if k == 2:
-        lo, hi, m = 0.0, 2.0 * np.pi, 721
-        best_theta, best = 0.0, np.inf
-        for _ in range(4):
-            thetas = np.linspace(lo, hi, m)
-            dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-            vals = _radial_min(objective, dirs, tau_hi)
-            i = int(np.argmin(vals))
-            best = min(best, float(vals[i]))
-            best_theta = thetas[i]
-            width = (hi - lo) / m
-            lo, hi, m = best_theta - 2 * width, best_theta + 2 * width, 65
         return best
-    if k == 3:
-        golden = np.pi * (3.0 - np.sqrt(5.0))
-        idx = np.arange(800)
-        zs = 1.0 - 2.0 * (idx + 0.5) / 800
-        rs = np.sqrt(np.maximum(0.0, 1.0 - zs * zs))
-        dirs = np.stack([rs * np.cos(golden * idx), rs * np.sin(golden * idx), zs], axis=1)
+    center = np.zeros(k)
+    rng = np.random.default_rng(7)
+    for j in range(4):
+        dirs = center + 0.05**j * rng.standard_normal((600 if j else 800, k))
+        # normalised, and each direction once: for k = 1 the sphere is {-1, 1}
+        dirs = np.unique(dirs / np.linalg.norm(dirs, axis=1, keepdims=True), axis=0)
         vals = _radial_min(objective, dirs, tau_hi)
         i = int(np.argmin(vals))
-        best, center = float(vals[i]), dirs[i]
-        rng = np.random.default_rng(7)
-        for spread in (0.15, 0.02, 0.003):
-            cands = center[None, :] + spread * rng.standard_normal((400, 3))
-            cands /= np.linalg.norm(cands, axis=1, keepdims=True)
-            vals = _radial_min(objective, cands, tau_hi)
-            i = int(np.argmin(vals))
-            if float(vals[i]) < best:
-                best, center = float(vals[i]), cands[i]
-        return best
-    raise ValueError("the grid oracle supports component dimensions up to 3")
+        if vals[i] < best:
+            best, center = float(vals[i]), dirs[i]
+        if k == 1:
+            break  # S^0 = {-1, 1}: the first round has seen both directions
+    return best
 
 
 def gap_interval_grid(
     problem: ExtensionProblem, x_prime: DVector, tau_hi: float = 1e7
 ) -> tuple[Hyperbolic, Hyperbolic]:
-    """Dense-grid oracle for the gap endpoints (component dimensions <= 3)."""
+    """Direction-search oracle for the gap endpoints (checked for dimensions <= 3)."""
     los, his = [], []
     for setup in _gap_setup(problem, x_prime):
         obj_m, k = _gap_objective(setup, +1.0)

@@ -14,8 +14,7 @@ import numbers
 from enum import Enum
 from typing import Iterable
 
-#: Global comparison tolerance for equality, zero and order tests.
-TOL = 1e-12
+from ._tol import ROUND, negligible, null
 
 
 class NotInvertible(ZeroDivisionError):
@@ -60,8 +59,8 @@ class Hyperbolic:
     """A split-complex scalar in idempotent coordinates.
 
     ``p`` multiplies e1 and ``q`` multiplies e2.  Values are immutable by
-    convention; every operation returns a fresh instance.  Equality is
-    tested coordinatewise within the shared tolerance ``TOL``.
+    convention; every operation returns a fresh instance.  Zero, equality
+    and order tests are relative to the operands' larger coordinate.
     """
 
     __slots__ = ("p", "q")
@@ -145,10 +144,10 @@ class Hyperbolic:
     def inverse(self) -> "Hyperbolic":
         """Multiplicative inverse, the conjugate divided by z * z.dagger().
 
-        Raises NotInvertible for zero and for zero divisors (a vanishing
-        coordinate within TOL).
+        Raises NotInvertible for zero and for zero divisors (a coordinate
+        negligible beside the other).
         """
-        if abs(self.p) <= TOL or abs(self.q) <= TOL:
+        if not self.is_invertible():
             raise NotInvertible(f"{self!r} has a vanishing idempotent coordinate")
         return Hyperbolic(1.0 / self.p, 1.0 / self.q)
 
@@ -162,30 +161,32 @@ class Hyperbolic:
 
     # -- predicates ------------------------------------------------------
 
-    def is_zero(self, tol: float = TOL) -> bool:
-        return abs(self.p) <= tol and abs(self.q) <= tol
+    def is_zero(self) -> bool:
+        return null(self.p) and null(self.q)
 
-    def is_zero_divisor(self, tol: float = TOL) -> bool:
-        """Nonzero with exactly one vanishing idempotent coordinate."""
-        return (abs(self.p) <= tol) != (abs(self.q) <= tol)
+    def is_zero_divisor(self) -> bool:
+        """Exactly one idempotent coordinate negligible beside the other."""
+        p, q = abs(self.p), abs(self.q)
+        return negligible(p, q) != negligible(q, p)
 
-    def is_invertible(self, tol: float = TOL) -> bool:
-        return abs(self.p) > tol and abs(self.q) > tol
+    def is_invertible(self) -> bool:
+        return not (self.is_zero() or self.is_zero_divisor())
 
-    def is_nonneg(self, tol: float = TOL) -> bool:
-        """Membership in the nonnegative cone (both coordinates >= 0)."""
+    def is_nonneg(self, tol: float = 0.0) -> bool:
+        """Membership in the nonnegative cone, both coordinates >= -tol."""
         return self.p >= -tol and self.q >= -tol
 
-    def is_real(self, tol: float = TOL) -> bool:
-        return abs(self.p - self.q) <= tol
+    def is_real(self) -> bool:
+        return negligible(self.p - self.q, self.max_abs())
 
     # -- partial order ---------------------------------------------------
 
     def compare(self, other) -> OrderResult:
-        """Compare under the cone order: z <= u iff u - z is nonnegative."""
+        """Cone order: z <= u iff u - z >= 0, but for a part negligible beside both."""
         other = _coerce(other)
-        le = (other - self).is_nonneg()
-        ge = (self - other).is_nonneg()
+        diff, scale = other - self, max(self.max_abs(), other.max_abs())
+        le = negligible(min(diff.p, diff.q, 0.0), scale)
+        ge = negligible(max(diff.p, diff.q, 0.0), scale)
         if le and ge:
             return OrderResult.EQUAL
         if le:
@@ -206,11 +207,12 @@ class Hyperbolic:
         other = _as_scalar(other)
         if other is None:
             return NotImplemented
-        return abs(self.p - other.p) <= TOL and abs(self.q - other.q) <= TOL
+        return self.isclose(other)
 
-    def isclose(self, other, tol: float = TOL) -> bool:
+    def isclose(self, other, tol: float = ROUND) -> bool:
+        """Coordinatewise equality within tol times the larger coordinate."""
         other = _coerce(other)
-        return abs(self.p - other.p) <= tol and abs(self.q - other.q) <= tol
+        return negligible((self - other).max_abs(), max(self.max_abs(), other.max_abs()), tol)
 
     def max_abs(self) -> float:
         return max(abs(self.p), abs(self.q))

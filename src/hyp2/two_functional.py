@@ -23,21 +23,10 @@ from enum import Enum
 
 import numpy as np
 
+from ._tol import ROUND, SPAN, THIN, negligible, null, within
 from .dmodule import DimensionMismatch, DVector
 from .hyperbolic import Hyperbolic, _as_scalar
 from .two_norm import D2Norm, _split_draws, _stack_evaluator, wedge_area_batch
-
-#: Absolute bound on the symmetric part accepted at construction / on load.
-ANTISYM_TOL = 1e-12
-
-#: Pairs whose 2-norm component falls below this are treated as zero or
-#: zero-divisor norms and excluded from supremum refinement.
-REJECT_TOL = 1e-6
-
-#: Stricter rejection used while sampling unit-sphere pairs: the quotient
-#: depends only on the spanned plane, every plane has well-conditioned
-#: representatives, and thin pairs only add round-off noise to the argmax.
-SAMPLE_REJECT_TOL = 1e-3
 
 #: Rows of `ys` that `norm_bruteforce` draws and scores at a time; a block
 #: and its temporaries stay in cache.
@@ -58,9 +47,11 @@ def _as_antisymmetric(mat, n: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix has a non-finite entry")
     sym = float(np.max(np.abs(arr + arr.T), initial=0.0))
-    if sym > ANTISYM_TOL:
+    size = float(np.max(np.abs(arr), initial=0.0))
+    if not negligible(sym, size):
         raise ValueError(
-            f"matrix is not antisymmetric: max |C + C^T| entry = {sym:.3e} > {ANTISYM_TOL}"
+            f"matrix is not antisymmetric: max |C + C^T| entry = {sym:.3e}"
+            f" > {ROUND:g} * max |C| entry = {ROUND * size:.3e}"
         )
     arr.setflags(write=False)
     return arr
@@ -179,35 +170,37 @@ def norm_spectral(f: DBilinear2Functional) -> NormCertificate:
     For antisymmetric C, |x' C y| <= sigma_max(C) * area(x, y) with equality
     at the top singular pair (project y orthogonal to x; x' C x = 0), so the
     supremum of the modulus over unit-area pairs is exactly sigma_max.  One
-    SVD of the (2, n, n) stack; a component with sigma_max <= 1e-300 gets
-    the value 0 and the first two standard basis vectors as its witness.
+    SVD of the (2, n, n) stack; a component with sigma_max = 0 gets the
+    first two standard basis vectors as its witness.
     """
     u_mat, s, vh = np.linalg.svd(f.C)
     sigma = s[:, 0]
-    null = sigma <= 1e-300
+    zero = null(sigma)
     eye = np.eye(f.n)
-    u = np.where(null[:, None], eye[0], u_mat[:, :, 0])
-    v = np.where(null[:, None], eye[min(1, f.n - 1)], vh[:, 0, :])
-    value = Hyperbolic(*np.where(null, 0.0, sigma))
+    u = np.where(zero[:, None], eye[0], u_mat[:, :, 0])
+    v = np.where(zero[:, None], eye[min(1, f.n - 1)], vh[:, 0, :])
+    value = Hyperbolic(*np.where(zero, 0.0, sigma))
     return NormCertificate(value, (DVector._of(u), DVector._of(v)), Method.SPECTRAL)
 
 
 def _component_ratios(C: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """|x' C y| / area(x, y), with rejected (near-degenerate) pairs set to -1."""
+    """|x' C y| / area(x, y) on the climb's rows, near an orthonormal pair, so
+    the area is about the sine: a pair with area at most THIN gets -1."""
     num = np.abs(np.einsum("bj,bj->b", xs @ C, ys))
     den = wedge_area_batch(xs, ys)
-    return np.where(den > REJECT_TOL, num / np.maximum(den, REJECT_TOL), -1.0)
+    return np.where(den > THIN, num / np.maximum(den, THIN), -1.0)
 
 
 def _plane_representative(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal pair spanning the same plane (the ratio is plane-invariant)."""
     nu = float(np.linalg.norm(u))
-    if nu <= 1e-12:
+    if null(nu):
         return u, v
     uu = u / nu
-    w = v - uu * float(uu @ v)
+    along = float(uu @ v)
+    w = v - uu * along
     nw = float(np.linalg.norm(w))
-    if nw <= 1e-12:
+    if negligible(nw, abs(along)):  # v on the line of u
         return uu, v
     return uu, w / nw
 
@@ -243,7 +236,8 @@ def _climb_component(
             u, v = _plane_representative(cand_u[i], cand_v[i])
         else:
             delta *= 0.2
-            if delta < 1e-13:
+            # a tenth of what rounding leaves on a unit vector: no move left
+            if negligible(delta, 0.1):
                 break
     u, v = _plane_representative(u, v)
     final = float(_component_ratios(C, u[None, :], v[None, :])[0])
@@ -281,7 +275,7 @@ def _sample_component(
             den = np.sqrt(np.maximum(1.0 - dots * dots, 0.0))
             if formula == "unit":
                 # rescale each pair to unit area first, then take |f| directly
-                ok = den > SAMPLE_REJECT_TOL
+                ok = den > THIN
                 scale = 1.0 / np.sqrt(den[ok])
                 us, vs = xs[ok] * scale[:, None], ys[ok] * scale[:, None]
                 vals = np.abs(np.einsum("bj,bj->b", us @ C, vs))
@@ -291,9 +285,7 @@ def _sample_component(
                         best, bu, bv = float(vals[i]), us[i], vs[i]
             else:
                 num = np.abs(np.einsum("bj,bj->b", xs @ C, ys))
-                ratios = np.where(
-                    den > SAMPLE_REJECT_TOL, num / np.maximum(den, SAMPLE_REJECT_TOL), -1.0
-                )
+                ratios = np.where(den > THIN, num / np.maximum(den, THIN), -1.0)
                 i = int(np.argmax(ratios))
                 if ratios[i] > best:
                     # a copy, so the winner does not keep its chunk's xs alive
@@ -376,13 +368,14 @@ def is_bounded_check(
     delta: Hyperbolic,
     samples: int = 1000,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = SPAN,
 ) -> BoundednessReport:
     """Check the defining bound on random pairs plus the spectral witness.
 
     delta must lie in the nonnegative cone.  The spectral witness (and scaled
     copies of it) is always included among the probes, so an insufficient
-    bound is caught deterministically.
+    bound is caught deterministically.  A probe passes when each component's
+    excess |f(x,y)| - delta * norm(x,y) is at most tol * delta * ||x|| * ||y||.
 
     All probes are evaluated at once on (2, m, n) component stacks.  Draws:
     one (samples, 4n + 2) standard-normal block, per row x1 x2 y1 y2 and the
@@ -407,11 +400,13 @@ def is_bounded_check(
     )
 
     lhs = np.abs(np.einsum("cmi,cmi->cm", xs @ f.C, ys))
-    rhs = np.array([[delta.p], [delta.q]]) * _stack_evaluator(norm)(xs, ys)
+    d = np.array([[delta.p], [delta.q]])
+    rhs = d * _stack_evaluator(norm)(xs, ys)
+    size = d * np.linalg.norm(xs, axis=-1) * np.linalg.norm(ys, axis=-1)
+    ok = within(np.maximum(lhs - rhs, 0.0), size, tol)
     excess = np.max(lhs - rhs, axis=0)
     i = int(np.argmax(excess))
     worst = float(excess[i])
-    ok = worst <= tol
     witness = None
     if not ok:
         witness = (

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,3 +255,82 @@ class TestSelftest:
     def test_unknown_filter_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "selftest", "--only", "no-such-criterion")
         assert code == 2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: norm_f of `gen --seed 1 --n 3`, which no rescaling of z or M may change
+SEED1_NORM_F = (0.150006936266445, 2.0487950322718085)
+
+
+@pytest.fixture()
+def seed1_blob(tmp_path):
+    path = tmp_path / "seed1.json"
+    assert main(["gen", "--seed", "1", "--n", "3", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _scaled(blob, key, s):
+    """A copy of blob with z, M's basis or F multiplied by s."""
+    blob = json.loads(json.dumps(blob))
+    if key == "z":
+        blob["z"] = [{"p": c["p"] * s, "q": c["q"] * s} for c in blob["z"]]
+    elif key == "M":
+        for b in ("basis1", "basis2"):
+            blob["M"][b] = (np.array(blob["M"][b]) * s).tolist()
+    else:
+        blob["functional"] = {k: (np.array(m) * s).tolist() for k, m in blob["functional"].items()}
+    return blob
+
+
+def _write(tmp_path, blob, name="scaled.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
+class TestScaledInstances:
+    # each verdict depends only on relative sizes, so rescaling one part of an
+    # instance changes no exit code, and extend keeps its norm
+    @pytest.mark.parametrize("key,s", [("z", 1e-13), ("M", 1e-10), ("M", 1e-14)])
+    def test_extend_keeps_the_norm(self, capsys, tmp_path, seed1_blob, key, s):
+        code, out, _ = run_cli(capsys, "extend", _write(tmp_path, _scaled(seed1_blob, key, s)))
+        report = json.loads(out)
+        assert code == 0 and report["passed"]
+        got = report["final"]["norm_f"]
+        assert (got["p"], got["q"]) == pytest.approx(SEED1_NORM_F, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("s", [1e6, 1e12])
+    def test_norm_passes_on_a_scaled_functional(self, capsys, tmp_path, seed1_blob, s):
+        code, out, _ = run_cli(capsys, "norm", _write(tmp_path, _scaled(seed1_blob, "F", s)))
+        assert code == 0 and json.loads(out)["passed"]
+
+    @pytest.mark.parametrize("s", [1e-5, 1e5])
+    def test_corollary_passes_on_a_scaled_pair(self, capsys, tmp_path, s):
+        blob = json.loads((GOLDEN / "pair_n3.json").read_text())
+        for key in ("x0", "y0"):
+            blob[key] = [{"p": c["p"] * s, "q": c["q"] * s} for c in blob[key]]
+        code, out, _ = run_cli(capsys, "corollary", _write(tmp_path, blob))
+        assert code == 0 and json.loads(out)["passed"]
+
+    def test_small_symmetric_matrix_is_rejected(self, capsys, tmp_path, seed1_blob):
+        seed1_blob["functional"]["C1"] = (1e-13 * np.eye(3)).tolist()
+        code, _, err = run_cli(capsys, "norm", _write(tmp_path, seed1_blob))
+        assert code == 2 and "antisymmetric" in err
+
+    def test_zero_brute_force_value_fails_at_small_scale(
+        self, capsys, tmp_path, seed1_blob, monkeypatch
+    ):
+        import hyp2.cli
+        from hyp2 import Hyperbolic, Method, NormCertificate
+
+        def zero_brute(f, **kwargs):
+            u = hyp2.cli.DVector.zero(f.n)
+            return NormCertificate(Hyperbolic(0.0, 0.0), (u, u), Method.BRUTE_FORCE)
+
+        monkeypatch.setattr(hyp2.cli, "norm_bruteforce", zero_brute)
+        path = _write(tmp_path, _scaled(seed1_blob, "F", 1e-12))
+        code, out, _ = run_cli(capsys, "norm", path)
+        checks = json.loads(out)["checks"]
+        assert code == 1 and not checks["brute_within_2pct"]
+        assert checks["brute_not_above_spectral"] and checks["bounded_at_spectral"]

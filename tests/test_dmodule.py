@@ -198,8 +198,9 @@ def test_dependent_pair_row_wise_matches_single_rows():
     vs = rng.standard_normal((6, 4))
     vs[1] = -2.5 * us[1]  # dependent
     vs[2] = 0.0  # zero partner
-    us[3] = 1e-12 * us[3]  # below the tolerance
+    us[3] = 0.0  # zero partner on the other side
     vs[4] = us[4] + 1e-6 * vs[4]  # nearly, but not, dependent
+    us[5] = 1e-12 * us[5]  # short, but still a direction: dependence is scale-free
     rows = _dependent_pair(us, vs)
     assert rows.tolist() == [bool(_dependent_pair(u, v)) for u, v in zip(us, vs)]
     assert rows.tolist() == [False, True, True, True, False, False]

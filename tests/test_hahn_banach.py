@@ -25,7 +25,7 @@ from hyp2 import (
     one_step_extend,
 )
 import hyp2.hahn_banach as hb
-from hyp2.two_functional import SAMPLE_REJECT_TOL
+from hyp2._tol import THIN
 
 NORM = D2Norm()
 
@@ -390,6 +390,25 @@ class TestCorollary:
         assert (f0.evaluate(x0, y0) - target).max_abs() <= 1e-10
         assert (trace.final.evaluate(x0, y0) - target).max_abs() <= 1e-10
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), ks=st.tuples(st.integers(-12, 12), st.integers(-12, 12)))
+    def test_scale_equivariance(self, seed, ks):
+        # scaling x0 and y0 scales the attained value and leaves the printed
+        # norm-one matrices unchanged
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        x0, y0 = rand_dvec(rng, n), rand_dvec(rng, n)
+        sx, sy = (10.0**k for k in ks)
+        _, base = corollary_functional(x0, y0)
+        f0, trace = corollary_functional(sx * x0, sy * y0)
+        one = Hyperbolic(1.0, 1.0)
+        assert (f0.norm() - one).max_abs() <= 1e-9
+        assert (trace.final.norm() - one).max_abs() <= 1e-9
+        got, want = trace.final.evaluate(sx * x0, sy * y0), NORM(sx * x0, sy * y0)
+        assert (got.p, got.q) == pytest.approx((want.p, want.q), rel=1e-10, abs=0.0)
+        F, F_base = trace.final.as_functional().C, base.final.as_functional().C
+        assert np.max(np.abs(F - F_base)) <= 1e-9 * np.max(np.abs(F_base))
+
     def test_zero_divisor_scalar_case_table(self):
         rng = np.random.default_rng(24)
         x0, y0 = rand_dvec(rng, 3), rand_dvec(rng, 3)
@@ -471,7 +490,7 @@ def reference_audit(trace, samples: int, seed: int) -> dict:
         for st, s in zip(rf_states, trace.steps)
     ]
     brackets_ok = all(g.leq(s.r) and s.r.leq(g) for g, s in zip(gap_points, trace.steps))
-    pointwise_excess = 0.0
+    pointwise_excess, pointwise_ok = 0.0, True
     nf = trace.norm_f
     for state, step in zip(rf_states[:-1], trace.steps):
         kk1, kk2 = state.domain.dims
@@ -482,6 +501,9 @@ def reference_audit(trace, samples: int, seed: int) -> dict:
             lhs = (state.evaluate(x, wk.z, check_domain=False) + step.r).modulus()
             rhs = nf * NORM(x + step.x_prime, wk.z)
             pointwise_excess = max(pointwise_excess, lhs.p - rhs.p, lhs.q - rhs.q)
+            # each excess against 1e-9 * |f| * gram
+            pointwise_ok = pointwise_ok and lhs.p - rhs.p <= 1e-9 * rhs.p
+            pointwise_ok = pointwise_ok and lhs.q - rhs.q <= 1e-9 * rhs.q
     # F's norm on X x [z']: C_F z' read off column by column
     cols = [F(DVector.from_components(e, e), wk.z) for e in np.eye(n)]
     cfz = np.array([[v.p for v in cols], [v.q for v in cols]])
@@ -501,21 +523,19 @@ def reference_audit(trace, samples: int, seed: int) -> dict:
             val, gram = F(x, wk.z).modulus(), NORM(x, wk.z)
             parts = zip((val.p, val.q), (gram.p, gram.q), (x1, x2), wk.z.split())
             for c, (v, g, xc, zc) in enumerate(parts):
-                if g > SAMPLE_REJECT_TOL * np.linalg.norm(zc) * np.linalg.norm(xc):
+                if g > THIN * np.linalg.norm(zc) * np.linalg.norm(xc):
                     sampled[c] = max(sampled[c], v / g)
     rel = []
     for got, want in zip(exact, (trace.norm_F.p, trace.norm_F.q)):
-        if abs(want) <= 1e-12 and abs(got) <= 1e-12:
-            rel.append(0.0)
-        else:
-            rel.append(abs(got - want) / max(abs(want), 1e-12))
+        diff = abs(got - want)
+        rel.append(0.0 if diff == 0.0 else diff / abs(want) if want != 0.0 else np.inf)
     norm_ok = max(rel) <= 1e-5 and max(moment_rel) <= 1e-10
     norm_ok = norm_ok and all(sv <= ex * (1.0 + 1e-5) for sv, ex in zip(sampled, exact))
     out = {
         "restriction_max_err": restr_err,
         "restriction_ok": restr_err <= 1e-10,
         "pointwise_bound_excess": pointwise_excess,
-        "pointwise_ok": pointwise_excess <= 1e-9,
+        "pointwise_ok": pointwise_ok,
         "norm_F_audit": {"p": exact[0], "q": exact[1]},
         "moment_rel_err": moment_rel,
         "norm_F_sampled": {"p": sampled[0], "q": sampled[1]},
@@ -616,7 +636,7 @@ class TestAuditBatched:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**16),
-        ks=st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)),
+        ks=st.tuples(st.integers(-12, 12), st.integers(-12, 12), st.integers(-12, 12)),
     )
     def test_scale_equivariance(self, seed, ks):
         rng = np.random.default_rng(seed)
@@ -646,15 +666,16 @@ class TestAuditBatched:
             # an absolute tolerance cannot see the corruption at small scale
             assert audit["restriction_max_err"] <= 1e-10
 
-    def test_vanishing_scale_z_is_flagged(self):
-        # z below the zero tolerance: the engine returns the zero extension,
-        # which disagrees with f on M x [z] relative to f's own scale
-        problem = fixed_problem(12, 3, (1, 2), "full", (1.0, 1e-13, 1.0))
-        trace = full_extend(problem)
+    def test_short_z_keeps_the_norm(self):
+        # z of length about 1e-13 is a direction like any other: the
+        # extension keeps f's norm, and the audit passes
+        base = full_extend(fixed_problem(12, 3, (1, 2), "full"))
+        trace = full_extend(fixed_problem(12, 3, (1, 2), "full", (1.0, 1e-13, 1.0)))
+        assert not trace.repaired and len(trace.steps) == len(base.steps)
+        for got, want in ((trace.norm_F.p, base.norm_F.p), (trace.norm_F.q, base.norm_F.q)):
+            assert want > 0.0 and got == pytest.approx(want, rel=1e-9, abs=0.0)
         audit = trace.audit(samples=200)
-        assert audit["restriction_max_err"] <= 1e-10
-        assert audit["restriction_rel_err"] > 1e-3
-        assert not audit["restriction_ok"] and not audit["passed"]
+        assert audit["restriction_rel_err"] <= 1e-12 and audit["passed"]
 
     def test_zero_scale_disagreement_is_infinite(self):
         n = 3
@@ -785,13 +806,13 @@ class TestRatioSupRejection:
     def test_residue_along_z_is_bounded_at_every_scale(self, z_scale):
         # a moment with a relative 1e-8 part along z: near the line of z the
         # quotient grows without bound, and the relative rejection caps the
-        # sampled maximum's overshoot at about 1e-8 / SAMPLE_REJECT_TOL
+        # sampled maximum's overshoot at about 1e-8 / THIN
         # whatever the scale of z
         z = np.array([3.0, 4.0]) * z_scale
         w = np.array([-4.0, 3.0]) / 5.0 + 1e-8 * np.array([3.0, 4.0]) / 5.0
         want = 1.0 / float(np.linalg.norm(z))
         got = hb._ratio_sup(w, z, 2, np.random.default_rng(0))
-        assert 0.0 <= got / want - 1.0 <= 1.01e-8 / SAMPLE_REJECT_TOL
+        assert 0.0 <= got / want - 1.0 <= 1.01e-8 / THIN
 
 
 class TestNormCheckMutations:
@@ -819,6 +840,20 @@ class TestNormCheckMutations:
         # the norm moves only to second order; the moment check is what fails
         assert max(audit["norm_rel_err"]) <= 1e-5
         assert max(audit["moment_rel_err"]) > 1e-10
+
+    @pytest.mark.parametrize("s", [1e-12, 1.0])
+    def test_pointwise_violation_fails_at_every_scale(self, s):
+        # at n = 2 the z-perp part of x + x' is parallel to the moment, so
+        # the pointwise bound is tight on every sample; lowering |f| by a
+        # relative 1e-3 violates it everywhere by a relative 1e-3
+        trace = full_extend(fixed_problem(14, 2, (1, 1), "full", (s, 1.0, 1.0)))
+        assert trace.audit(samples=200)["pointwise_ok"]
+        low = dataclasses.replace(trace, norm_f=Hyperbolic(0.999, 0.999) * trace.norm_f)
+        audit = low.audit(samples=200)
+        assert not audit["pointwise_ok"] and not audit["passed"]
+        if s < 1.0:
+            # an absolute tolerance cannot see the violation at small scale
+            assert audit["pointwise_bound_excess"] <= 1e-9
 
     def test_low_exact_norm_fails_through_the_sampled_bound(self, monkeypatch):
         trace = full_extend(fixed_problem(11, 3, (1, 1), "full"))

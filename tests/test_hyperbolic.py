@@ -66,15 +66,17 @@ class TestRingOps:
 
     @given(scalars, scalars)
     def test_mul_matches_cartesian_oracle(self, x, y):
-        assert (x * y).isclose(cartesian_mul(x, y), tol=1e-11)
+        # the cartesian route cancels, so its error is absolute, not relative
+        assert (x * y - cartesian_mul(x, y)).max_abs() <= 1e-11
 
     @given(scalars, scalars, scalars)
     def test_ring_axioms(self, x, y, z):
-        assert ((x + y) + z).isclose(x + (y + z))
+        # both sides round differently, so their gap is bounded absolutely
+        assert ((x + y) + z - (x + (y + z))).max_abs() <= 1e-12
         assert (x + y) == (y + x)
         assert (x * y) == (y * x)
-        assert ((x * y) * z).isclose(x * (y * z))
-        assert (x * (y + z)).isclose(x * y + x * z)
+        assert ((x * y) * z - x * (y * z)).max_abs() <= 1e-12
+        assert (x * (y + z) - (x * y + x * z)).max_abs() <= 1e-12
 
     def test_k_squares_to_one(self):
         assert K * K == ONE
@@ -109,6 +111,11 @@ class TestInverse:
         inv = z.inverse()
         assert inv == Hyperbolic(0.25, 0.5)
         assert (z * inv).isclose(ONE)
+
+    def test_small_scalar_is_invertible(self):
+        # invertibility compares the coordinates with each other, not with 1
+        assert Hyperbolic(1e-13, 2e-13).inverse() == Hyperbolic(1e13, 5e12)
+        assert Hyperbolic(1.0, 1e-13).is_zero_divisor()
 
     def test_zero_divisor_not_invertible(self):
         with pytest.raises(NotInvertible):

@@ -24,7 +24,10 @@ from hyp2 import (
     norm_spectral,
     normalize_degenerate_z,
 )
-from hyp2.hyperbolic import TOL
+
+# The tolerance rule of hyp2._tol, written out: a quantity with no operand
+# scale is zero only at 0.0; otherwise x is negligible when |x| <= REL * scale.
+REL = 1e-12
 
 CASES = dict(
     seed=st.integers(0, 2**16),
@@ -66,7 +69,7 @@ def vec(rng, n, scale):
 
 def ref_perp(z, v):
     nz2 = float(z @ z)
-    if nz2 <= TOL * TOL:
+    if nz2 == 0.0:
         return np.array(v, dtype=float)
     return v - z * (float(z @ v) / nz2)
 
@@ -81,7 +84,7 @@ def ref_moment(C, q, z):
         for r in rows:
             w -= r * float(r @ w)
         norm = float(np.linalg.norm(w))
-        if norm > 1e-12 * max(1.0, float(np.linalg.norm(v))):
+        if norm > REL * float(np.linalg.norm(v)):
             rows.append(w / norm)
     wb = np.array(rows) if rows else np.zeros((0, len(z)))
     return wb.T @ (wb @ (C @ z))
@@ -89,12 +92,12 @@ def ref_moment(C, q, z):
 
 def ref_alpha(z, y):
     nz2 = float(z @ z)
-    return 0.0 if nz2 <= TOL * TOL else float(y @ z) / nz2
+    return 0.0 if nz2 == 0.0 else float(y @ z) / nz2
 
 
 def ref_top_singular(C):
     u_mat, s, vh = np.linalg.svd(C)
-    if float(s[0]) <= 1e-300:
+    if float(s[0]) == 0.0:
         n = C.shape[0]
         return 0.0, np.eye(n)[0], np.eye(n)[min(1, n - 1)]
     return float(s[0]), u_mat[:, 0], vh[0, :]
@@ -102,17 +105,17 @@ def ref_top_singular(C):
 
 def ref_as_matrix(w, z, n):
     nz2 = float(z @ z)
-    if nz2 <= TOL * TOL:
+    if nz2 == 0.0:
         return np.zeros((n, n))
     return (np.outer(w, z) - np.outer(z, w)) / nz2
 
 
-def ref_dependent(u, v, tol=1e-9):
+def ref_dependent(u, v, rel=1e-9):
     nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if nu <= tol or nv <= tol:
+    if nu == 0.0 or nv == 0.0:
         return True
     resid = v - u * (float(u @ v) / (nu * nu))
-    return float(np.linalg.norm(resid)) <= tol * max(1.0, nv)
+    return float(np.linalg.norm(resid)) <= rel * nv
 
 
 # -- properties ---------------------------------------------------------------
@@ -136,13 +139,14 @@ class TestStackedEqualsPerComponent:
             assert same(got.c, np.stack((want1, want2)))
             assert not got.c.flags.writeable and not got.c1.flags.writeable
         zd = DVector.from_components(x.c1, np.zeros(n))
-        for v in (x, zd, DVector.zero(n)):
-            z1 = float(np.max(np.abs(v.c1))) <= TOL
-            z2 = float(np.max(np.abs(v.c2))) <= TOL
-            assert v.is_zero() == (z1 and z2)
+        for v in (x, zd, DVector.zero(n), DVector.from_components(x.c1, REL * x.c2)):
+            s1, s2 = float(np.linalg.norm(v.c1)), float(np.linalg.norm(v.c2))
+            z1, z2 = s1 <= REL * s2, s2 <= REL * s1
+            assert v.is_zero() == (s1 == 0.0 and s2 == 0.0)
             assert v.is_zero_divisor() == (z1 != z2)
-        close = [np.allclose(a, b, atol=TOL, rtol=0.0) for a, b in ((x.c1, y.c1), (x.c2, y.c2))]
-        assert (x == y) == all(close)
+            assert v.is_degenerate() == (z1 or z2)
+        size = max(float(np.max(np.abs(x.c))), float(np.max(np.abs(y.c))))
+        assert (x == y) == (float(np.max(np.abs(x.c - y.c))) <= REL * size)
         assert x == DVector.from_components(x.c1, x.c2)
         for u in (y, 2.5 * x, DVector.from_components(x.c1, y.c2)):
             want = ref_dependent(x.c1, u.c1) and ref_dependent(x.c2, u.c2)
@@ -186,7 +190,7 @@ class TestStackedEqualsPerComponent:
             want = []
             for w, zc in ((w1, zz.c1), (w2, zz.c2)):
                 nz = float(np.linalg.norm(zc))
-                want.append(0.0 if nz <= TOL else float(np.linalg.norm(w)) / nz)
+                want.append(0.0 if nz == 0.0 else float(np.linalg.norm(w)) / nz)
             got = rf.norm()
             assert (got.p, got.q) == tuple(want)
             x = M.random_element(rng, scale)

@@ -2,6 +2,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyp2.two_functional as tf
 from hyp2 import (
@@ -18,6 +19,7 @@ from hyp2 import (
     norm_bruteforce,
     norm_spectral,
 )
+from hyp2._tol import THIN
 
 
 def dvec(c1, c2) -> DVector:
@@ -191,6 +193,17 @@ class TestNormSpectral:
         base = norm_spectral(f)
         assert (scaled.value - alpha * base.value).max_abs() <= 1e-12
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), k=st.integers(-12, 12))
+    def test_scale_equivariance(self, seed, k):
+        # sigma scales with f, and so does the verdict of the bound it certifies
+        f = DBilinear2Functional.random(2 + seed % 7, seed)
+        s = 10.0**k
+        base, cert = norm_spectral(f).value, norm_spectral(s * f).value
+        assert (cert.p, cert.q) == pytest.approx((s * base.p, s * base.q), rel=1e-12, abs=0.0)
+        assert is_bounded_check(s * f, D2Norm(), cert, samples=100, seed=seed)
+        assert not is_bounded_check(s * f, D2Norm(), Hyperbolic(0.5, 0.5) * cert, samples=10)
+
     def test_witness_attains_value(self):
         norm = D2Norm()
         f = DBilinear2Functional.random(4, 13)
@@ -253,7 +266,7 @@ def reference_sample_component(C, budget, rng, formula):
         dots = np.einsum("bi,bi->b", xs, ys)
         den = np.sqrt(np.maximum(1.0 - dots * dots, 0.0))
         if formula == "unit":
-            ok = den > tf.SAMPLE_REJECT_TOL
+            ok = den > THIN
             scale = 1.0 / np.sqrt(den[ok])
             us, vs = xs[ok] * scale[:, None], ys[ok] * scale[:, None]
             vals = np.abs(np.einsum("bj,bj->b", us @ C, vs))
@@ -263,9 +276,7 @@ def reference_sample_component(C, budget, rng, formula):
                     best, bu, bv = float(vals[i]), us[i], vs[i]
         else:
             num = np.abs(np.einsum("bj,bj->b", xs @ C, ys))
-            ratios = np.where(
-                den > tf.SAMPLE_REJECT_TOL, num / np.maximum(den, tf.SAMPLE_REJECT_TOL), -1.0
-            )
+            ratios = np.where(den > THIN, num / np.maximum(den, THIN), -1.0)
             i = int(np.argmax(ratios))
             if ratios[i] > best:
                 best, bu, bv = float(ratios[i]), xs[i], ys[i]
@@ -400,6 +411,7 @@ def reference_is_bounded_check(f, norm, delta, samples: int, seed):
         probes.append((x, Hyperbolic(*rng.standard_normal(2)) * x))
     worst = -np.inf
     witness = None
+    ok = True
     for x, y in probes:
         lhs = f(x, y).modulus()
         rhs = delta * norm(x, y)
@@ -407,7 +419,9 @@ def reference_is_bounded_check(f, norm, delta, samples: int, seed):
         if excess > worst:
             worst = excess
             witness = (x, y)
-    ok = worst <= 1e-9
+        # each component's excess against 1e-9 * delta * ||x|| * ||y||
+        for e, d, xc, yc in zip((lhs.p - rhs.p, lhs.q - rhs.q), (delta.p, delta.q), x.c, y.c):
+            ok = ok and e <= 1e-9 * d * np.linalg.norm(xc) * np.linalg.norm(yc)
     return ok, float(worst), None if ok else witness
 
 
