@@ -49,7 +49,6 @@ from .two_functional import (
     norm_spectral,
 )
 from .hahn_banach import (
-    DegenerateZ,
     DependentPair,
     ExtensionProblem,
     ExtensionStep,
@@ -62,9 +61,7 @@ from .hahn_banach import (
     full_extend,
     gap_interval,
     gap_interval_grid,
-    gap_interval_subgradient,
     normalize_degenerate_z,
-    one_step_extend,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +98,6 @@ __all__ = [
     "is_bounded_check",
     "norm_bruteforce",
     "norm_spectral",
-    "DegenerateZ",
     "DependentPair",
     "ExtensionProblem",
     "ExtensionStep",
@@ -114,7 +110,5 @@ __all__ = [
     "full_extend",
     "gap_interval",
     "gap_interval_grid",
-    "gap_interval_subgradient",
     "normalize_degenerate_z",
-    "one_step_extend",
 ]

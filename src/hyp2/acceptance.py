@@ -250,20 +250,6 @@ def _random_problem(rng, degenerate: bool) -> ExtensionProblem:
     return ExtensionProblem(n, M, z, f)
 
 
-def _first_missing_basis_vector(problem: ExtensionProblem) -> DVector | None:
-    n = problem.n
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        need1 = not problem.M.component_contains(0, e)
-        need2 = not problem.M.component_contains(1, e)
-        if need1 or need2:
-            return DVector.from_components(
-                e if need1 else np.zeros(n), e if need2 else np.zeros(n)
-            )
-    return None
-
-
 def criterion_extension_engine(count: int = 100, seed: int = 0) -> CriterionResult:
     """Full extensions on random problems: restriction agreement at 1e-10,
     norm preservation at 1e-5 relative per component, every audit passes
@@ -284,17 +270,18 @@ def criterion_extension_engine(count: int = 100, seed: int = 0) -> CriterionResu
         worst_restr = max(worst_restr, audit["restriction_max_err"])
         worst_norm_rel = max(worst_norm_rel, *audit["norm_rel_err"])
         audits_passed = audits_passed and audit["passed"]
-        if max(problem.M.dims) <= 2 and oracle_runs < 25 and not problem.z.is_degenerate():
-            xp = _first_missing_basis_vector(problem)
-            if xp is not None:
-                m0, m = gap_interval(problem, xp)
-                g0, gm = gap_interval_grid(problem, xp)
-                worst_oracle = max(
-                    worst_oracle,
-                    (g0 - m0).max_abs(),
-                    (gm - m).max_abs(),
-                )
-                oracle_runs += 1
+        small = max(problem.M.dims) <= 2 and oracle_runs < 25
+        if small and trace.steps and not problem.z.is_degenerate():
+            # z is not degenerate, so the first step's x' is one for f itself
+            xp = trace.steps[0].x_prime
+            m0, m = gap_interval(problem, xp)
+            g0, gm = gap_interval_grid(problem, xp)
+            worst_oracle = max(
+                worst_oracle,
+                (g0 - m0).max_abs(),
+                (gm - m).max_abs(),
+            )
+            oracle_runs += 1
     runtime = time.perf_counter() - start
     passed = (
         worst_restr <= 1e-10
@@ -429,14 +416,14 @@ def criterion_componentwise_decoupling(trials: int = 40, seed: int = 0) -> Crite
         problem_dup = ExtensionProblem(
             n, DSubmodule(n, b1, b1.copy()), DVector.from_components(z1, z1.copy()), f_dup
         )
-        xp = _first_missing_basis_vector(problem)
-        if xp is not None:
+        tr = full_extend(problem)
+        tr_dup = full_extend(problem_dup)
+        if tr.steps:
+            xp = tr.steps[0].x_prime
             xp_dup = DVector.from_components(xp.c1, xp.c1.copy())
             m0, m = gap_interval(problem, xp)
             d0, dm = gap_interval(problem_dup, xp_dup)
             worst = max(worst, abs(m0.p - d0.p), abs(m.p - dm.p))
-        tr = full_extend(problem)
-        tr_dup = full_extend(problem_dup)
         worst = max(worst, float(np.max(np.abs(tr.final.w1 - tr_dup.final.w1), initial=0.0)))
         worst = max(worst, abs(tr.norm_F.p - tr_dup.norm_F.p))
     runtime = time.perf_counter() - start

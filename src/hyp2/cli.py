@@ -74,7 +74,10 @@ def _parse_instance(blob: dict, need: tuple[str, ...]) -> dict:
     if not 2 <= n <= 8:
         raise InstanceError(f"dimension n must satisfy 2 <= n <= 8, got {n}")
     out["n"] = n
-    kind = blob.get("norm", {"kind": "gramdet"}).get("kind", "gramdet")
+    norm = blob.get("norm", {})
+    if not isinstance(norm, dict):
+        raise InstanceError(f"the norm field must be an object, got {norm!r}")
+    kind = norm.get("kind", "gramdet")
     if kind != "gramdet":
         raise InstanceError(f"unsupported 2-norm kind {kind!r}")
     out["norm"] = D2Norm()

@@ -19,9 +19,10 @@ gap interval [m0, m] of admissible values collapses to that point here (the
 quotient unit ball of the area 2-norm is strictly convex), and the moment w
 never changes: every step, and so the whole extension, only enlarges the
 domain.  gap_interval returns the point in closed form and every extension
-step takes its r from the same formula.  gap_interval_subgradient and
-gap_interval_grid bound the endpoints by direct optimization of the defining
-sup/inf objectives and serve as independent cross-checks.  The audit reads
+step takes its r from the same formula, so full_extend only finds the
+standard basis vectors each component misses.  gap_interval_grid bounds the
+endpoints by direct optimization of the defining sup/inf objectives and
+serves as an independent cross-check.  The audit reads
 the printed matrices C_F of F: it checks each step's r and F's moment
 against the gap point and moment recomputed by SVD from the problem's raw
 data, and F's norm ||P C_F z|| / ||z|| (P projects onto z-perp) against
@@ -51,12 +52,12 @@ from .two_functional import DBilinear2Functional
 from .two_norm import D2Norm, wedge_area_batch
 
 
+#: The audit's relative tolerance for F against f on M x [z], r and F's moment.
+RESTRICTION_TOL = 1e-10
+
+
 class OptimizationFailure(RuntimeError):
     """A verified bracket or a sanity invariant failed during extension."""
-
-
-class DegenerateZ(ValueError):
-    """The right slot generator is zero or a zero divisor."""
 
 
 class NotDegenerate(ValueError):
@@ -77,16 +78,6 @@ def _perp(z: np.ndarray, v: np.ndarray) -> np.ndarray:
     nz2 = _dot(z, z)[..., None]
     vanish = null(nz2)
     return np.where(vanish, v, v - z * (_dot(z, v)[..., None] / np.where(vanish, 1.0, nz2)))
-
-
-def _domain_stack(domain: DSubmodule, coeffs: np.ndarray) -> np.ndarray:
-    """The (2, m, n) component stack of m domain elements.
-
-    Row i of coeffs holds the k1 + k2 coordinates of element i in the
-    orthonormal component bases, first component first.
-    """
-    k1 = domain.dims[0]
-    return np.stack((coeffs[:, :k1] @ domain.q1, coeffs[:, k1:] @ domain.q2))
 
 
 class RestrictedFunctional:
@@ -216,7 +207,10 @@ class ExtensionProblem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExtensionProblem":
-        kind = obj.get("norm", {}).get("kind", "gramdet")
+        norm = obj.get("norm", {})
+        if not isinstance(norm, dict):
+            raise ValueError(f"the norm field must be an object, got {norm!r}")
+        kind = norm.get("kind", "gramdet")
         if kind != "gramdet":
             raise ValueError(f"unsupported 2-norm kind {kind!r}")
         n = int(obj["n"])
@@ -231,12 +225,11 @@ class ExtensionProblem:
 @dataclass
 class ExtensionStep:
     """One generator adjunction: the chosen value r = g(x', z) and the
-    extended functional g.  r is the gap point, so the bracket [m0, m] of
-    the JSON form is [r, r]."""
+    components whose domain grew.  r is the gap point, so the bracket
+    [m0, m] of the JSON form is [r, r]."""
 
     x_prime: DVector
     r: Hyperbolic
-    g: RestrictedFunctional
     grew: tuple[bool, bool]
 
     def to_json(self) -> dict:
@@ -251,16 +244,6 @@ def _gap_point(rf: RestrictedFunctional, x_prime: DVector) -> Hyperbolic:
     return Hyperbolic(*_dot(rf.w, x_prime.c))
 
 
-def _step(rf: RestrictedFunctional, x_prime: DVector) -> ExtensionStep:
-    """Adjoin x_prime to the domain of rf, keeping the moment."""
-    grew = (
-        not rf.domain.component_contains(0, x_prime.c1),
-        not rf.domain.component_contains(1, x_prime.c2),
-    )
-    g = RestrictedFunctional(rf.domain.extend(x_prime), rf.z, *rf.w) if any(grew) else rf
-    return ExtensionStep(x_prime=x_prime, r=_gap_point(rf, x_prime), g=g, grew=grew)
-
-
 def gap_interval(problem: ExtensionProblem, x_prime: DVector) -> tuple[Hyperbolic, Hyperbolic]:
     """The bracket [m0, m] of norm-preserving extension values for x_prime.
 
@@ -273,18 +256,6 @@ def gap_interval(problem: ExtensionProblem, x_prime: DVector) -> tuple[Hyperboli
     if not (np.isfinite(pt.p) and np.isfinite(pt.q)):
         raise OptimizationFailure(f"gap endpoints are not finite: {[pt.p, pt.q]}")
     return pt, pt
-
-
-def one_step_extend(problem: ExtensionProblem, x_prime: DVector) -> ExtensionStep:
-    """Extend f by one generator, choosing r as the gap point <w, x'>.
-
-    The generator may already lie in the domain, in which case the step is
-    the identity (g = f and r is the forced value f(x', z)).  Degenerate z
-    must be repaired first; see normalize_degenerate_z.
-    """
-    if problem.z.is_degenerate():
-        raise DegenerateZ("z is zero or a zero divisor; route through normalize_degenerate_z")
-    return _step(problem.restriction(), x_prime)
 
 
 def normalize_degenerate_z(problem: ExtensionProblem) -> ExtensionProblem:
@@ -329,13 +300,7 @@ class ExtensionTrace:
         g2 = sum(1 for s in self.steps if s.grew[1])
         return g1, g2
 
-    def audit(
-        self,
-        samples: int = 1000,
-        seed: int = 0,
-        restriction_tol: float = 1e-10,
-        norm_rel_tol: float = 1e-5,
-    ) -> dict:
+    def audit(self, samples: int = 1000, seed: int = 0, norm_rel_tol: float = 1e-5) -> dict:
         """Independent checks of F = final.as_functional(), the matrices
         that extend prints.
 
@@ -344,21 +309,23 @@ class ExtensionTrace:
         difference and restriction_rel_err that difference over the largest
         |alpha| * ||x|| * ||C z|| of the samples (0 for no difference, inf for
         a difference at zero scale); restriction_ok compares it with
-        restriction_tol, so the verdict does not depend on the scale of f, z
+        RESTRICTION_TOL, so the verdict does not depend on the scale of f, z
         or M.
 
         w' is C z projected onto the span of the z-perp parts of M's basis
         rows, by SVD on the worked problem's raw data (rows scaled to unit
         length, singular values negligible beside 1 dropped); it shares no
         code with the engine.  brackets_ok: every step's r is <w', x'> within
-        restriction_tol * ||C z|| * ||x'||.  pointwise_ok: every sampled
-        |f(x, z) + r| exceeds |f| * gram(x + x', z) by at most 1e-9 times it.
+        RESTRICTION_TOL * ||C z|| * ||x'||.  pointwise_ok: every sampled
+        |f(x, z) + r| exceeds |f| * gram(x + x', z) by at most 1e-9 times it,
+        with f the worked problem's restriction and x in the step's domain,
+        spanned by leading rows of the final domain's orthonormal bases.
 
         Norm on X x [z'] (z' the worked generator, P the projection onto
         z'-perp): norm_F_audit = ||P C_F z'|| / ||z'|| exactly, and
         norm_rel_err is its relative gap to norm_F.  That value moves only to
         second order under a change of F off M, so norm_ok also requires
-        moment_rel_err = ||P C_F z' - w'|| / ||C z'|| <= restriction_tol, and
+        moment_rel_err = ||P C_F z' - w'|| / ||C z'|| <= RESTRICTION_TOL, and
         norm_F_sampled, the largest sampled |x' C_F z'| / gram(x, z'), at most
         norm_F_audit * (1 + norm_rel_tol).
 
@@ -378,9 +345,10 @@ class ExtensionTrace:
         F = self.final.as_functional()
 
         # restriction agreement against the original matrix data on M x [z]
-        k = sum(prob.M.dims)
+        k1, k2 = prob.M.dims
+        k = k1 + k2
         draws = rng.standard_normal((samples, k + 2))
-        xs = _domain_stack(prob.M, draws[:, :k])
+        xs = np.stack((draws[:, :k1] @ prob.M.q1, draws[:, k1:k] @ prob.M.q2))
         alpha = draws[:, k:].T
         z = prob.z.c
         cz = (prob.functional.C @ z[:, :, None])[..., 0]
@@ -410,18 +378,21 @@ class ExtensionTrace:
             rs = np.array([(s.r.p, s.r.q) for s in self.steps]).T
             xps = np.stack([s.x_prime.c for s in self.steps], axis=1)
             err = np.abs(rs - (xps @ w_ref[:, :, None])[..., 0])
-            bound = restriction_tol * ncz[:, None] * np.linalg.norm(xps, axis=-1)
+            bound = RESTRICTION_TOL * ncz[:, None] * np.linalg.norm(xps, axis=-1)
             brackets_ok = bool(np.all(err <= bound))
 
         # pointwise bound |f(x,z) + r|_k <=' |f| * norm(x + x', z) per step
-        rf_states = [wk.restriction()] + [s.g for s in self.steps]
+        # (the step's domain: leading rows of the final orthonormal bases)
+        w, q1, q2 = wk.restriction().w, self.final.domain.q1, self.final.domain.q2
+        k1, k2 = wk.M.dims
         nf = self.norm_f
         per_step = max(8, samples // max(1, len(self.steps) * 4))
         excesses, pointwise_ok = [], True
-        for state, step in zip(rf_states[:-1], self.steps):
-            draws = rng.standard_normal((per_step, sum(state.domain.dims)))
-            xs = _domain_stack(state.domain, draws)
-            lhs = np.abs(np.einsum("cmn,cn->cm", xs, state.w) + [[step.r.p], [step.r.q]])
+        for step in self.steps:
+            draws = rng.standard_normal((per_step, k1 + k2))
+            xs = np.stack((draws[:, :k1] @ q1[:k1], draws[:, k1:] @ q2[:k2]))
+            k1, k2 = k1 + step.grew[0], k2 + step.grew[1]
+            lhs = np.abs(np.einsum("cmn,cn->cm", xs, w) + [[step.r.p], [step.r.q]])
             shifted = xs + step.x_prime.c[:, None, :]
             grams = wedge_area_batch(shifted.reshape(-1, n), np.repeat(zw, per_step, axis=0))
             rhs = [[nf.p], [nf.q]] * grams.reshape(2, per_step)
@@ -438,14 +409,14 @@ class ExtensionTrace:
         sampled = np.array([_ratio_sup(v, zc, n, rng) for v, zc in zip(cFz, zw)])
         norm_ok = bool(
             max(rel) <= norm_rel_tol
-            and max(moment_rel) <= restriction_tol
+            and max(moment_rel) <= RESTRICTION_TOL
             and np.all(sampled <= got * (1.0 + norm_rel_tol))
         )
 
         out = {
             "restriction_max_err": restr_err,
             "restriction_rel_err": restr_rel,
-            "restriction_ok": restr_rel <= restriction_tol,
+            "restriction_ok": restr_rel <= RESTRICTION_TOL,
             "brackets_ok": brackets_ok,
             "pointwise_bound_excess": pointwise_excess,
             "pointwise_ok": pointwise_ok,
@@ -514,13 +485,16 @@ def _ratio_sup(v: np.ndarray, z: np.ndarray, n: int, rng: np.random.Generator) -
 
 
 def full_extend(problem: ExtensionProblem) -> ExtensionTrace:
-    """Iterate one-generator extensions over the standard basis until M = X.
+    """Extend f norm-preservingly to X x [z] over the standard basis.
 
-    Standard basis vectors are adjoined in index order, each component of a
-    step carrying the basis vector only when that component's span still
-    misses it; components already complete contribute a zero part.  A
-    zero-divisor z is repaired first; z = 0 short-circuits to the zero
-    extension.
+    Every step's r is the gap point <w, x'> and w never changes, so what is
+    left is which e_i each component misses: one Gram-Schmidt pass over M's
+    basis followed by e_1 .. e_n drops exactly the e_i already spanned.
+    Step i adjoins e_i to each component that kept it (a zero part in the
+    others), and the final domain is M's basis with the kept e_i appended;
+    Gram-Schmidt is prefix-stable, so each step's domain is spanned by the
+    leading rows of the final orthonormal bases.  A zero-divisor z is
+    repaired first; z = 0 short-circuits to the zero extension.
     """
     original = problem
     n = problem.n
@@ -531,22 +505,23 @@ def full_extend(problem: ExtensionProblem) -> ExtensionTrace:
     if problem.z.is_zero_divisor():
         problem = normalize_degenerate_z(problem)
     rf = problem.restriction()
-    norm_f = rf.norm()
-    steps: list[ExtensionStep] = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        need1 = not rf.domain.component_contains(0, e)
-        need2 = not rf.domain.component_contains(1, e)
-        if not (need1 or need2):
-            continue
-        xp = DVector.from_components(e if need1 else np.zeros(n), e if need2 else np.zeros(n))
-        step = _step(rf, xp)
-        steps.append(step)
-        rf = step.g
-    if not rf.domain.is_full():
+    eye, bases = np.eye(n), (problem.M.basis1, problem.M.basis2)
+    # need[c, i]: component c misses e_i (M's own rows are never dropped)
+    need = np.ones((2, n), dtype=bool)
+    for c, basis in enumerate(bases):
+        _, dropped = _orthonormal_rows(np.vstack([basis, eye]))
+        need[c, np.array(dropped, dtype=int) - len(basis)] = False
+    steps = []
+    for i in np.flatnonzero(need.any(axis=0)):
+        xp = DVector._of(np.where(need[:, i, None], eye[i], 0.0))
+        steps.append(ExtensionStep(xp, _gap_point(rf, xp), (bool(need[0, i]), bool(need[1, i]))))
+    domain = DSubmodule(n, *(np.vstack([basis, eye[nd]]) for basis, nd in zip(bases, need)))
+    if not domain.is_full():
         raise OptimizationFailure("extension finished without exhausting the module")
-    return ExtensionTrace(original, problem, steps, final=rf, norm_f=norm_f, norm_F=rf.norm())
+    final = RestrictedFunctional(domain, rf.z, *rf.w)
+    return ExtensionTrace(
+        original, problem, steps, final=final, norm_f=rf.norm(), norm_F=final.norm()
+    )
 
 
 def corollary_functional(x0: DVector, y0: DVector) -> tuple[RestrictedFunctional, ExtensionTrace]:
@@ -607,58 +582,6 @@ def _gap_objective(setup: tuple, sign: float):
         return nf * grams - sign * fvals
 
     return objective, q.shape[0]
-
-
-def gap_interval_subgradient(
-    problem: ExtensionProblem,
-    x_prime: DVector,
-    starts: int = 16,
-    iters: int = 500,
-    seed: int = 0,
-) -> tuple[Hyperbolic, Hyperbolic]:
-    """Multi-start subgradient estimate of the gap endpoints.
-
-    Runs projected subgradient descent with diminishing steps on the convex
-    inf-objective (and on its mirror for the sup side) from `starts` random
-    points.  Returns an outer bracket: the estimated m is an upper bound of
-    the true infimum and the estimated m0 a lower bound of the supremum, so
-    [m0_hat, m_hat] contains the exact gap interval.
-    """
-    rng = np.random.default_rng(seed)
-    los, his = [], []
-    for setup in _gap_setup(problem, x_prime):
-        q, z, xp, cz_q, nf = setup
-        nz = float(np.linalg.norm(z))
-        k = q.shape[0]
-
-        def minimize(sign: float) -> float:
-            if k == 0:
-                obj, _ = _gap_objective(setup, sign)
-                return float(obj(np.zeros((1, 0)))[0])
-            best = np.inf
-            spread = 1.0 + float(np.linalg.norm(xp))
-            step0 = max(1.0, spread)
-            for s in range(starts):
-                c = np.zeros(k) if s == 0 else rng.standard_normal(k) * spread
-                for t in range(iters):
-                    u = c @ q + xp
-                    pu = _perp(z, u)
-                    npu = float(np.linalg.norm(pu))
-                    grad_norm = np.zeros(k) if null(npu) else (q @ (pu / npu)) * (nf * nz)
-                    g = grad_norm - sign * cz_q
-                    val = nf * npu * nz - sign * float(c @ cz_q)
-                    if val < best:
-                        best = val
-                    c = c - (step0 / np.sqrt(t + 1.0)) * g
-                u = c @ q + xp
-                val = nf * float(np.linalg.norm(_perp(z, u))) * nz - sign * float(c @ cz_q)
-                if val < best:
-                    best = val
-            return float(best)
-
-        his.append(minimize(+1.0))
-        los.append(-minimize(-1.0))
-    return Hyperbolic(los[0], los[1]), Hyperbolic(his[0], his[1])
 
 
 def _radial_min(objective, dirs: np.ndarray, tau_hi: float, iters: int = 90) -> np.ndarray:

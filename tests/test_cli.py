@@ -180,14 +180,26 @@ def _set_huge_functional(blob):
     blob["functional"]["C1"] = (np.array(blob["functional"]["C1"]) * 1e307).tolist()
 
 
+def _set_norm_string(blob):
+    blob["norm"] = "gramdet"
+
+
+def _set_norm_list(blob):
+    blob["norm"] = []
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
-        "command,corrupt",
-        [("norm", _set_nan_functional), ("extend", _set_nan_z), ("extend", _set_inf_basis),
-         ("extend", _set_nan_functional), ("extend", _set_huge_z),
-         ("extend", _set_huge_functional)],
+        "command,corrupt,needle",
+        [("norm", _set_nan_functional, "non-finite"), ("extend", _set_nan_z, "non-finite"),
+         ("extend", _set_inf_basis, "non-finite"), ("extend", _set_nan_functional, "non-finite"),
+         ("extend", _set_huge_z, "non-finite"), ("extend", _set_huge_functional, "non-finite")]
+        # a "norm" field that is not an object is malformed input, not a crash
+        + [(command, corrupt, "norm field")
+           for command in ("extend", "norm", "check-axioms")
+           for corrupt in (_set_norm_string, _set_norm_list)],
     )
-    def test_exit_2_with_one_line(self, capsys, instance_path, tmp_path, command, corrupt):
+    def test_exit_2_with_one_line(self, capsys, instance_path, tmp_path, command, corrupt, needle):
         blob = json.loads(instance_path.read_text())
         corrupt(blob)
         bad = tmp_path / "bad.json"
@@ -198,7 +210,7 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "non-finite" in err and "Traceback" not in err
+        assert needle in err and "Traceback" not in err
 
     def test_non_finite_report_is_not_printed(self, capsys, instance_path, monkeypatch):
         import hyp2.cli

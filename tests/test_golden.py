@@ -2,7 +2,8 @@
 
 The instance files and the expected stdout in tests/golden were written by
 `hyp2 gen` and the matching `hyp2 norm` / `hyp2 extend` / `hyp2 corollary`
-runs; a change to any report shows up here.  The `norm` reports pin the
+runs; a change to any report shows up here.  axes_n4.json takes z and f from
+`hyp2 gen --seed 4 --n 4` and replaces M with standard basis vectors.  The `norm` reports pin the
 brute-force values and witnesses, so they also pin the sampling kernel's
 draws and its choice of the first best pair.  Keys, booleans and integers must match exactly.
 Floats must agree to 1e-12 relative, with values below 1e-12 in magnitude
@@ -26,6 +27,10 @@ CASES = [
     ("extend_seed2_n4_degenerate_z", ["extend", "seed2_n4_degenerate_z.json"]),
     ("extend_seed3_n3_full", ["extend", "seed3_n3_full.json"]),
     ("extend_seed1_n8", ["extend", "seed1_n8.json"]),
+    # M = 0: eight steps, each growing both components
+    ("extend_seed1_n8_dims00", ["extend", "seed1_n8_dims00.json"]),
+    # basis1 = [e2], basis2 = [e2, e3]: e2 gets no step, e3 grows component 1 only
+    ("extend_axes_n4", ["extend", "axes_n4.json"]),
     ("corollary_pair_n3", ["corollary", "pair_n3.json"]),
     ("norm_seed1_n3", ["norm", "seed1_n3.json"]),
     ("norm_seed1_n8", ["norm", "seed1_n8.json"]),
@@ -67,3 +72,8 @@ def test_golden_cases_cover_the_planned_shapes():
     assert full["steps"] == []
     assert repaired["audit"]["repaired"] and repaired["repaired_z"] is not None
     assert swapped["domain_order"] == "z_first"
+    # every step growing both components, and steps that skip or grow one
+    chain = json.loads((GOLDEN / "extend_seed1_n8_dims00.stdout").read_text())
+    axes = json.loads((GOLDEN / "extend_axes_n4.stdout").read_text())
+    assert [s["grew"] for s in chain["steps"]] == [[True, True]] * 8
+    assert [s["grew"] for s in axes["steps"]] == [[True, True], [True, False], [True, True]]

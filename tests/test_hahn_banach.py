@@ -9,7 +9,6 @@ from hyp2 import (
     DBilinear2Functional,
     DSubmodule,
     DVector,
-    DegenerateZ,
     DependentPair,
     ExtensionProblem,
     Hyperbolic,
@@ -20,12 +19,11 @@ from hyp2 import (
     full_extend,
     gap_interval,
     gap_interval_grid,
-    gap_interval_subgradient,
     normalize_degenerate_z,
-    one_step_extend,
 )
 import hyp2.hahn_banach as hb
 from hyp2._tol import THIN
+from subgradient_oracle import gap_interval_subgradient
 
 NORM = D2Norm()
 
@@ -53,6 +51,35 @@ def outside_vector(rng, M: DSubmodule) -> DVector:
         xp = rand_dvec(rng, M.n)
         if not M.contains(xp):
             return xp
+
+
+def reference_full_extend(problem: ExtensionProblem) -> tuple[list, list]:
+    """The per-generator chain that full_extend replaced, kept as its oracle.
+
+    Adjoins e_1 .. e_n in index order.  Each e_i is tested against the
+    current domain with component_contains, and each step rebuilds the
+    domain with DSubmodule.extend, which reruns Gram-Schmidt on the whole
+    basis; r is <w, x'> with f's moment w.  Returns the steps and the chain
+    of domains: M (after any repair of z), then the domain after each step.
+    """
+    n = problem.n
+    if problem.z.is_zero():
+        return [], [DSubmodule.full(n)]
+    if problem.z.is_zero_divisor():
+        problem = normalize_degenerate_z(problem)
+    w = problem.restriction().w
+    steps, domains = [], [problem.M]
+    for e in np.eye(n):
+        domain = domains[-1]
+        grew = (not domain.component_contains(0, e), not domain.component_contains(1, e))
+        if not any(grew):
+            continue
+        xp = dvec(e if grew[0] else np.zeros(n), e if grew[1] else np.zeros(n))
+        r = Hyperbolic(float(w[0] @ xp.c1), float(w[1] @ xp.c2))
+        steps.append(hb.ExtensionStep(xp, r, grew))
+        domains.append(domain.extend(xp))
+    assert domains[-1].is_full()
+    return steps, domains
 
 
 class TestRestrictedFunctional:
@@ -159,6 +186,18 @@ class TestGapInterval:
             assert m.leq(upper + Hyperbolic(1e-9, 1e-9))
             assert (lower - Hyperbolic(1e-9, 1e-9)).leq(m0)
 
+    def test_forced_value_inside_the_domain(self):
+        # x' already in M: the only admissible value is f(x', z)
+        rng = np.random.default_rng(11)
+        n = 3
+        problem = ExtensionProblem(
+            n, DSubmodule.full(n), rand_dvec(rng, n), DBilinear2Functional.random(n, 60)
+        )
+        xp = rand_dvec(rng, n)
+        m0, m = gap_interval(problem, xp)
+        want = problem.functional(xp, problem.z)
+        assert (m0 - want).max_abs() <= 1e-10 and (m - want).max_abs() <= 1e-10
+
     def test_grid_oracle_agreement_small_dims(self):
         rng = np.random.default_rng(8)
         for dims in ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2)):
@@ -181,80 +220,6 @@ class TestGapInterval:
             assert m.leq(sm + slack)
             # and the estimate is not vacuous
             assert (sm - s0).max_abs() <= 2.0 * (1.0 + m.max_abs())
-
-
-class TestOneStepExtend:
-    def test_zero_functional_extends_by_zero(self):
-        rng = np.random.default_rng(10)
-        n = 3
-        problem = ExtensionProblem(
-            n,
-            DSubmodule(n, rng.standard_normal((1, n)), rng.standard_normal((1, n))),
-            rand_dvec(rng, n),
-            DBilinear2Functional.zero(n),
-        )
-        xp = outside_vector(rng, problem.M)
-        step = one_step_extend(problem, xp)
-        assert step.r == Hyperbolic(0.0, 0.0)
-        assert step.g.norm() == Hyperbolic(0.0, 0.0)
-
-    def test_full_domain_identity_step(self):
-        rng = np.random.default_rng(11)
-        n = 3
-        problem = ExtensionProblem(
-            n, DSubmodule.full(n), rand_dvec(rng, n), DBilinear2Functional.random(n, 60)
-        )
-        xp = rand_dvec(rng, n)
-        step = one_step_extend(problem, xp)
-        assert step.grew == (False, False)
-        assert step.g.domain is problem.M or step.g.domain.is_full()
-        # forced value: r = f(x', z)
-        want = problem.functional(xp, problem.z)
-        assert (step.r - want).max_abs() <= 1e-10
-
-    def test_norm_preserved_and_restriction_kept(self):
-        rng = np.random.default_rng(12)
-        problem = random_problem(rng, n=3, dims=(1, 2))
-        xp = outside_vector(rng, problem.M)
-        rf = problem.restriction()
-        step = one_step_extend(problem, xp)
-        nf, ng = rf.norm(), step.g.norm()
-        assert abs(ng.p - nf.p) <= 1e-6 * (1.0 + nf.p)
-        assert abs(ng.q - nf.q) <= 1e-6 * (1.0 + nf.q)
-        for _ in range(200):
-            x = problem.M.random_element(rng)
-            alpha = Hyperbolic(*rng.standard_normal(2))
-            got = step.g.evaluate(x, alpha * problem.z, check_domain=False)
-            want = rf.evaluate(x, alpha * problem.z, check_domain=False)
-            assert (got - want).max_abs() <= 1e-10
-
-    def test_pointwise_bound_on_domain(self):
-        # |f(x,z) + r|_k <=' |f| * norm(x + x', z)
-        rng = np.random.default_rng(13)
-        problem = random_problem(rng, n=4, dims=(2, 2))
-        xp = outside_vector(rng, problem.M)
-        step = one_step_extend(problem, xp)
-        nf = problem.norm_f()
-        rf = problem.restriction()
-        for _ in range(300):
-            x = problem.M.random_element(rng)
-            lhs = (rf.evaluate(x, problem.z) + step.r).modulus()
-            rhs = nf * NORM(x + xp, problem.z)
-            assert lhs.leq(rhs + Hyperbolic(1e-9, 1e-9))
-
-    def test_bracket_holds(self):
-        rng = np.random.default_rng(14)
-        problem = random_problem(rng, n=3, dims=(2, 1))
-        xp = outside_vector(rng, problem.M)
-        step = one_step_extend(problem, xp)
-        m0, m = gap_interval(problem, xp)
-        assert m0.leq(step.r) and step.r.leq(m)
-
-    def test_degenerate_z_rejected(self):
-        rng = np.random.default_rng(15)
-        problem = random_problem(rng, n=3, dims=(1, 1), degenerate=True)
-        with pytest.raises(DegenerateZ):
-            one_step_extend(problem, rand_dvec(rng, 3))
 
 
 class TestDegenerateRepair:
@@ -332,6 +297,20 @@ class TestFullExtend:
         assert trace.steps == []
         assert (trace.norm_F - trace.norm_f).max_abs() <= 1e-12
 
+    def test_zero_functional_extends_by_zero(self):
+        rng = np.random.default_rng(10)
+        n = 3
+        problem = ExtensionProblem(
+            n,
+            DSubmodule(n, rng.standard_normal((1, n)), rng.standard_normal((1, n))),
+            rand_dvec(rng, n),
+            DBilinear2Functional.zero(n),
+        )
+        trace = full_extend(problem)
+        assert len(trace.steps) == 2
+        assert all(s.r == Hyperbolic(0.0, 0.0) for s in trace.steps)
+        assert trace.norm_F == Hyperbolic(0.0, 0.0)
+
     def test_growth_counts_by_dimension(self):
         rng = np.random.default_rng(20)
         problem = random_problem(rng, n=3, dims=(1, 1))
@@ -347,13 +326,18 @@ class TestFullExtend:
             assert audit["passed"], audit
 
     def test_step_chain_invariants(self):
-        # each step agrees with its predecessor on the predecessor's domain
-        # and the norm stays constant along the chain
+        # the printed F restricted to each domain of the per-generator chain
+        # agrees with its predecessor on the predecessor's domain, and its
+        # norm stays |f| along the chain
         rng = np.random.default_rng(30)
         problem = random_problem(rng, n=4, dims=(1, 2))
         trace = full_extend(problem)
-        states = [problem.restriction()] + [s.g for s in trace.steps]
+        _, domains = reference_full_extend(problem)
+        F = trace.final.as_functional()
+        states = [RestrictedFunctional.from_matrices(d, problem.z, F) for d in domains]
+        states[0] = problem.restriction()
         nf = trace.norm_f
+        assert len(states) == len(trace.steps) + 1 == 4
         for prev, cur in zip(states[:-1], states[1:]):
             ncur = cur.norm()
             assert nf.leq(ncur + Hyperbolic(1e-9, 1e-9))
@@ -361,9 +345,47 @@ class TestFullExtend:
             for _ in range(100):
                 x = prev.domain.random_element(rng)
                 alpha = Hyperbolic(*rng.standard_normal(2))
-                got = cur.evaluate(x, problem.z, check_domain=False) * alpha
-                want = prev.evaluate(x, problem.z, check_domain=False) * alpha
+                got = cur.evaluate(x, problem.z) * alpha
+                want = prev.evaluate(x, problem.z) * alpha
                 assert (got - want).max_abs() <= 1e-10
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 8),
+        z_kind=st.sampled_from(["full", "zero", "vanish1", "vanish2"]),
+        k=st.integers(-12, 12),
+        axes=st.integers(0, 8),
+    )
+    def test_matches_the_per_generator_chain(self, seed, n, z_kind, k, axes):
+        # bit for bit: every step's x', r and growth, and the final bases;
+        # up to `axes` basis rows per component are scaled standard basis
+        # vectors, so some e_i are spanned from the start
+        rng = np.random.default_rng(seed)
+        bases = []
+        for dim in rng.integers(0, n + 1, size=2):
+            basis = rng.standard_normal((dim, n))
+            m = min(axes, dim)
+            basis[:m] = np.eye(n)[rng.choice(n, size=m, replace=False)]
+            basis[:m] *= rng.uniform(-3.0, 3.0, size=(m, 1))
+            bases.append(10.0**k * basis)
+        z = rand_dvec(rng, n).c.copy()
+        z[[c for c, kind in enumerate(("vanish1", "vanish2")) if z_kind in (kind, "zero")]] = 0.0
+        f = DBilinear2Functional.random(n, seed)
+        problem = ExtensionProblem(n, DSubmodule(n, *bases), dvec(*z), f)
+        trace = full_extend(problem)
+        steps, domains = reference_full_extend(problem)
+        assert len(trace.steps) == len(steps)
+        for got, want in zip(trace.steps, steps):
+            assert np.array_equal(got.x_prime.c, want.x_prime.c)
+            assert (got.r.p, got.r.q) == (want.r.p, want.r.q)
+            assert got.grew == want.grew
+        q1, q2 = trace.final.domain.q1, trace.final.domain.q2
+        assert np.array_equal(q1, domains[-1].q1) and np.array_equal(q2, domains[-1].q2)
+        # prefix stability, on which the audit's pointwise draws rely
+        for domain in domains:
+            k1, k2 = domain.dims
+            assert np.array_equal(domain.q1, q1[:k1]) and np.array_equal(domain.q2, q2[:k2])
 
     def test_trace_json_shape(self):
         rng = np.random.default_rng(22)
@@ -454,6 +476,14 @@ class TestProblemIO:
         assert back.M.dims == problem.M.dims
         assert (back.norm_f() - problem.norm_f()).max_abs() <= 1e-12
 
+    @pytest.mark.parametrize("norm", ["gramdet", [], None])
+    def test_rejects_a_norm_field_that_is_not_an_object(self, norm):
+        rng = np.random.default_rng(28)
+        blob = random_problem(rng, n=2, dims=(1, 1)).to_json()
+        blob["norm"] = norm
+        with pytest.raises(ValueError, match="norm field"):
+            ExtensionProblem.from_json(blob)
+
     def test_rejects_unknown_norm_kind(self):
         rng = np.random.default_rng(28)
         blob = random_problem(rng, n=2, dims=(1, 1)).to_json()
@@ -484,7 +514,9 @@ def reference_audit(trace, samples: int, seed: int) -> dict:
         x = DVector.from_components(x1, x2)
         f_val = Hyperbolic(alpha.p * float(x1 @ cz[0]), alpha.q * float(x2 @ cz[1]))
         restr_err = max(restr_err, (F(x, alpha * prob.z) - f_val).max_abs())
-    rf_states = [wk.restriction()] + [s.g for s in trace.steps]
+    # the domains of the per-generator chain, each with f's moment
+    _, domains = reference_full_extend(wk)
+    rf_states = [RestrictedFunctional(d, wk.z, *wk.restriction().w) for d in domains]
     gap_points = [
         Hyperbolic(float(st.w1 @ s.x_prime.c1), float(st.w2 @ s.x_prime.c2))
         for st, s in zip(rf_states, trace.steps)
