@@ -21,7 +21,7 @@ from .hahn_banach import (
     gap_interval,
     gap_interval_grid,
 )
-from .hyperbolic import Hyperbolic, OrderResult, inf_d, sup_d
+from .hyperbolic import K, Hyperbolic, OrderResult, inf_d, sup_d
 from .two_functional import DBilinear2Functional, norm_bruteforce, norm_spectral
 from .two_norm import D2Norm, GramDet2Norm, axiom_check, decompose
 
@@ -207,8 +207,6 @@ def criterion_functional_norms(
 def criterion_k_decomposition(samples: int = 1000, seed: int = 0) -> CriterionResult:
     """Real/k-part identities f = phi + k*psi, f = phi(x,y) + k*phi(kx,y)
     and f = phi(x,y) + k*phi(x,ky) at 1e-12 on random (f, x, y)."""
-    from hyp2.hyperbolic import K
-
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -242,10 +240,8 @@ def _random_problem(rng, degenerate: bool) -> ExtensionProblem:
     k1 = int(rng.integers(0, n))
     k2 = int(rng.integers(0, n))
     M = DSubmodule(n, rng.standard_normal((k1, n)), rng.standard_normal((k2, n)))
-    if degenerate:
-        z = DVector.from_components(rng.standard_normal(n), np.zeros(n))
-    else:
-        z = DVector.from_components(rng.standard_normal(n), rng.standard_normal(n))
+    z1 = rng.standard_normal(n)
+    z = DVector.from_components(z1, np.zeros(n) if degenerate else rng.standard_normal(n))
     f = DBilinear2Functional.random(n, int(rng.integers(0, 2**31)))
     return ExtensionProblem(n, M, z, f)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import acceptance
 from ._tol import within
-from .dmodule import DSubmodule, DVector
+from .dmodule import DSubmodule, DVector, _dimension
 from .hahn_banach import ExtensionProblem, _exact_norm, corollary_functional, full_extend
 from .hyperbolic import Hyperbolic
 from .two_functional import (
@@ -63,42 +63,28 @@ def _load_json(path: str) -> dict:
         raise InstanceError(f"cannot read instance {path!r}: {exc}") from exc
 
 
+#: How each instance field is read.
+_READERS = dict(functional=DBilinear2Functional.from_json, M=DSubmodule.from_json,
+                **dict.fromkeys(("z", "x0", "y0"), DVector.from_json))
+
+
 def _parse_instance(blob: dict, need: tuple[str, ...]) -> dict:
     if not isinstance(blob, dict):
         raise InstanceError("instance file must hold a JSON object")
-    out: dict = {}
     try:
-        n = int(blob["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceError("instance needs an integer dimension n") from exc
-    if not 2 <= n <= 8:
-        raise InstanceError(f"dimension n must satisfy 2 <= n <= 8, got {n}")
-    out["n"] = n
-    norm = blob.get("norm", {})
-    if not isinstance(norm, dict):
-        raise InstanceError(f"the norm field must be an object, got {norm!r}")
-    kind = norm.get("kind", "gramdet")
-    if kind != "gramdet":
-        raise InstanceError(f"unsupported 2-norm kind {kind!r}")
-    out["norm"] = D2Norm()
-    try:
-        if "functional" in need:
-            out["functional"] = DBilinear2Functional.from_json(blob["functional"])
-            if out["functional"].n != n:
-                raise ValueError("functional dimension differs from n")
-        if "M" in need:
-            out["M"] = DSubmodule.from_json(blob["M"])
-            if out["M"].n != n:
-                raise ValueError("submodule dimension differs from n")
-        if "z" in need:
-            out["z"] = DVector.from_json(blob["z"])
-            if out["z"].n != n:
-                raise ValueError("z dimension differs from n")
-        for key in ("x0", "y0"):
-            if key in need:
-                out[key] = DVector.from_json(blob[key])
-                if out[key].n != n:
-                    raise ValueError(f"{key} dimension differs from n")
+        n = _dimension(blob.get("n"))
+        if not 2 <= n <= 8:
+            raise ValueError(f"dimension n must satisfy 2 <= n <= 8, got {n}")
+        norm = blob.get("norm", {})
+        if not isinstance(norm, dict):
+            raise ValueError(f"the norm field must be an object, got {norm!r}")
+        if norm.get("kind", "gramdet") != "gramdet":
+            raise ValueError(f"unsupported 2-norm kind {norm['kind']!r}")
+        out = {"n": n, "norm": D2Norm()}
+        for key in need:
+            out[key] = _READERS[key](blob[key])
+            if out[key].n != n:
+                raise ValueError(f"{key} dimension differs from n")
     except KeyError as exc:
         raise InstanceError(f"instance is missing the {exc.args[0]!r} field") from exc
     except (TypeError, ValueError) as exc:

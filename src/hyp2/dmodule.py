@@ -51,6 +51,23 @@ def _flat(data, n: int | None = None) -> np.ndarray:
     return arr
 
 
+def _dimension(value) -> int:
+    """A dimension read from JSON: an integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"dimension n must be a JSON integer, got {value!r}")
+    return value
+
+
+def _rows(data, n: int) -> np.ndarray:
+    """A basis as a (k, n) array: rows of length n and finite entries, or no rows."""
+    arr = np.array(data, dtype=float)
+    if arr.shape[1:] != (n,) and arr.shape != (0,):
+        raise DimensionMismatch(f"a basis must be a list of rows of length {n}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("submodule basis has a non-finite entry")
+    return arr.reshape(-1, n)
+
+
 class DVector:
     """Element of D^n held as the (2, n) stack of its idempotent split.
 
@@ -206,25 +223,25 @@ def linear_dependent(x: DVector, y: DVector) -> bool:
 
 
 def _orthonormal_rows(
-    basis: np.ndarray, rel: float = SPAN, length: float | None = None
+    basis: np.ndarray, rel: float = SPAN, length: float | None = None, start: np.ndarray = ()
 ) -> tuple[np.ndarray, list[int]]:
     """Gram-Schmidt with a relative residual tolerance.
 
     Returns the orthonormal rows kept and the indices of the input rows
     dropped because their residual is at most rel * ||row||, or rel *
-    length when the rows are projections of rows of that length.
+    length when the rows are projections of rows of that length.  It is
+    prefix-stable, so continuing from `start`, the rows kept from earlier
+    input, gives bit for bit the result of the whole input.
     """
-    rows: list[np.ndarray] = []
+    rows: list[np.ndarray] = list(start)
     dropped: list[int] = []
     for i, v in enumerate(basis):
-        w = v.astype(float).copy()
-        for r in rows:
-            w -= r * float(r @ w)
-        # second pass for numerical orthogonality
-        for r in rows:
-            w -= r * float(r @ w)
-        norm = float(np.linalg.norm(w))
-        if negligible(norm, float(np.linalg.norm(v)) if length is None else length, rel):
+        w = np.array(v, dtype=float)
+        # the second pass keeps the rows numerically orthogonal
+        for r in rows + rows:
+            w -= r * r.dot(w)
+        norm = np.sqrt(w.dot(w))
+        if negligible(norm, np.sqrt(v.dot(v)) if length is None else length, rel):
             dropped.append(i)
         else:
             rows.append(w / norm)
@@ -247,20 +264,26 @@ class DSubmodule:
     __slots__ = ("n", "basis1", "basis2", "q1", "q2")
 
     def __init__(self, n: int, basis1: Sequence, basis2: Sequence):
-        self.n = int(n)
-        b1 = np.array(basis1, dtype=float).reshape(-1, self.n)
-        b2 = np.array(basis2, dtype=float).reshape(-1, self.n)
-        self.q1, drop1 = _orthonormal_rows(b1)
-        self.q2, drop2 = _orthonormal_rows(b2)
+        bases = [_rows(b, int(n)) for b in (basis1, basis2)]
+        (q1, drop1), (q2, drop2) = (_orthonormal_rows(b) for b in bases)
         if drop1 or drop2:
             raise ValueError(
                 "submodule basis is not linearly independent: "
                 f"basis row {(drop1 or drop2)[0]} is dependent on the earlier rows"
             )
-        for arr in (b1, b2, self.q1, self.q2):
+        self._lock(int(n), bases, (q1, q2))
+
+    def _lock(self, n: int, bases: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> None:
+        for arr in (*bases, *qs):
             arr.setflags(write=False)
-        self.basis1 = b1
-        self.basis2 = b2
+        self.n, (self.basis1, self.basis2), (self.q1, self.q2) = n, bases, qs
+
+    @classmethod
+    def _of(cls, n: int, bases: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> "DSubmodule":
+        """Wrap fresh bases with their Gram-Schmidt rows, already computed."""
+        self = object.__new__(cls)
+        self._lock(n, bases, qs)
+        return self
 
     @classmethod
     def zero(cls, n: int) -> "DSubmodule":
@@ -329,9 +352,4 @@ class DSubmodule:
     def from_json(cls, obj: dict) -> "DSubmodule":
         if not isinstance(obj, dict) or not {"n", "basis1", "basis2"} <= set(obj):
             raise ValueError("submodule object needs n, basis1 and basis2 keys")
-        n = int(obj["n"])
-        b1 = np.array(obj["basis1"], dtype=float).reshape(-1, n)
-        b2 = np.array(obj["basis2"], dtype=float).reshape(-1, n)
-        if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
-            raise ValueError("submodule basis has a non-finite entry")
-        return cls(n, b1, b2)
+        return cls(_dimension(obj["n"]), obj["basis1"], obj["basis2"])

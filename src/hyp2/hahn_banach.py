@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tol import ROUND, SPAN, THIN, negligible, null, within
-from .dmodule import DSubmodule, DVector, _dependent_pair, _dot, _orthonormal_rows
+from .dmodule import DSubmodule, DVector, _dependent_pair, _dimension, _dot, _orthonormal_rows
 from .hyperbolic import Hyperbolic
 from .two_functional import DBilinear2Functional
 from .two_norm import D2Norm, wedge_area_batch
@@ -213,9 +213,8 @@ class ExtensionProblem:
         kind = norm.get("kind", "gramdet")
         if kind != "gramdet":
             raise ValueError(f"unsupported 2-norm kind {kind!r}")
-        n = int(obj["n"])
         return cls(
-            n,
+            _dimension(obj["n"]),
             DSubmodule.from_json(obj["M"]),
             DVector.from_json(obj["z"]),
             DBilinear2Functional.from_json(obj["functional"]),
@@ -488,13 +487,14 @@ def full_extend(problem: ExtensionProblem) -> ExtensionTrace:
     """Extend f norm-preservingly to X x [z] over the standard basis.
 
     Every step's r is the gap point <w, x'> and w never changes, so what is
-    left is which e_i each component misses: one Gram-Schmidt pass over M's
-    basis followed by e_1 .. e_n drops exactly the e_i already spanned.
-    Step i adjoins e_i to each component that kept it (a zero part in the
-    others), and the final domain is M's basis with the kept e_i appended;
-    Gram-Schmidt is prefix-stable, so each step's domain is spanned by the
-    leading rows of the final orthonormal bases.  A zero-divisor z is
-    repaired first; z = 0 short-circuits to the zero extension.
+    left is which e_i each component misses: Gram-Schmidt continued from
+    M's orthonormal rows over e_1 .. e_n drops exactly the e_i already
+    spanned.  Step i adjoins e_i to each component that kept it (a zero part
+    in the others), and the final domain is M's basis with the kept e_i
+    appended.  The continued rows are bit for bit those of Gram-Schmidt over
+    that basis, so the domain takes them as they are, and each step's domain
+    is spanned by their leading rows.  A zero-divisor z is repaired first;
+    z = 0 short-circuits to the zero extension.
     """
     original = problem
     n = problem.n
@@ -504,18 +504,17 @@ def full_extend(problem: ExtensionProblem) -> ExtensionTrace:
         return ExtensionTrace(original, original, steps=[], final=final, norm_f=zero, norm_F=zero)
     if problem.z.is_zero_divisor():
         problem = normalize_degenerate_z(problem)
-    rf = problem.restriction()
-    eye, bases = np.eye(n), (problem.M.basis1, problem.M.basis2)
-    # need[c, i]: component c misses e_i (M's own rows are never dropped)
-    need = np.ones((2, n), dtype=bool)
-    for c, basis in enumerate(bases):
-        _, dropped = _orthonormal_rows(np.vstack([basis, eye]))
-        need[c, np.array(dropped, dtype=int) - len(basis)] = False
+    rf, M, eye = problem.restriction(), problem.M, np.eye(n)
+    # per component: the final orthonormal rows, and the e_i already spanned
+    (q1, drop1), (q2, drop2) = (_orthonormal_rows(eye, start=q) for q in (M.q1, M.q2))
+    need = np.ones((2, n), dtype=bool)  # need[c, i]: component c misses e_i
+    need[0, drop1] = need[1, drop2] = False
     steps = []
     for i in np.flatnonzero(need.any(axis=0)):
         xp = DVector._of(np.where(need[:, i, None], eye[i], 0.0))
         steps.append(ExtensionStep(xp, _gap_point(rf, xp), (bool(need[0, i]), bool(need[1, i]))))
-    domain = DSubmodule(n, *(np.vstack([basis, eye[nd]]) for basis, nd in zip(bases, need)))
+    bases = [np.vstack([b, eye[nd]]) for b, nd in zip((M.basis1, M.basis2), need)]
+    domain = DSubmodule._of(n, bases, (q1, q2))
     if not domain.is_full():
         raise OptimizationFailure("extension finished without exhausting the module")
     final = RestrictedFunctional(domain, rf.z, *rf.w)

@@ -180,6 +180,27 @@ def _set_huge_functional(blob):
     blob["functional"]["C1"] = (np.array(blob["functional"]["C1"]) * 1e307).tolist()
 
 
+def _set_n_float(blob):
+    blob["n"] = 3.5
+
+
+def _set_n_string(blob):
+    blob["n"] = "3"
+
+
+def _set_n_bool(blob):
+    blob["n"] = True
+
+
+def _set_m_n_float(blob):
+    blob["M"]["n"] = 3.0
+
+
+def _set_basis_3d(blob):
+    # [[[x, y, z]]]: the right number of entries in the wrong shape
+    blob["M"]["basis1"] = [blob["M"]["basis1"]]
+
+
 def _set_norm_string(blob):
     blob["norm"] = "gramdet"
 
@@ -197,7 +218,12 @@ class TestNonFiniteInput:
         # a "norm" field that is not an object is malformed input, not a crash
         + [(command, corrupt, "norm field")
            for command in ("extend", "norm", "check-axioms")
-           for corrupt in (_set_norm_string, _set_norm_list)],
+           for corrupt in (_set_norm_string, _set_norm_list)]
+        # a dimension must be a JSON integer and a basis a list of length-n rows
+        + [(command, corrupt, "JSON integer")
+           for command in ("extend", "norm", "check-axioms")
+           for corrupt in (_set_n_float, _set_n_string, _set_n_bool)]
+        + [("extend", _set_m_n_float, "JSON integer"), ("extend", _set_basis_3d, "rows of length")],
     )
     def test_exit_2_with_one_line(self, capsys, instance_path, tmp_path, command, corrupt, needle):
         blob = json.loads(instance_path.read_text())

@@ -190,6 +190,19 @@ class TestSubmodule:
             DSubmodule.from_json(blob)
 
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("n", 2.0), ("n", "2"), ("n", True), ("basis1", [[[1.0, 2.0]]]), ("basis1", [1.0, 2.0]),
+         ("basis1", [[1.0, 2.0, 3.0]]), ("basis2", [[]])],
+    )
+    def test_json_rejects_malformed_dimension_or_basis(self, key, value):
+        blob = DSubmodule(2, [[1.0, 2.0]], []).to_json()
+        assert DSubmodule.from_json(blob).dims == (1, 0)  # [] is no rows
+        blob[key] = value
+        with pytest.raises(ValueError):
+            DSubmodule.from_json(blob)
+
+
 def test_dependent_pair_row_wise_matches_single_rows():
     from hyp2.dmodule import _dependent_pair
 

@@ -1,0 +1,186 @@
+"""The two kernels of an extension op against their one-pass references, bit for bit.
+
+`wedge_area_batch` streams its rows in blocks and `_orthonormal_rows` can
+continue from rows it kept earlier.  Neither may move a bit: each property
+below compares with the code they replace, kept here verbatim, using exact
+equality (NaN equal to NaN), so a block that pairs the wrong rows or a
+Gram-Schmidt that skips its second pass fails.  Data are drawn from numpy
+generators keyed by hypothesis, at scales out to 10^+-150, where squares
+overflow and underflow.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hyp2 import DSubmodule
+from hyp2._tol import ROUND, SPAN, negligible
+from hyp2.dmodule import _orthonormal_rows
+from hyp2.two_norm import _WEDGE_CELLS, _wedge_cols, wedge_area_batch
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def reference_wedge_area_batch(xs, ys):
+    """The one-shot kernel: every row at once."""
+    iu, ju = _wedge_cols(xs.shape[1])
+    w = xs[:, iu]
+    w = w * ys[:, ju]
+    w -= xs[:, ju] * ys[:, iu]
+    return np.sqrt(np.einsum("bk,bk->b", w, w))
+
+
+def reference_orthonormal_rows(basis, rel=SPAN, length=None):
+    """The per-row Gram-Schmidt loop, before continuation."""
+    rows, dropped = [], []
+    for i, v in enumerate(basis):
+        w = v.astype(float).copy()
+        for r in rows:
+            w -= r * float(r @ w)
+        for r in rows:
+            w -= r * float(r @ w)
+        norm = float(np.linalg.norm(w))
+        if negligible(norm, float(np.linalg.norm(v)) if length is None else length, rel):
+            dropped.append(i)
+        else:
+            rows.append(w / norm)
+    return (np.array(rows) if rows else np.zeros((0, basis.shape[1]))), dropped
+
+
+def same(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+def block_rows(n: int) -> int:
+    return max(3, _WEDGE_CELLS // (n * (n - 1) // 2))
+
+
+@st.composite
+def wedge_cases(draw):
+    n = draw(st.integers(2, 8))
+    block = block_rows(n)
+    m = draw(st.sampled_from([1, block - 1, block, block + 1, 2000]))
+    return n, m, draw(st.integers(0, 2**16)), draw(st.integers(-150, 150))
+
+
+class TestWedgeAreaBatch:
+    @SETTINGS
+    @given(case=wedge_cases(), broadcast=st.booleans(), ey=st.integers(-150, 150))
+    def test_blocks_equal_one_pass(self, case, broadcast, ey):
+        n, m, seed, ex = case
+        rng = np.random.default_rng(seed)
+        # rows spread over six decades about 10^ex and 10^ey
+        xs = rng.standard_normal((m, n)) * 10.0 ** (ex + rng.uniform(-3, 3, (m, 1)))
+        ys = rng.standard_normal((m, n)) * 10.0 ** (ey + rng.uniform(-3, 3, (m, 1)))
+        if broadcast:  # one right slot for every row, as the audit passes z
+            ys = np.broadcast_to(ys[0], xs.shape)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got, want = wedge_area_batch(xs, ys), reference_wedge_area_batch(xs, ys)
+        assert same(got, want)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_no_row_is_summed_alone(self, n):
+        # einsum sums a (1, k) block in another order than a row of a taller
+        # one, in about a fifth to two fifths of rows, so many stacks whose
+        # rows would leave a lone last row are compared
+        rng = np.random.default_rng(n)
+        for m in (block_rows(n) + 1, 2 * block_rows(n) + 1):
+            for _ in range(20):
+                xs, ys = rng.standard_normal((2, m, n))
+                assert same(wedge_area_batch(xs, ys), reference_wedge_area_batch(xs, ys))
+
+    def test_empty_stack(self):
+        assert wedge_area_batch(np.zeros((0, 4)), np.zeros((0, 4))).shape == (0,)
+
+    def test_peak_allocation_stays_small(self):
+        # one pass at (2000, 8) peaks at about 1.7 MiB of (2000, 28) temporaries
+        rng = np.random.default_rng(0)
+        xs = rng.standard_normal((2000, 8))
+        ys = np.broadcast_to(rng.standard_normal(8), xs.shape)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            wedge_area_batch(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 640 * 1024
+
+
+def basis_rows(rng, n, k, eyes, near, scale):
+    """k rows: standard normal, with e_i in the rows `eyes` names and, when
+    `near` > 0, a last row within `near` of the span of the others."""
+    basis = rng.standard_normal((k, n)) * scale
+    for row, i in eyes:
+        if row < k:
+            basis[row] = np.eye(n)[i % n] * scale
+    if near and k > 1:
+        mix = rng.standard_normal(k - 1) @ basis[:-1]
+        basis[-1] = mix + near * np.linalg.norm(mix) * rng.standard_normal(n) / np.sqrt(n)
+    return basis
+
+
+BASES = dict(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 8),
+    k=st.integers(0, 7),
+    eyes=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=3),
+    near=st.sampled_from([0.0, 1e-6, 1e-9, 1e-11, 1e-13]),
+    scale=st.sampled_from([1e-150, 1e-5, 1.0, 1e5, 1e150]),
+)
+
+
+class TestOrthonormalRows:
+    @SETTINGS
+    @given(**BASES)
+    def test_equals_the_reference_loop(self, seed, n, k, eyes, near, scale):
+        basis = basis_rows(np.random.default_rng(seed), n, min(k, n - 1), eyes, near, scale)
+        for kwargs in ({}, {"rel": ROUND, "length": 1.0}):  # DSubmodule, from_matrices
+            with np.errstate(all="ignore"):
+                q, dropped = _orthonormal_rows(basis, **kwargs)
+                q_ref, dropped_ref = reference_orthonormal_rows(basis, **kwargs)
+            assert same(q, q_ref) and dropped == dropped_ref
+
+    @SETTINGS
+    @given(**BASES)
+    def test_continuing_from_m_equals_one_pass(self, seed, n, k, eyes, near, scale):
+        basis = basis_rows(np.random.default_rng(seed), n, min(k, n - 1), eyes, near, scale)
+        eye = np.eye(n)
+        with np.errstate(all="ignore"):
+            q_m, _ = _orthonormal_rows(basis)
+            q, dropped = _orthonormal_rows(eye, start=q_m)
+            q_ref, dropped_ref = reference_orthonormal_rows(np.vstack([basis, eye]))
+        assert same(q, q_ref)
+        assert dropped == [i - len(basis) for i in dropped_ref if i >= len(basis)]
+
+    def test_final_domain_is_not_orthonormalised_again(self, monkeypatch):
+        import hyp2.dmodule
+        import hyp2.hahn_banach
+        from hyp2 import DBilinear2Functional, DVector, ExtensionProblem, full_extend
+
+        rng = np.random.default_rng(5)
+        n = 5
+        problem = ExtensionProblem(
+            n,
+            DSubmodule(n, rng.standard_normal((2, n)), rng.standard_normal((1, n))),
+            DVector.from_components(rng.standard_normal(n), rng.standard_normal(n)),
+            DBilinear2Functional.random(n, 1),
+        )
+        problem.restriction()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("start") is not None)
+            return _orthonormal_rows(*args, **kwargs)
+
+        monkeypatch.setattr(hyp2.dmodule, "_orthonormal_rows", counted)
+        monkeypatch.setattr(hyp2.hahn_banach, "_orthonormal_rows", counted)
+        trace = full_extend(problem)
+        # one continued pass per component, over e_1 .. e_n only
+        assert calls == [True, True]
+        domain = trace.final.domain
+        for basis, q in ((domain.basis1, domain.q1), (domain.basis2, domain.q2)):
+            assert same(q, reference_orthonormal_rows(basis)[0])
+            assert not q.flags.writeable and not basis.flags.writeable
