@@ -53,7 +53,6 @@ from .hahn_banach import (
     ExtensionProblem,
     ExtensionStep,
     ExtensionTrace,
-    NotDegenerate,
     OptimizationFailure,
     RestrictedFunctional,
     ZeroDivisorInput,
@@ -61,7 +60,6 @@ from .hahn_banach import (
     full_extend,
     gap_interval,
     gap_interval_grid,
-    normalize_degenerate_z,
 )
 
 __version__ = "0.1.0"
@@ -102,7 +100,6 @@ __all__ = [
     "ExtensionProblem",
     "ExtensionStep",
     "ExtensionTrace",
-    "NotDegenerate",
     "OptimizationFailure",
     "RestrictedFunctional",
     "ZeroDivisorInput",
@@ -110,5 +107,4 @@ __all__ = [
     "full_extend",
     "gap_interval",
     "gap_interval_grid",
-    "normalize_degenerate_z",
 ]

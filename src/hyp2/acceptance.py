@@ -267,8 +267,7 @@ def criterion_extension_engine(count: int = 100, seed: int = 0) -> CriterionResu
         worst_norm_rel = max(worst_norm_rel, *audit["norm_rel_err"])
         audits_passed = audits_passed and audit["passed"]
         small = max(problem.M.dims) <= 2 and oracle_runs < 25
-        if small and trace.steps and not problem.z.is_degenerate():
-            # z is not degenerate, so the first step's x' is one for f itself
+        if small and trace.steps:
             xp = trace.steps[0].x_prime
             m0, m = gap_interval(problem, xp)
             g0, gm = gap_interval_grid(problem, xp)

@@ -5,13 +5,15 @@ corollary, and selftest (the acceptance suite).  Reports are JSON on stdout;
 exit code 0 means every configured check passed, 1 means a check failed, and
 2 means the input could not be parsed or validated.  The HYP2_TOL environment
 variable overrides a command's default tolerance (relative in norm and
-corollary); an explicit --tol wins over both.
+corollary); an explicit --tol wins over both.  A tolerance must be a finite
+number >= 0 and --samples at least 1; anything else exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -38,9 +40,18 @@ class InstanceError(ValueError):
 
 def _tol_arg(args, default: float) -> float:
     if getattr(args, "tol", None) is not None:
-        return float(args.tol)
-    env = os.environ.get("HYP2_TOL")
-    return float(env) if env else default
+        source, text = "--tol", args.tol
+    elif os.environ.get("HYP2_TOL"):
+        source, text = "HYP2_TOL", os.environ["HYP2_TOL"]
+    else:
+        return default
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InstanceError(f"{source} must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _pq(v: Hyperbolic) -> np.ndarray:
@@ -319,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "samples", 1) < 1:
+            raise InstanceError(f"--samples must be at least 1, got {args.samples}")
         return args.func(args)
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)

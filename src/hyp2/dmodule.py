@@ -249,7 +249,7 @@ def _orthonormal_rows(
 
 
 def _in_span(q_rows: np.ndarray, v: np.ndarray) -> bool:
-    resid = v - q_rows.T @ (q_rows @ v) if q_rows.size else v
+    resid = v - q_rows.T @ (q_rows @ v)
     return negligible(float(np.linalg.norm(resid)), float(np.linalg.norm(v)), SPAN)
 
 
@@ -332,8 +332,8 @@ class DSubmodule:
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> DVector:
         """Random element with standard-normal coefficients per component."""
         k1, k2 = self.dims
-        x1 = (rng.standard_normal(k1) * scale) @ self.q1 if k1 else np.zeros(self.n)
-        x2 = (rng.standard_normal(k2) * scale) @ self.q2 if k2 else np.zeros(self.n)
+        x1 = (rng.standard_normal(k1) * scale) @ self.q1
+        x2 = (rng.standard_normal(k2) * scale) @ self.q2
         return DVector.from_components(x1, x2)
 
     def __repr__(self) -> str:

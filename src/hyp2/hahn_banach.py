@@ -33,10 +33,11 @@ each D-level step below is one array call over the leading axis.  What
 stays per component: the domain's two bases (they may differ in dimension)
 and the gap oracles' optimisation.
 
-Degenerate right slots.  If z has one vanishing component it is repaired by
-injecting a scaled basis vector into that component (the functional is
-extended by zero there); if z = 0 every 2-functional on M x [z] is zero and
-the zero extension is returned directly.
+Degenerate right slots.  A zero divisor or zero z takes the same path as
+any other generator.  Where a component of z vanishes, [z] is 0 there, so
+the moment is 0, as_functional gives the zero matrix and |f| is 0: f and
+every extension of it vanish in that component, as the closed form says.  A
+component that is merely short beside the other keeps its own moment.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ RESTRICTION_TOL = 1e-10
 
 class OptimizationFailure(RuntimeError):
     """A verified bracket or a sanity invariant failed during extension."""
-
-
-class NotDegenerate(ValueError):
-    """Degenerate-slot repair requested for a non-degenerate generator."""
 
 
 class DependentPair(ValueError):
@@ -257,34 +254,11 @@ def gap_interval(problem: ExtensionProblem, x_prime: DVector) -> tuple[Hyperboli
     return pt, pt
 
 
-def normalize_degenerate_z(problem: ExtensionProblem) -> ExtensionProblem:
-    """Repair a zero-divisor generator z by completing its vanishing component.
-
-    The first standard basis vector, scaled to the length of the surviving
-    component, is injected into the vanishing component, and the functional
-    is assigned zero there.  The original cyclic domain embeds into the new
-    one (alpha z = (e_l alpha_l) z'), so extensions computed through z'
-    restrict to the original pairs unchanged.
-    """
-    if not problem.z.is_zero_divisor():
-        raise NotDegenerate("z is not a zero divisor")
-    z, n = problem.z.c, problem.n
-    vanish = problem.z._vanishing()
-    # the surviving component's length, placed on the first axis of the other
-    length = np.sqrt(_dot(z, z))[::-1, None]
-    z_new = np.where(vanish[:, None], length * np.eye(n)[0], z)
-    # order="K" keeps a transposed (Fortran-ordered) matrix's layout
-    C = problem.functional.C.copy(order="K")
-    C[vanish] = 0.0
-    return ExtensionProblem(n, problem.M, DVector._of(z_new), DBilinear2Functional(*C))
-
-
 @dataclass
 class ExtensionTrace:
     """The audited record of a full extension to X x [z]."""
 
     problem: ExtensionProblem
-    worked: ExtensionProblem
     steps: list[ExtensionStep]
     final: RestrictedFunctional
     norm_f: Hyperbolic
@@ -292,7 +266,8 @@ class ExtensionTrace:
 
     @property
     def repaired(self) -> bool:
-        return self.worked is not self.problem
+        """Whether z is a zero divisor; it takes the same path as any z."""
+        return self.problem.z.is_zero_divisor()
 
     def growth_counts(self) -> tuple[int, int]:
         g1 = sum(1 for s in self.steps if s.grew[0])
@@ -305,28 +280,29 @@ class ExtensionTrace:
 
         Restriction: alpha * x' C_F z against alpha * x' C z on `samples`
         random pairs of M x [z].  restriction_max_err is the largest absolute
-        difference and restriction_rel_err that difference over the largest
-        |alpha| * ||x|| * ||C z|| of the samples (0 for no difference, inf for
-        a difference at zero scale); restriction_ok compares it with
-        RESTRICTION_TOL, so the verdict does not depend on the scale of f, z
-        or M.
+        difference.  restriction_rel_err is, per component, the largest
+        difference over the largest |alpha| * ||x|| * ||C z|| of the samples
+        (0 for no difference, inf for a difference at zero scale), and the
+        larger of the two; restriction_ok compares it with RESTRICTION_TOL.
+        So the verdict depends neither on the scale of f, z or M nor on one
+        component's scale beside the other's.
 
         w' is C z projected onto the span of the z-perp parts of M's basis
-        rows, by SVD on the worked problem's raw data (rows scaled to unit
-        length, singular values negligible beside 1 dropped); it shares no
-        code with the engine.  brackets_ok: every step's r is <w', x'> within
+        rows, by SVD on the problem's raw data (rows scaled to unit length,
+        singular values negligible beside 1 dropped); it shares no code with
+        the engine.  brackets_ok: every step's r is <w', x'> within
         RESTRICTION_TOL * ||C z|| * ||x'||.  pointwise_ok: every sampled
         |f(x, z) + r| exceeds |f| * gram(x + x', z) by at most 1e-9 times it,
-        with f the worked problem's restriction and x in the step's domain,
-        spanned by leading rows of the final domain's orthonormal bases.
+        with x in the step's domain, spanned by leading rows of the final
+        domain's orthonormal bases.
 
-        Norm on X x [z'] (z' the worked generator, P the projection onto
-        z'-perp): norm_F_audit = ||P C_F z'|| / ||z'|| exactly, and
-        norm_rel_err is its relative gap to norm_F.  That value moves only to
-        second order under a change of F off M, so norm_ok also requires
-        moment_rel_err = ||P C_F z' - w'|| / ||C z'|| <= RESTRICTION_TOL, and
-        norm_F_sampled, the largest sampled |x' C_F z'| / gram(x, z'), at most
-        norm_F_audit * (1 + norm_rel_tol).
+        Norm on X x [z] (P the projection onto z-perp): norm_F_audit =
+        ||P C_F z|| / ||z|| exactly, and norm_rel_err is its relative gap to
+        norm_F.  That value moves only to second order under a change of F
+        off M, so norm_ok also requires moment_rel_err = ||P C_F z - w'|| /
+        ||C z|| <= RESTRICTION_TOL, and norm_F_sampled, the largest sampled
+        |x' C_F z| / gram(x, z), at most norm_F_audit * (1 + norm_rel_tol).
+        Where z vanishes every one of these is 0.
 
         Seed contract: one generator seeded by `seed` supplies, in order, a
         (samples, k1 + k2 + 2) standard-normal block for the restriction
@@ -334,14 +310,15 @@ class ExtensionTrace:
         bases, then alpha's two idempotent coordinates), one (m, kk1 + kk2)
         block per extension step for the pointwise bound, with
         m = max(8, samples // max(1, 4 * steps)) and kk the step's domain
-        dimensions, and then one (2000, n) block per component where z' does
-        not vanish, for norm_F_sampled.  The stream matches one scalar draw
-        after another in that order.
+        dimensions, and then one (2000, n) block per component for
+        norm_F_sampled.  The stream matches one scalar draw after another in
+        that order.
         """
         rng = np.random.default_rng(seed)
-        prob, wk = self.problem, self.worked
-        n = prob.n
+        prob, n = self.problem, self.problem.n
         F = self.final.as_functional()
+        z = prob.z.c
+        cz = (prob.functional.C @ z[:, :, None])[..., 0]
 
         # restriction agreement against the original matrix data on M x [z]
         k1, k2 = prob.M.dims
@@ -349,27 +326,24 @@ class ExtensionTrace:
         draws = rng.standard_normal((samples, k + 2))
         xs = np.stack((draws[:, :k1] @ prob.M.q1, draws[:, k1:k] @ prob.M.q2))
         alpha = draws[:, k:].T
-        z = prob.z.c
-        cz = (prob.functional.C @ z[:, :, None])[..., 0]
         f_vals = alpha * np.einsum("cmn,cn->cm", xs, cz)
         F_vals = alpha * np.einsum("cmn,cn->cm", xs, (F.C @ z[:, :, None])[..., 0])
-        restr_err = float(np.max(np.abs(F_vals - f_vals), initial=0.0))
+        errs = np.max(np.abs(F_vals - f_vals), axis=1, initial=0.0)
         scale = np.abs(alpha) * np.linalg.norm(xs, axis=-1) * np.linalg.norm(cz, axis=-1)[:, None]
-        restr_rel = float(_rel_err(restr_err, np.max(scale, initial=0.0)))
+        restr_err = float(np.max(errs))
+        restr_rel = float(np.max(_rel_err(errs, np.max(scale, axis=1, initial=0.0))))
 
-        # the reference moment w' from the worked problem's raw data
-        zw = wk.z.c
-        czw = (wk.functional.C @ zw[:, :, None])[..., 0]
-        w_ref = np.zeros_like(zw)
-        for c, (zc, basis) in enumerate(zip(zw, (wk.M.basis1, wk.M.basis2))):
+        # the reference moment w' from the problem's raw data
+        w_ref = np.zeros_like(z)
+        for c, (zc, basis) in enumerate(zip(z, (prob.M.basis1, prob.M.basis2))):
             if not null(zc @ zc):
                 # rows scaled to unit length, so the rank cut is against 1
                 unit = basis / np.linalg.norm(basis, axis=1, keepdims=True)
                 perp = unit - np.outer(unit @ zc, zc) / (zc @ zc)
                 _, sv, vt = np.linalg.svd(perp, full_matrices=False)
                 span = vt[~negligible(sv, 1.0)]
-                w_ref[c] = span.T @ (span @ czw[c])
-        ncz = np.linalg.norm(czw, axis=-1)
+                w_ref[c] = span.T @ (span @ cz[c])
+        ncz = np.linalg.norm(cz, axis=-1)
 
         # brackets: r against the gap point <w', x'>
         brackets_ok = True
@@ -382,8 +356,7 @@ class ExtensionTrace:
 
         # pointwise bound |f(x,z) + r|_k <=' |f| * norm(x + x', z) per step
         # (the step's domain: leading rows of the final orthonormal bases)
-        w, q1, q2 = wk.restriction().w, self.final.domain.q1, self.final.domain.q2
-        k1, k2 = wk.M.dims
+        w, q1, q2 = prob.restriction().w, self.final.domain.q1, self.final.domain.q2
         nf = self.norm_f
         per_step = max(8, samples // max(1, len(self.steps) * 4))
         excesses, pointwise_ok = [], True
@@ -393,19 +366,19 @@ class ExtensionTrace:
             k1, k2 = k1 + step.grew[0], k2 + step.grew[1]
             lhs = np.abs(np.einsum("cmn,cn->cm", xs, w) + [[step.r.p], [step.r.q]])
             shifted = xs + step.x_prime.c[:, None, :]
-            grams = wedge_area_batch(shifted.reshape(-1, n), np.repeat(zw, per_step, axis=0))
+            grams = wedge_area_batch(shifted.reshape(-1, n), np.repeat(z, per_step, axis=0))
             rhs = [[nf.p], [nf.q]] * grams.reshape(2, per_step)
             excesses.append(np.max(lhs - rhs))
             pointwise_ok &= within(np.maximum(lhs - rhs, 0.0), rhs, SPAN)
         pointwise_excess = float(np.max(excesses, initial=0.0))
 
-        # F's norm on X x [z']: exact value, first-order moment, sampled bound
-        cFz = (F.C @ zw[:, :, None])[..., 0]
-        moment, got = _exact_norm(cFz, zw)
+        # F's norm on X x [z]: exact value, first-order moment, sampled bound
+        cFz = (F.C @ z[:, :, None])[..., 0]
+        moment, got = _exact_norm(cFz, z)
         want = np.abs([self.norm_F.p, self.norm_F.q])
         rel = _rel_err(np.abs(got - want), want).tolist()
         moment_rel = _rel_err(np.linalg.norm(moment - w_ref, axis=-1), ncz).tolist()
-        sampled = np.array([_ratio_sup(v, zc, n, rng) for v, zc in zip(cFz, zw)])
+        sampled = np.array([_ratio_sup(v, zc, n, rng) for v, zc in zip(cFz, z)])
         norm_ok = bool(
             max(rel) <= norm_rel_tol
             and max(moment_rel) <= RESTRICTION_TOL
@@ -444,7 +417,6 @@ class ExtensionTrace:
                 "norm_f": self.norm_f.to_json(),
                 "norm_F": self.norm_F.to_json(),
             },
-            "repaired_z": self.worked.z.to_json() if self.repaired else None,
         }
 
 
@@ -472,10 +444,9 @@ def _ratio_sup(v: np.ndarray, z: np.ndarray, n: int, rng: np.random.Generator) -
     dominate the quotient.  For v orthogonal to z this cannot lower the
     supremum, which depends only on the direction of x's part orthogonal to
     z.  The test is relative, so it does not depend on the scale of z.
+    Where z vanishes it rejects every x, and the value is 0.
     """
     nz = float(np.linalg.norm(z))
-    if null(nz):
-        return 0.0
     xs = rng.standard_normal((2000, n))
     num = np.abs(xs @ v)
     den = wedge_area_batch(xs, np.broadcast_to(z, xs.shape))
@@ -493,17 +464,10 @@ def full_extend(problem: ExtensionProblem) -> ExtensionTrace:
     in the others), and the final domain is M's basis with the kept e_i
     appended.  The continued rows are bit for bit those of Gram-Schmidt over
     that basis, so the domain takes them as they are, and each step's domain
-    is spanned by their leading rows.  A zero-divisor z is repaired first;
-    z = 0 short-circuits to the zero extension.
+    is spanned by their leading rows.  Every z takes this path: where z
+    vanishes the moment is 0, and so is every r there.
     """
-    original = problem
     n = problem.n
-    if problem.z.is_zero():
-        final = RestrictedFunctional(DSubmodule.full(n), problem.z, np.zeros(n), np.zeros(n))
-        zero = Hyperbolic(0.0, 0.0)
-        return ExtensionTrace(original, original, steps=[], final=final, norm_f=zero, norm_F=zero)
-    if problem.z.is_zero_divisor():
-        problem = normalize_degenerate_z(problem)
     rf, M, eye = problem.restriction(), problem.M, np.eye(n)
     # per component: the final orthonormal rows, and the e_i already spanned
     (q1, drop1), (q2, drop2) = (_orthonormal_rows(eye, start=q) for q in (M.q1, M.q2))
@@ -518,9 +482,7 @@ def full_extend(problem: ExtensionProblem) -> ExtensionTrace:
     if not domain.is_full():
         raise OptimizationFailure("extension finished without exhausting the module")
     final = RestrictedFunctional(domain, rf.z, *rf.w)
-    return ExtensionTrace(
-        original, problem, steps, final=final, norm_f=rf.norm(), norm_F=final.norm()
-    )
+    return ExtensionTrace(problem, steps, final=final, norm_f=rf.norm(), norm_F=final.norm())
 
 
 def corollary_functional(x0: DVector, y0: DVector) -> tuple[RestrictedFunctional, ExtensionTrace]:
@@ -575,10 +537,9 @@ def _gap_objective(setup: tuple, sign: float):
 
     def objective(coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        xs = coeffs @ q + xp if q.size else np.repeat(xp[None, :], coeffs.shape[0], 0)
+        xs = coeffs @ q + xp
         grams = wedge_area_batch(xs, np.broadcast_to(z, xs.shape))
-        fvals = coeffs @ cz_q if q.size else np.zeros(coeffs.shape[0])
-        return nf * grams - sign * fvals
+        return nf * grams - sign * (coeffs @ cz_q)
 
     return objective, q.shape[0]
 

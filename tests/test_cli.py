@@ -129,7 +129,10 @@ class TestExtend:
         code, out, _ = run_cli(capsys, "extend", str(path), "--samples", "200")
         report = json.loads(out)
         assert code == 0 and report["passed"]
-        assert report["repaired_z"] is not None
+        # z's second component vanishes: the audit says so, and F is the
+        # zero matrix there
+        assert report["audit"]["repaired"] and "repaired_z" not in report
+        assert report["final"]["F"]["C2"] == [[0.0] * 3] * 3
 
     def test_swap_domain(self, capsys, instance_path):
         code, out, _ = run_cli(
@@ -209,30 +212,64 @@ def _set_norm_list(blob):
     blob["norm"] = []
 
 
+def _unchanged(blob):
+    pass
+
+
+_CORRUPTIONS = (
+    [("norm", _set_nan_functional, "non-finite"), ("extend", _set_nan_z, "non-finite"),
+     ("extend", _set_inf_basis, "non-finite"), ("extend", _set_nan_functional, "non-finite"),
+     ("extend", _set_huge_z, "non-finite"), ("extend", _set_huge_functional, "non-finite")]
+    # a "norm" field that is not an object is malformed input, not a crash
+    + [(command, corrupt, "norm field")
+       for command in ("extend", "norm", "check-axioms")
+       for corrupt in (_set_norm_string, _set_norm_list)]
+    # a dimension must be a JSON integer and a basis a list of length-n rows
+    + [(command, corrupt, "JSON integer")
+       for command in ("extend", "norm", "check-axioms")
+       for corrupt in (_set_n_float, _set_n_string, _set_n_bool)]
+    + [("extend", _set_m_n_float, "JSON integer"), ("extend", _set_basis_3d, "rows of length")]
+)
+
+#: (command, argv after the instance, environment, needle): a bad flag or
+#: tolerance on a valid instance
+_BAD_FLAGS = [
+    ("norm", ["--samples", "0"], {}, "--samples"),
+    ("norm", ["--samples", "-5"], {}, "--samples"),
+    ("extend", ["--samples", "-1"], {}, "--samples"),
+    ("check-axioms", ["--samples", "-3"], {}, "--samples"),
+    ("check-axioms", ["--samples", "0"], {}, "--samples"),
+    ("norm", [], {"HYP2_TOL": "abc"}, "HYP2_TOL"),
+    ("extend", [], {"HYP2_TOL": "nan"}, "HYP2_TOL"),
+    ("extend", ["--tol", "nan"], {}, "--tol"),
+    ("check-axioms", ["--tol", "nan"], {}, "--tol"),
+    ("norm", ["--tol", "-1"], {}, "--tol"),
+    ("extend", ["--tol", "-1"], {}, "--tol"),
+    ("check-axioms", ["--tol", "inf"], {}, "--tol"),
+]
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
-        "command,corrupt,needle",
-        [("norm", _set_nan_functional, "non-finite"), ("extend", _set_nan_z, "non-finite"),
-         ("extend", _set_inf_basis, "non-finite"), ("extend", _set_nan_functional, "non-finite"),
-         ("extend", _set_huge_z, "non-finite"), ("extend", _set_huge_functional, "non-finite")]
-        # a "norm" field that is not an object is malformed input, not a crash
-        + [(command, corrupt, "norm field")
-           for command in ("extend", "norm", "check-axioms")
-           for corrupt in (_set_norm_string, _set_norm_list)]
-        # a dimension must be a JSON integer and a basis a list of length-n rows
-        + [(command, corrupt, "JSON integer")
-           for command in ("extend", "norm", "check-axioms")
-           for corrupt in (_set_n_float, _set_n_string, _set_n_bool)]
-        + [("extend", _set_m_n_float, "JSON integer"), ("extend", _set_basis_3d, "rows of length")],
+        "command,corrupt,needle,argv,env",
+        [pytest.param(command, corrupt, needle, [], {}, id=f"{command}-{corrupt.__name__}-{needle}")
+         for command, corrupt, needle in _CORRUPTIONS]
+        + [pytest.param(command, _unchanged, needle, argv, env,
+                        id="-".join([command, *argv, *(f"{k}={v}" for k, v in env.items())]))
+           for command, argv, env, needle in _BAD_FLAGS],
     )
-    def test_exit_2_with_one_line(self, capsys, instance_path, tmp_path, command, corrupt, needle):
+    def test_exit_2_with_one_line(
+        self, capsys, monkeypatch, instance_path, tmp_path, command, corrupt, needle, argv, env
+    ):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
         blob = json.loads(instance_path.read_text())
         corrupt(blob)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(blob))  # json writes NaN / Infinity literals
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning would be another stderr line
-            code, out, err = run_cli(capsys, command, str(bad))
+            code, out, err = run_cli(capsys, command, str(bad), *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -25,6 +25,9 @@ CASES = [
     ("extend_seed1_n3", ["extend", "seed1_n3.json"]),
     ("extend_seed1_n3_swap_domain", ["extend", "seed1_n3.json", "--swap-domain"]),
     ("extend_seed2_n4_degenerate_z", ["extend", "seed2_n4_degenerate_z.json"]),
+    # transposed (Fortran-ordered) matrices with a zero-divisor z
+    ("extend_seed2_n4_degenerate_z_swap_domain",
+     ["extend", "seed2_n4_degenerate_z.json", "--swap-domain"]),
     ("extend_seed3_n3_full", ["extend", "seed3_n3_full.json"]),
     ("extend_seed1_n8", ["extend", "seed1_n8.json"]),
     # M = 0: eight steps, each growing both components
@@ -65,13 +68,17 @@ def test_report_matches_golden(capsys, name, argv):
 
 
 def test_golden_cases_cover_the_planned_shapes():
-    # zero steps on a full domain, a repaired z, and a swapped domain order
+    # zero steps on a full domain, a zero-divisor z (in both orders), and a
+    # swapped domain order
     full = json.loads((GOLDEN / "extend_seed3_n3_full.stdout").read_text())
-    repaired = json.loads((GOLDEN / "extend_seed2_n4_degenerate_z.stdout").read_text())
     swapped = json.loads((GOLDEN / "extend_seed1_n3_swap_domain.stdout").read_text())
     assert full["steps"] == []
-    assert repaired["audit"]["repaired"] and repaired["repaired_z"] is not None
     assert swapped["domain_order"] == "z_first"
+    for name in ("extend_seed2_n4_degenerate_z", "extend_seed2_n4_degenerate_z_swap_domain"):
+        # z's second component vanishes, and F is the zero matrix there
+        report = json.loads((GOLDEN / f"{name}.stdout").read_text())
+        assert report["audit"]["repaired"] and "repaired_z" not in report
+        assert report["final"]["F"]["C2"] == [[0.0] * 4] * 4
     # every step growing both components, and steps that skip or grow one
     chain = json.loads((GOLDEN / "extend_seed1_n8_dims00.stdout").read_text())
     axes = json.loads((GOLDEN / "extend_axes_n4.stdout").read_text())

@@ -12,14 +12,12 @@ from hyp2 import (
     DependentPair,
     ExtensionProblem,
     Hyperbolic,
-    NotDegenerate,
     RestrictedFunctional,
     ZeroDivisorInput,
     corollary_functional,
     full_extend,
     gap_interval,
     gap_interval_grid,
-    normalize_degenerate_z,
 )
 import hyp2.hahn_banach as hb
 from hyp2._tol import THIN
@@ -60,13 +58,9 @@ def reference_full_extend(problem: ExtensionProblem) -> tuple[list, list]:
     current domain with component_contains, and each step rebuilds the
     domain with DSubmodule.extend, which reruns Gram-Schmidt on the whole
     basis; r is <w, x'> with f's moment w.  Returns the steps and the chain
-    of domains: M (after any repair of z), then the domain after each step.
+    of domains: M, then the domain after each step.
     """
     n = problem.n
-    if problem.z.is_zero():
-        return [], [DSubmodule.full(n)]
-    if problem.z.is_zero_divisor():
-        problem = normalize_degenerate_z(problem)
     w = problem.restriction().w
     steps, domains = [], [problem.M]
     for e in np.eye(n):
@@ -222,47 +216,13 @@ class TestGapInterval:
             assert (sm - s0).max_abs() <= 2.0 * (1.0 + m.max_abs())
 
 
-class TestDegenerateRepair:
-    def test_example_construction(self):
-        n = 2
-        problem = ExtensionProblem(
-            n,
-            DSubmodule.zero(n),
-            dvec([1.0, 0.0], [0.0, 0.0]),  # z = e1 * (1, 0)
-            DBilinear2Functional.random(n, 70),
-        )
-        fixed = normalize_degenerate_z(problem)
-        assert fixed.z == dvec([1.0, 0.0], [1.0, 0.0])
-        assert not fixed.z.is_zero_divisor()
-        # the functional on the repaired component is zero
-        assert np.array_equal(fixed.functional.C2, np.zeros((2, 2)))
-
-    def test_scaling_matches_surviving_component(self):
-        problem = ExtensionProblem(
-            3,
-            DSubmodule.zero(3),
-            dvec([0.0, 0.0, 0.0], [3.0, 4.0, 0.0]),  # e2-only, length 5
-            DBilinear2Functional.random(3, 71),
-        )
-        fixed = normalize_degenerate_z(problem)
-        assert np.allclose(fixed.z.c1, [5.0, 0.0, 0.0])
-        assert np.allclose(fixed.z.c2, [3.0, 4.0, 0.0])
-
-    def test_rejects_non_degenerate(self):
-        rng = np.random.default_rng(16)
-        with pytest.raises(NotDegenerate):
-            normalize_degenerate_z(random_problem(rng, n=3, dims=(1, 1)))
-        zero_z = ExtensionProblem(
-            2, DSubmodule.zero(2), DVector.zero(2), DBilinear2Functional.zero(2)
-        )
-        with pytest.raises(NotDegenerate):
-            normalize_degenerate_z(zero_z)
-
-    def test_extension_through_repair_restricts_correctly(self):
+class TestZeroDivisorZ:
+    def test_zero_divisor_extension_restricts_correctly(self):
         rng = np.random.default_rng(17)
         problem = random_problem(rng, n=3, dims=(2, 1), degenerate=True)
         trace = full_extend(problem)
         assert trace.repaired
+        assert np.array_equal(trace.final.as_functional().C2, np.zeros((3, 3)))
         for _ in range(200):
             x = problem.M.random_element(rng)
             alpha = Hyperbolic(*rng.standard_normal(2))
@@ -280,10 +240,43 @@ class TestDegenerateRepair:
             DBilinear2Functional.random(n, 80),
         )
         trace = full_extend(problem)
-        assert trace.steps == []
-        assert trace.norm_F == Hyperbolic(0.0, 0.0)
+        # the steps adjoin the e_i that M misses, as for any z, each with r = 0
+        assert [s.grew for s in trace.steps] == [s.grew for s in reference_full_extend(problem)[0]]
+        assert trace.steps and all(s.r == Hyperbolic(0.0, 0.0) for s in trace.steps)
+        assert trace.norm_f == trace.norm_F == Hyperbolic(0.0, 0.0)
+        assert np.array_equal(trace.final.as_functional().C, np.zeros((2, n, n)))
+        assert not trace.repaired and trace.audit(samples=100)["passed"]
         x = rand_dvec(rng, n)
         assert trace.final.evaluate(x, DVector.zero(n)).max_abs() == 0.0
+
+    @settings(max_examples=320, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 8),
+        c=st.sampled_from([0, 1]),
+        k=st.one_of(st.none(), st.integers(-140, 0)),
+    )
+    def test_short_component_keeps_its_own_extension(self, seed, n, c, k):
+        # component c of z times 10^k (None: times 0).  [z] and so f, |f|
+        # and F do not depend on the length of z in a component; at 0 all
+        # three vanish there
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(d) for d in rng.integers(0, n + 1, size=2))
+        base = fixed_problem(seed, n, dims, "full")
+        zc = base.z.c.copy()
+        zc[c] *= 0.0 if k is None else 10.0**k
+        problem = ExtensionProblem(n, base.M, dvec(*zc), base.functional)
+        want, trace = full_extend(base), full_extend(problem)
+        got_F, want_F = (t.final.as_functional().C[c] for t in (trace, want))
+        pairs = [((t.norm_f.p, t.norm_f.q)[c], (t.norm_F.p, t.norm_F.q)[c]) for t in (trace, want)]
+        if k is None:
+            assert pairs[0] == (0.0, 0.0) and np.array_equal(got_F, np.zeros((n, n)))
+        else:
+            for got, ref in zip(*pairs):
+                assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+            assert np.max(np.abs(got_F - want_F)) <= 1e-9 * np.max(np.abs(want_F))
+        audit = trace.audit(samples=200, seed=seed)
+        assert audit["passed"], audit
 
 
 class TestFullExtend:
@@ -498,25 +491,32 @@ def reference_audit(trace, samples: int, seed: int) -> dict:
     Draws one scalar block after another from the same seeded stream and
     evaluates F = final.as_functional() through DBilinear2Functional.__call__
     on Hyperbolic/DVector objects.  F's moment is compared with the engine's
-    restriction of the worked problem rather than with the audit's SVD.
+    restriction of the problem rather than with the audit's SVD.
     """
     rng = np.random.default_rng(seed)
-    prob, wk = trace.problem, trace.worked
-    n = prob.n
+    prob = trace.problem
+    n, z = prob.n, prob.z
     F = trace.final.as_functional()
-    restr_err = 0.0
+    # per component: the largest |F - f| and the largest |alpha| ||x|| ||C z||
+    errs, scales = [0.0, 0.0], [0.0, 0.0]
     k1, k2 = prob.M.dims
-    cz = [prob.functional.C1 @ prob.z.c1, prob.functional.C2 @ prob.z.c2]
+    cz = [prob.functional.C1 @ z.c1, prob.functional.C2 @ z.c2]
     for _ in range(samples):
         x1 = rng.standard_normal(k1) @ prob.M.q1 if k1 else np.zeros(n)
         x2 = rng.standard_normal(k2) @ prob.M.q2 if k2 else np.zeros(n)
         alpha = Hyperbolic(*rng.standard_normal(2))
         x = DVector.from_components(x1, x2)
         f_val = Hyperbolic(alpha.p * float(x1 @ cz[0]), alpha.q * float(x2 @ cz[1]))
-        restr_err = max(restr_err, (F(x, alpha * prob.z) - f_val).max_abs())
+        diff = F(x, alpha * z) - f_val
+        for c, (d, a, xc) in enumerate(zip((diff.p, diff.q), (alpha.p, alpha.q), (x1, x2))):
+            errs[c] = max(errs[c], abs(d))
+            scales[c] = max(scales[c], abs(a) * np.linalg.norm(xc) * np.linalg.norm(cz[c]))
+    restr_rel = max(
+        0.0 if e == 0.0 else e / sc if sc > 0.0 else np.inf for e, sc in zip(errs, scales)
+    )
     # the domains of the per-generator chain, each with f's moment
-    _, domains = reference_full_extend(wk)
-    rf_states = [RestrictedFunctional(d, wk.z, *wk.restriction().w) for d in domains]
+    _, domains = reference_full_extend(prob)
+    rf_states = [RestrictedFunctional(d, z, *prob.restriction().w) for d in domains]
     gap_points = [
         Hyperbolic(float(st.w1 @ s.x_prime.c1), float(st.w2 @ s.x_prime.c2))
         for st, s in zip(rf_states, trace.steps)
@@ -530,33 +530,33 @@ def reference_audit(trace, samples: int, seed: int) -> dict:
             x1 = rng.standard_normal(kk1) @ state.domain.q1 if kk1 else np.zeros(n)
             x2 = rng.standard_normal(kk2) @ state.domain.q2 if kk2 else np.zeros(n)
             x = DVector.from_components(x1, x2)
-            lhs = (state.evaluate(x, wk.z, check_domain=False) + step.r).modulus()
-            rhs = nf * NORM(x + step.x_prime, wk.z)
+            lhs = (state.evaluate(x, z, check_domain=False) + step.r).modulus()
+            rhs = nf * NORM(x + step.x_prime, z)
             pointwise_excess = max(pointwise_excess, lhs.p - rhs.p, lhs.q - rhs.q)
             # each excess against 1e-9 * |f| * gram
             pointwise_ok = pointwise_ok and lhs.p - rhs.p <= 1e-9 * rhs.p
             pointwise_ok = pointwise_ok and lhs.q - rhs.q <= 1e-9 * rhs.q
-    # F's norm on X x [z']: C_F z' read off column by column
-    cols = [F(DVector.from_components(e, e), wk.z) for e in np.eye(n)]
+    # F's norm on X x [z]: C_F z read off column by column
+    cols = [F(DVector.from_components(e, e), z) for e in np.eye(n)]
     cfz = np.array([[v.p for v in cols], [v.q for v in cols]])
     exact, moment_rel = [], []
-    for zc, v, w, C in zip(wk.z.split(), cfz, wk.restriction().w, wk.functional.C):
+    for zc, v, w, C in zip(z.split(), cfz, prob.restriction().w, prob.functional.C):
         nz2 = zc @ zc
         m = v - zc * ((zc @ v) / nz2) if nz2 > 0.0 else v
         exact.append(float(np.sqrt(m @ m) / np.sqrt(nz2)) if nz2 > 0.0 else 0.0)
         diff, scale = np.linalg.norm(m - w), np.linalg.norm(C @ zc)
         moment_rel.append(0.0 if diff == 0.0 else diff / scale if scale > 0.0 else np.inf)
-    # sampled maximum of |F(x, z')| / gram(x, z') over one block per component
+    # sampled maximum of |F(x, z)| / gram(x, z) over one block per component
+    # (where z vanishes every gram is 0, so every x is rejected)
     sampled = [0.0, 0.0]
-    if not wk.z.is_zero():
-        rows = [[rng.standard_normal(n) for _ in range(2000)] for _ in range(2)]
-        for x1, x2 in zip(*rows):
-            x = DVector.from_components(x1, x2)
-            val, gram = F(x, wk.z).modulus(), NORM(x, wk.z)
-            parts = zip((val.p, val.q), (gram.p, gram.q), (x1, x2), wk.z.split())
-            for c, (v, g, xc, zc) in enumerate(parts):
-                if g > THIN * np.linalg.norm(zc) * np.linalg.norm(xc):
-                    sampled[c] = max(sampled[c], v / g)
+    rows = [[rng.standard_normal(n) for _ in range(2000)] for _ in range(2)]
+    for x1, x2 in zip(*rows):
+        x = DVector.from_components(x1, x2)
+        val, gram = F(x, z).modulus(), NORM(x, z)
+        parts = zip((val.p, val.q), (gram.p, gram.q), (x1, x2), z.split())
+        for c, (v, g, xc, zc) in enumerate(parts):
+            if g > THIN * np.linalg.norm(zc) * np.linalg.norm(xc):
+                sampled[c] = max(sampled[c], v / g)
     rel = []
     for got, want in zip(exact, (trace.norm_F.p, trace.norm_F.q)):
         diff = abs(got - want)
@@ -564,8 +564,9 @@ def reference_audit(trace, samples: int, seed: int) -> dict:
     norm_ok = max(rel) <= 1e-5 and max(moment_rel) <= 1e-10
     norm_ok = norm_ok and all(sv <= ex * (1.0 + 1e-5) for sv, ex in zip(sampled, exact))
     out = {
-        "restriction_max_err": restr_err,
-        "restriction_ok": restr_err <= 1e-10,
+        "restriction_max_err": max(errs),
+        "restriction_rel_err": restr_rel,
+        "restriction_ok": restr_rel <= 1e-10,
         "pointwise_bound_excess": pointwise_excess,
         "pointwise_ok": pointwise_ok,
         "norm_F_audit": {"p": exact[0], "q": exact[1]},
@@ -627,6 +628,7 @@ class TestAuditBatched:
                 assert got["norm_F_sampled"][c] == pytest.approx(want_c, rel=1e-12)
             assert abs(got["restriction_max_err"] - want["restriction_max_err"]) <= 1e-12
             assert abs(got["pointwise_bound_excess"] - want["pointwise_bound_excess"]) <= 1e-12
+            assert abs(got["restriction_rel_err"] - want["restriction_rel_err"]) <= 1e-13
             assert got["restriction_rel_err"] <= 1e-13
 
     @pytest.mark.parametrize("seed,n,dims,z_kind", AUDIT_CASES)
@@ -645,7 +647,7 @@ class TestAuditBatched:
         want = reference_audit(broken, samples=300, seed=seed)
         for key in ("passed", "restriction_ok", "pointwise_ok", "norm_ok"):
             assert got[key] == want[key], key
-        for key in ("restriction_max_err", "pointwise_bound_excess"):
+        for key in ("restriction_max_err", "restriction_rel_err", "pointwise_bound_excess"):
             assert got[key] == pytest.approx(want[key], rel=1e-12, abs=1e-12), key
 
     def test_repaired_z_rotated_fails_restriction(self):
@@ -709,6 +711,24 @@ class TestAuditBatched:
         audit = trace.audit(samples=200)
         assert audit["restriction_rel_err"] <= 1e-12 and audit["passed"]
 
+    def test_short_component_is_checked_on_its_own_scale(self):
+        # z's second component 1e-13 of the first's length: a final functional
+        # that is zero there is wrong on M x [z], although its error is
+        # negligible beside the first component's scale
+        base = fixed_problem(13, 3, (1, 1), "full")
+        z = dvec(base.z.c1, 1e-13 * base.z.c2)
+        trace = full_extend(ExtensionProblem(3, base.M, z, base.functional))
+        assert trace.audit(samples=200)["passed"]
+        final = trace.final
+        zeroed = RestrictedFunctional(final.domain, final.z, final.w1, np.zeros(3))
+        broken = dataclasses.replace(trace, final=zeroed)
+        audit = broken.audit(samples=200)
+        assert not audit["restriction_ok"] and not audit["passed"]
+        assert audit["restriction_rel_err"] > 0.1
+        assert audit["restriction_max_err"] <= 1e-10 * np.max(np.abs(base.functional.C1))
+        want = reference_audit(broken, samples=200, seed=0)
+        assert not want["restriction_ok"] and not want["passed"]
+
     def test_zero_scale_disagreement_is_infinite(self):
         n = 3
         problem = ExtensionProblem(
@@ -748,7 +768,7 @@ class TestBracketCheck:
         f = DBilinear2Functional.random(n, seed)
         basis1 = rng.standard_normal((2, n))
         if kind == "z_in_span":
-            # z1 in span(basis1) and z2 = 0, so z is repaired first
+            # z1 in span(basis1) and z2 = 0, so z is a zero divisor
             z1, z2 = basis1[0] + 2.0 * basis1[1], np.zeros(n)
         elif kind == "line_of_z":
             # span(c z1): the projection is one rounding-residue row

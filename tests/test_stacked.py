@@ -20,9 +20,9 @@ from hyp2 import (
     ExtensionProblem,
     Hyperbolic,
     RestrictedFunctional,
+    full_extend,
     linear_dependent,
     norm_spectral,
-    normalize_degenerate_z,
 )
 
 # The tolerance rule of hyp2._tol, written out: a quantity with no operand
@@ -205,26 +205,20 @@ class TestStackedEqualsPerComponent:
 
     @SETTINGS
     @given(**CASES, k=st.integers(0, 8), vanish=st.sampled_from([0, 1]))
-    def test_zero_divisor_repair(self, seed, n, scale, fortran, k, vanish):
+    def test_zero_divisor_generator(self, seed, n, scale, fortran, k, vanish):
+        # the problem as given: zero moment and zero matrix where z vanishes,
+        # the other component's moment and matrix as for any z
         rng = np.random.default_rng(seed)
         k = min(k, n)
         M = DSubmodule(n, rng.standard_normal((k, n)), rng.standard_normal((n - k, n)))
         f = functional(rng, n, scale, fortran)
         parts = [rng.standard_normal(n) * scale, rng.standard_normal(n) * scale]
         parts[vanish] = np.zeros(n)
-        repaired = normalize_degenerate_z(
-            ExtensionProblem(n, M, DVector.from_components(*parts), f)
-        )
-        # the repair one component at a time: the surviving length on e_0 of
-        # the vanishing component, and the zero matrix there
-        u = np.zeros(n)
-        u[0] = float(np.linalg.norm(parts[1 - vanish]))
-        parts[vanish] = u
-        mats = [f.C1, f.C2]
-        mats[vanish] = np.zeros((n, n))
-        assert same(repaired.z.c1, parts[0]) and same(repaired.z.c2, parts[1])
-        assert same(repaired.functional.C1, mats[0]) and same(repaired.functional.C2, mats[1])
-        assert repaired.functional.C[1 - vanish].flags.f_contiguous == fortran
-        rf = repaired.restriction()
-        assert same(rf.w1, ref_moment(mats[0], M.q1, parts[0]))
-        assert same(rf.w2, ref_moment(mats[1], M.q2, parts[1]))
+        problem = ExtensionProblem(n, M, DVector.from_components(*parts), f)
+        rf = problem.restriction()
+        F = full_extend(problem).final.as_functional()
+        assert same(rf.w[vanish], np.zeros(n)) and same(F.C[vanish], np.zeros((n, n)))
+        live = 1 - vanish
+        w = ref_moment((f.C1, f.C2)[live], (M.q1, M.q2)[live], parts[live])
+        assert same(rf.w[live], w)
+        assert same(F.C[live], ref_as_matrix(w, parts[live], n))

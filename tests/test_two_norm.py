@@ -138,6 +138,28 @@ class TestDecompose:
         with pytest.raises(AxiomViolation):
             decompose(bogus, 2)
 
+    def test_names_the_failed_axioms(self):
+        # the squared area is symmetric and vanishes on dependent pairs, but
+        # it is neither homogeneous nor subadditive
+        norm = D2Norm()
+
+        def squared(x, y):
+            v = norm(x, y)
+            return Hyperbolic(v.p**2, v.q**2)
+
+        with pytest.raises(AxiomViolation, match=r"\['iii', 'iv'\]"):
+            decompose(squared, 3)
+
+    @pytest.mark.parametrize("s", [1e-6, 1e6, 1e8])
+    def test_accepts_a_rescaled_norm(self, s):
+        # a positive multiple of a 2-norm is a 2-norm: the probe's bound
+        # follows the norm's scale
+        g = GramDet2Norm()
+        scaled = D2Norm(lambda x, y: s * g(x, y), lambda x, y: s * g(x, y))
+        phi, psi = decompose(scaled, 3)
+        x, y = rand_dvec(np.random.default_rng(9), 3), rand_dvec(np.random.default_rng(10), 3)
+        assert phi(x, y) == s * g(x.c1, y.c1) and psi(x, y) == s * g(x.c2, y.c2)
+
 
 class TestAxiomCheck:
     def test_gramdet_lift_passes(self):
