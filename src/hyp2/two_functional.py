@@ -6,13 +6,14 @@ Euclidean area 2-norm these are exactly the bounded 2-functionals on D^n, and
 the operator norm of each component equals the largest singular value of its
 matrix.  The two matrices are held as one read-only (2, n, n) stack `C`, so
 evaluation, scaling and the spectral norm are single array calls.  Two
-independent norm computations are provided: the spectral value (exact) and a
-randomized supremum search (a refined lower estimate).
+independent norm computations are provided: the spectral value (exact, by
+SVD) and a randomized supremum search polished by alternating ascent, which
+uses C only through products (a lower estimate that converges).
 
 The search samples each component from its own RNG substream.  It draws
 `xs` per chunk and `ys` in cache-sized blocks, samples the two components on
-two threads at once, and climbs them one after the other on the calling
-thread.  Neither the blocks nor the threads change a bit of its result.
+two threads at once, and polishes them one after the other on the calling
+thread.  Neither the blocks nor the threads change a bit of its samples.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def norm_spectral(f: DBilinear2Functional) -> NormCertificate:
 
 
 def _component_ratios(C: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """|x' C y| / area(x, y) on the climb's rows, near an orthonormal pair, so
+    """|x' C y| / area(x, y) on the polish's rows, near an orthonormal pair, so
     the area is about the sine: a pair with area at most THIN gets -1."""
     num = np.abs(np.einsum("bj,bj->b", xs @ C, ys))
     den = wedge_area_batch(xs, ys)
@@ -208,37 +209,30 @@ def _plane_representative(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.
 def _climb_component(
     C: np.ndarray, u: np.ndarray, v: np.ndarray, steps: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Coordinatewise hill climbing on the ratio, perturbing one coordinate of
-    one slot at a time at two scales, with the scale shrinking on failure.
+    """Alternating ascent on orthonormal pairs: u <- Cv/|Cv|, then v <- C'u/|C'u|.
 
-    The final value is re-evaluated at the orthonormal representative of the
-    best plane found: the quotient only depends on the plane, and the clean
-    representative avoids inflating the value through round-off on thin pairs.
+    With one slot fixed, each half-step is the exact maximiser of the ratio
+    over the other, and it is orthogonal to the fixed slot (v'Cv = 0), so the
+    value |C'u| never falls.  A step that gains at most ROUND relative, or the
+    `steps`-th step, ends the ascent.  C enters through products only, never
+    an SVD or eig, so the polish stays independent of `norm_spectral`.  The
+    value is re-measured at the orthonormal representative of the last plane:
+    the printed value is a measured ratio at the printed witness.
     """
-    n = C.shape[0]
     u, v = _plane_representative(u, v)
-    best = float(_component_ratios(C, u[None, :], v[None, :])[0])
-    delta = 0.25
-    eye = np.eye(n)
-    moves = np.vstack([eye, -eye, eye / 5.0, -eye / 5.0])  # (4n, n)
-    m = moves.shape[0]
-    cand_u = np.empty((2 * m, n))
-    cand_v = np.empty((2 * m, n))
+    best = value = float(_component_ratios(C, u[None, :], v[None, :])[0])
     for _ in range(steps):
-        cand_u[:m] = u + delta * moves
-        cand_u[m:] = u
-        cand_v[:m] = v
-        cand_v[m:] = v + delta * moves
-        ratios = _component_ratios(C, cand_u, cand_v)
-        i = int(np.argmax(ratios))
-        if ratios[i] > best:
-            best = float(ratios[i])
-            u, v = _plane_representative(cand_u[i], cand_v[i])
-        else:
-            delta *= 0.2
-            # a tenth of what rounding leaves on a unit vector: no move left
-            if negligible(delta, 0.1):
-                break
+        cv = C @ v
+        size = float(np.linalg.norm(cv))
+        if null(size):  # C vanishes on v: no direction to climb
+            break
+        u = cv / size
+        ctu = u @ C
+        reached = float(np.linalg.norm(ctu))
+        v = ctu / reached
+        if negligible(reached - value, value):
+            break
+        value = reached
     u, v = _plane_representative(u, v)
     final = float(_component_ratios(C, u[None, :], v[None, :])[0])
     return (final if final >= 0.0 else best), u, v
@@ -273,23 +267,21 @@ def _sample_component(
             # rejected outright and the winner is re-measured by the climb
             dots = np.einsum("bi,bi->b", xs, ys)
             den = np.sqrt(np.maximum(1.0 - dots * dots, 0.0))
+            ok = den > THIN
             if formula == "unit":
-                # rescale each pair to unit area first, then take |f| directly
-                ok = den > THIN
-                scale = 1.0 / np.sqrt(den[ok])
-                us, vs = xs[ok] * scale[:, None], ys[ok] * scale[:, None]
-                vals = np.abs(np.einsum("bj,bj->b", us @ C, vs))
-                if vals.size:
-                    i = int(np.argmax(vals))
-                    if vals[i] > best:
-                        best, bu, bv = float(vals[i]), us[i], vs[i]
-            else:
-                num = np.abs(np.einsum("bj,bj->b", xs @ C, ys))
-                ratios = np.where(den > THIN, num / np.maximum(den, THIN), -1.0)
-                i = int(np.argmax(ratios))
-                if ratios[i] > best:
-                    # a copy, so the winner does not keep its chunk's xs alive
-                    best, bu, bv = float(ratios[i]), xs[i].copy(), ys[i]
+                # rescale each pair to unit area, in place (each row of xs_all is
+                # scored once), then take |f| directly
+                scale = (1.0 / np.sqrt(np.maximum(den, THIN)))[:, None]
+                xs *= scale
+                ys *= scale
+            scores = np.abs(np.einsum("bj,bj->b", xs @ C, ys))
+            if formula != "unit":
+                scores /= np.maximum(den, THIN)
+            scores[~ok] = -1.0
+            i = int(np.argmax(scores))
+            if scores[i] > best:
+                # copies, so the winner does not keep its block's draws alive
+                best, bu, bv = float(scores[i]), xs[i].copy(), ys[i].copy()
     return best, bu, bv
 
 
@@ -305,17 +297,19 @@ def norm_bruteforce(
     Samples `budget` pairs per idempotent component (each component from its
     own RNG substream, so component results do not depend on the other
     component's data), rejects pairs whose 2-norm component is zero or a zero
-    divisor, then polishes the best pair by coordinatewise hill climbing.
-    The result is a lower estimate of the true norm.  `formula` selects the
-    quotient form ("quotient") or the unit-normalized form ("unit"); the two
-    agree in the limit.
+    divisor, then polishes the best pair by alternating ascent: u <- Cv/|Cv|,
+    v <- C'u/|C'u| until a step gains at most ROUND relative, or for at most
+    `climb_steps` steps, with no SVD or eig of C.  The result is a lower
+    estimate of the true norm.  `formula` selects the quotient form
+    ("quotient") or the unit-normalized form ("unit"); the two agree in the
+    limit.
 
     The two components are sampled at once: the second on a worker thread,
     the first on the calling thread (numpy releases the GIL while it fills
     and scores the blocks of `_sample_component`).  They share no buffers,
-    and a worker's exception is re-raised here.  The climbs then run one
-    after the other on the calling thread.  The values and witnesses are
-    bit for bit those of sampling each component serially in one fill.
+    and a worker's exception is re-raised here.  The polishes then run one
+    after the other on the calling thread.  The sampled values and witnesses
+    are bit for bit those of sampling each component serially in one fill.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

@@ -82,6 +82,31 @@ class TestNorm:
         assert {"spectral", "brute_force", "brute_force_unit", "gap", "checks"} <= set(report)
         assert report["checks"]["bounded_at_spectral"] is True
 
+    @pytest.mark.parametrize("seed", [4, 67])
+    def test_formulas_agree_at_n8(self, capsys, tmp_path, seed):
+        # a polish that stops 1e-4 short of sigma fails sup_formulas_agree here
+        path = tmp_path / "f8.json"
+        assert main(["gen", "--seed", str(seed), "--n", "8", "--out", str(path)]) == 0
+        code, out, _ = run_cli(capsys, "norm", str(path))
+        assert code == 0 and json.loads(out)["checks"]["sup_formulas_agree"] is True
+
+    @pytest.mark.parametrize("name", ["seed1_n3.json", "seed1_n8.json"])
+    def test_spectral_value_0_1pct_low_is_caught(self, capsys, monkeypatch, name):
+        # the brute-force route never reads norm_spectral, so it climbs past a
+        # spectral value that is 0.1% low
+        import hyp2.cli
+        from hyp2 import NormCertificate
+
+        spectral = hyp2.cli.norm_spectral
+
+        def low_spectral(f):
+            cert = spectral(f)
+            return NormCertificate(0.999 * cert.value, cert.witness, cert.method)
+
+        monkeypatch.setattr(hyp2.cli, "norm_spectral", low_spectral)
+        code, out, _ = run_cli(capsys, "norm", str(Path(__file__).parent / "golden" / name))
+        assert code == 1 and json.loads(out)["checks"]["brute_not_above_spectral"] is False
+
     def test_corrupted_instance_exit_2(self, capsys, instance_path, tmp_path):
         blob = json.loads(instance_path.read_text())
         blob["functional"]["C1"][0][1] += 1e-6

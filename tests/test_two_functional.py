@@ -352,6 +352,34 @@ class TestBruteforceKernel:
                 assert got / a == pytest.approx(value, rel=rel)
 
 
+class TestPolish:
+    @pytest.mark.parametrize("budget", [2000, 20000])
+    @pytest.mark.parametrize("formula", ["quotient", "unit"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_reaches_sigma_max(self, n, formula, budget):
+        # whatever pair the sampler found, the ascent ends at sigma_max
+        for k in range(3):
+            f = DBilinear2Functional.random(n, 500 + 10 * n + k)
+            cert = norm_bruteforce(f, budget=budget, seed=k, formula=formula)
+            for value, C in zip((cert.value.p, cert.value.q), f.C):
+                sigma = np.linalg.norm(C, 2)
+                assert value == pytest.approx(sigma, rel=1e-10, abs=0.0)
+                assert value <= sigma * (1.0 + 1e-12)
+
+    def test_uses_no_svd_or_eig(self, monkeypatch):
+        # C enters the polish through products only, so its route stays
+        # independent of norm_spectral's SVD
+        def banned(*args, **kwargs):
+            raise AssertionError("the polish factored C")
+
+        for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, banned)
+        f = DBilinear2Functional.random(6, 31)
+        for C in f.C:
+            u, v = np.eye(6)[0], np.eye(6)[1]
+            assert tf._climb_component(C, u, v, 100)[0] > 0.0
+
+
 class TestBoundedness:
     def test_spectral_bound_holds(self):
         f = DBilinear2Functional.random(3, 17)
