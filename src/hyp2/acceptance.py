@@ -1,14 +1,19 @@
 """Desk-scale acceptance suite shared by the test module and `hyp2 selftest`.
 
-Each criterion is a standalone callable returning a CriterionResult; run_all
-executes them in order.  Budgets, sample counts and tolerances are the
-contract and are deliberately hard-coded as defaults.
+A criterion is one declaration: `@_criterion(name, budget=...)` over a body
+that takes no arguments and returns `(ok, detail)`.  The name is the one the
+suite prints and `run_all(only)` filters on.  The runner times the body and
+fails a budgeted criterion whose wall-clock runtime is not under its budget;
+the declared callable returns a CriterionResult, and ALL maps each printed
+name to its callable in declaration order.  Budgets, sample counts, seeds
+and tolerances are the contract and are deliberately hard-coded.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from functools import wraps
+from time import perf_counter
 
 import numpy as np
 
@@ -54,15 +59,38 @@ class CriterionResult:
         return f"[{status}] {self.name} ({self.runtime:.2f}s{budget}) {keys}"
 
 
+#: Every declared criterion by printed name, in the order the suite runs them.
+ALL = {}
+
+
+def _criterion(name: str, budget: float | None = None):
+    """Declare a criterion printed as `name`, gated on `budget` seconds if given."""
+
+    def declare(body):
+        @wraps(body)
+        def run() -> CriterionResult:
+            start = perf_counter()
+            ok, detail = body()
+            runtime = perf_counter() - start
+            passed = ok and (budget is None or runtime < budget)
+            return CriterionResult(name, passed, runtime, budget, detail)
+
+        ALL[name] = run
+        return run
+
+    return declare
+
+
 def _rand_scalar(rng) -> Hyperbolic:
     return Hyperbolic(*rng.standard_normal(2))
 
 
-def criterion_ring_order(pairs: int = 10_000, seed: int = 0) -> CriterionResult:
+@_criterion("ring-and-order-suite", budget=5.0)
+def criterion_ring_order():
     """Ring axioms, conjugation laws, modulus laws and lattice properties
     on random scalar pairs, each to 1e-12, in under 5 seconds."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    pairs = 10_000
+    rng = np.random.default_rng(0)
     tol = 1e-12
     worst = 0.0
     lattice_ok = True
@@ -101,81 +129,59 @@ def criterion_ring_order(pairs: int = 10_000, seed: int = 0) -> CriterionResult:
         lattice_ok = lattice_ok and s_up.leq(bound)
         shaved = Hyperbolic(s_up.p - 1e-6, s_up.q)
         lattice_ok = lattice_ok and not all(v.leq(shaved) for v in (x, y, z))
-    runtime = time.perf_counter() - start
-    passed = worst <= tol and order_ok and lattice_ok and runtime < 5.0
-    return CriterionResult(
-        "ring-and-order-suite",
-        passed,
-        runtime,
-        budget=5.0,
-        detail={"worst_violation": worst, "pairs": float(pairs)},
-    )
+    ok = worst <= tol and order_ok and lattice_ok
+    return ok, {"worst_violation": worst, "pairs": float(pairs)}
 
 
-def criterion_two_norm_axioms(samples: int = 1000, seed: int = 0) -> CriterionResult:
+@_criterion("two-norm-axiom-suite")
+def criterion_two_norm_axioms():
     """Area lift passes all four 2-norm axioms at 1e-9 for n in {2,3,4};
     the corrupted fixture must fail the subadditivity axiom."""
-    start = time.perf_counter()
     tol = 1e-9
     worst = 0.0
     for n in (2, 3, 4):
-        report = axiom_check(D2Norm(), n, samples=samples, rng=seed + n)
+        report = axiom_check(D2Norm(), n, samples=1000, rng=n)
         worst = max(worst, *report.worst.values())
     broken = D2Norm(GramDet2Norm(), BrokenTriangle2Norm())
-    broken_report = axiom_check(broken, 3, samples=max(100, samples // 4), rng=seed)
-    broken_iv = broken_report.worst["iv"]
-    runtime = time.perf_counter() - start
-    passed = worst <= tol and broken_iv > tol
-    return CriterionResult(
-        "two-norm-axiom-suite",
-        passed,
-        runtime,
-        detail={"worst_violation": worst, "broken_fixture_iv": broken_iv},
-    )
+    broken_iv = axiom_check(broken, 3, samples=250, rng=0).worst["iv"]
+    return worst <= tol and broken_iv > tol, {
+        "worst_violation": worst, "broken_fixture_iv": broken_iv
+    }
 
 
-def criterion_decomposition(samples: int = 1000, seed: int = 0) -> CriterionResult:
+@_criterion("decomposition-identity")
+def criterion_decomposition():
     """Coordinate-split reconstruction of the lifted 2-norm at 1e-12, with
     the off-component coordinate vanishing exactly on pure pairs."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     norm = D2Norm()
     n = 3
-    phi, psi = decompose(norm, n, rng=seed)
+    phi, psi = decompose(norm, n, rng=0)
     worst = 0.0
     exact_zero = True
-    for _ in range(samples):
+    for _ in range(1000):
         x = DVector.from_components(rng.standard_normal(n), rng.standard_normal(n))
         y = DVector.from_components(rng.standard_normal(n), rng.standard_normal(n))
         rebuilt = Hyperbolic(phi(x.e1_part(), y.e1_part()), psi(x.e2_part(), y.e2_part()))
         worst = max(worst, (rebuilt - norm(x, y)).max_abs())
         exact_zero = exact_zero and psi(x.e1_part(), y.e1_part()) == 0.0
-    runtime = time.perf_counter() - start
-    passed = worst <= 1e-12 and exact_zero
-    return CriterionResult(
-        "decomposition-identity",
-        passed,
-        runtime,
-        detail={"worst_violation": worst},
-    )
+    return worst <= 1e-12 and exact_zero, {"worst_violation": worst}
 
 
-def criterion_functional_norms(
-    count: int = 200, budget: int = 100_000, seed: int = 0
-) -> CriterionResult:
+@_criterion("functional-norm-equivalence", budget=30.0)
+def criterion_functional_norms():
     """Brute-force norm within 2% below the spectral value and never above
     it by more than 1e-9; the two supremum formulas agree; under 30 s."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst_below = 0.0  # largest relative shortfall of the brute-force value
     worst_above = 0.0  # largest absolute excess over the spectral value
     worst_formula_gap = 0.0
-    for i in range(count):
+    for i in range(200):
         n = int(rng.integers(2, 5))
         f = DBilinear2Functional.random(n, int(rng.integers(0, 2**31)))
         spectral = norm_spectral(f)
-        quot = norm_bruteforce(f, budget=budget, seed=seed * 1000 + i, formula="quotient")
-        unit = norm_bruteforce(f, budget=budget, seed=seed * 1000 + i, formula="unit")
+        quot = norm_bruteforce(f, budget=100_000, seed=i, formula="quotient")
+        unit = norm_bruteforce(f, budget=100_000, seed=i, formula="unit")
         for s_val, b_val, u_val in (
             (spectral.value.p, quot.value.p, unit.value.p),
             (spectral.value.q, quot.value.q, unit.value.q),
@@ -184,33 +190,21 @@ def criterion_functional_norms(
             scale = max(s_val, 1e-12)
             worst_below = max(worst_below, (s_val - b_val) / scale)
             worst_formula_gap = max(worst_formula_gap, abs(b_val - u_val) / (1.0 + s_val))
-    runtime = time.perf_counter() - start
-    passed = (
-        worst_below <= 0.02
-        and worst_above <= 1e-9
-        and worst_formula_gap <= 1e-4
-        and runtime < 30.0
-    )
-    return CriterionResult(
-        "functional-norm-equivalence",
-        passed,
-        runtime,
-        budget=30.0,
-        detail={
-            "worst_rel_shortfall": worst_below,
-            "worst_excess": worst_above,
-            "worst_formula_gap": worst_formula_gap,
-        },
-    )
+    ok = worst_below <= 0.02 and worst_above <= 1e-9 and worst_formula_gap <= 1e-4
+    return ok, {
+        "worst_rel_shortfall": worst_below,
+        "worst_excess": worst_above,
+        "worst_formula_gap": worst_formula_gap,
+    }
 
 
-def criterion_k_decomposition(samples: int = 1000, seed: int = 0) -> CriterionResult:
+@_criterion("k-decomposition-identities")
+def criterion_k_decomposition():
     """Real/k-part identities f = phi + k*psi, f = phi(x,y) + k*phi(kx,y)
     and f = phi(x,y) + k*phi(x,ky) at 1e-12 on random (f, x, y)."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(1000):
         n = int(rng.integers(2, 5))
         f = DBilinear2Functional.random(n, int(rng.integers(0, 2**31)))
         phi, psi = f.k_parts()
@@ -226,13 +220,7 @@ def criterion_k_decomposition(samples: int = 1000, seed: int = 0) -> CriterionRe
         )
         worst = max(worst, abs(phi(K * x, y) - psi(x, y)))
         worst = max(worst, abs(psi(K * x, y) - phi(x, y)))
-    runtime = time.perf_counter() - start
-    return CriterionResult(
-        "k-decomposition-identities",
-        worst <= 1e-12,
-        runtime,
-        detail={"worst_violation": worst},
-    )
+    return worst <= 1e-12, {"worst_violation": worst}
 
 
 def _random_problem(rng, degenerate: bool) -> ExtensionProblem:
@@ -246,23 +234,23 @@ def _random_problem(rng, degenerate: bool) -> ExtensionProblem:
     return ExtensionProblem(n, M, z, f)
 
 
-def criterion_extension_engine(count: int = 100, seed: int = 0) -> CriterionResult:
+@_criterion("extension-engine", budget=60.0)
+def criterion_extension_engine():
     """Full extensions on random problems: restriction agreement at 1e-10,
     norm preservation at 1e-5 relative per component, every audit passes
     (among its checks, every step's r is the independently recomputed gap
     point), and the dense-grid oracle confirms the gap endpoints at 1e-4 for
     component dimensions <= 2.  Under 60 s."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst_restr = 0.0
     worst_norm_rel = 0.0
     audits_passed = True
     worst_oracle = 0.0
     oracle_runs = 0
-    for i in range(count):
+    for i in range(100):
         problem = _random_problem(rng, degenerate=(i % 4 == 3))
         trace = full_extend(problem)
-        audit = trace.audit(samples=1000, seed=seed * 100 + i)
+        audit = trace.audit(samples=1000, seed=i)
         worst_restr = max(worst_restr, audit["restriction_max_err"])
         worst_norm_rel = max(worst_norm_rel, *audit["norm_rel_err"])
         audits_passed = audits_passed and audit["passed"]
@@ -277,27 +265,19 @@ def criterion_extension_engine(count: int = 100, seed: int = 0) -> CriterionResu
                 (gm - m).max_abs(),
             )
             oracle_runs += 1
-    runtime = time.perf_counter() - start
-    passed = (
+    ok = (
         worst_restr <= 1e-10
         and worst_norm_rel <= 1e-5
         and audits_passed
         and worst_oracle <= 1e-4
         and oracle_runs > 0
-        and runtime < 60.0
     )
-    return CriterionResult(
-        "extension-engine",
-        passed,
-        runtime,
-        budget=60.0,
-        detail={
-            "worst_restriction_err": worst_restr,
-            "worst_norm_rel_err": worst_norm_rel,
-            "worst_oracle_gap": worst_oracle,
-            "oracle_runs": float(oracle_runs),
-        },
-    )
+    return ok, {
+        "worst_restriction_err": worst_restr,
+        "worst_norm_rel_err": worst_norm_rel,
+        "worst_oracle_gap": worst_oracle,
+        "oracle_runs": float(oracle_runs),
+    }
 
 
 def corollary_case_table(f0, x0: DVector, y0: DVector, norm: D2Norm, rng) -> list[dict]:
@@ -318,7 +298,7 @@ def corollary_case_table(f0, x0: DVector, y0: DVector, norm: D2Norm, rng) -> lis
     ]
     rows = []
     for name, alpha, beta, expect in patterns:
-        lhs = f0.evaluate(alpha * x0, beta * y0, check_domain=False).modulus()
+        lhs = f0.evaluate(alpha * x0, beta * y0).modulus()
         rhs = norm(alpha * x0, beta * y0)
         bound = np.array([rhs.p, rhs.q])
         gap = np.array([lhs.p, lhs.q]) - bound
@@ -335,17 +315,17 @@ def corollary_case_table(f0, x0: DVector, y0: DVector, norm: D2Norm, rng) -> lis
     return rows
 
 
-def criterion_corollary(count: int = 50, seed: int = 0) -> CriterionResult:
+@_criterion("norm-attaining-corollary")
+def criterion_corollary():
     """Attaining functionals: norm exactly one (1e-9), value agreement at
     1e-10, and the four zero-pattern cases of the bound."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     norm = D2Norm()
     worst_norm = 0.0
     worst_value = 0.0
     cases_ok = True
     done = 0
-    while done < count:
+    while done < 50:
         n = int(rng.integers(2, 5))
         x0 = DVector.from_components(rng.standard_normal(n), rng.standard_normal(n))
         y0 = DVector.from_components(rng.standard_normal(n), rng.standard_normal(n))
@@ -364,25 +344,19 @@ def criterion_corollary(count: int = 50, seed: int = 0) -> CriterionResult:
         worst_value = max(worst_value, (trace.final.evaluate(x0, y0) - target).max_abs())
         for row in corollary_case_table(f0, x0, y0, norm, rng):
             cases_ok = cases_ok and row["bounded"] and row["matched"]
-    runtime = time.perf_counter() - start
-    passed = worst_norm <= 1e-9 and worst_value <= 1e-10 and cases_ok
-    return CriterionResult(
-        "norm-attaining-corollary",
-        passed,
-        runtime,
-        detail={"worst_norm_err": worst_norm, "worst_value_err": worst_value},
-    )
+    ok = worst_norm <= 1e-9 and worst_value <= 1e-10 and cases_ok
+    return ok, {"worst_norm_err": worst_norm, "worst_value_err": worst_value}
 
 
-def criterion_componentwise_decoupling(trials: int = 40, seed: int = 0) -> CriterionResult:
+@_criterion("componentwise-decoupling")
+def criterion_componentwise_decoupling():
     """Metamorphic decoupling: duplicating one component's data into both
     slots and re-running reproduces that component of every D-level result
     (2-norms, functional norms, gap endpoints, full extensions) to 1e-12."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     norm = D2Norm()
     worst = 0.0
-    for i in range(trials):
+    for i in range(40):
         n = int(rng.integers(2, 5))
         x = DVector.from_components(rng.standard_normal(n), rng.standard_normal(n))
         y = DVector.from_components(rng.standard_normal(n), rng.standard_normal(n))
@@ -421,32 +395,9 @@ def criterion_componentwise_decoupling(trials: int = 40, seed: int = 0) -> Crite
             worst = max(worst, abs(m0.p - d0.p), abs(m.p - dm.p))
         worst = max(worst, float(np.max(np.abs(tr.final.w1 - tr_dup.final.w1), initial=0.0)))
         worst = max(worst, abs(tr.norm_F.p - tr_dup.norm_F.p))
-    runtime = time.perf_counter() - start
-    return CriterionResult(
-        "componentwise-decoupling",
-        worst <= 1e-12,
-        runtime,
-        detail={"worst_violation": worst},
-    )
-
-
-ALL = [
-    criterion_ring_order,
-    criterion_two_norm_axioms,
-    criterion_decomposition,
-    criterion_functional_norms,
-    criterion_k_decomposition,
-    criterion_extension_engine,
-    criterion_corollary,
-    criterion_componentwise_decoupling,
-]
+    return worst <= 1e-12, {"worst_violation": worst}
 
 
 def run_all(only: str | None = None) -> list[CriterionResult]:
-    results = []
-    for fn in ALL:
-        name = fn.__name__.removeprefix("criterion_").replace("_", "-")
-        if only and only not in name:
-            continue
-        results.append(fn())
-    return results
+    """Run every criterion whose printed name contains `only` (all if None)."""
+    return [run() for name, run in ALL.items() if not only or only in name]

@@ -120,20 +120,13 @@ def cmd_gen(args) -> int:
         k1, k2 = int(rng.integers(0, n)), int(rng.integers(0, n))
     if not (0 <= k1 <= n and 0 <= k2 <= n):
         raise InstanceError(f"component dims must lie in [0, {n}], got ({k1}, {k2})")
-    basis1 = rng.standard_normal((k1, n))
-    basis2 = rng.standard_normal((k2, n))
+    M = DSubmodule(n, rng.standard_normal((k1, n)), rng.standard_normal((k2, n)))
     z1 = rng.standard_normal(n)
-    z2 = np.zeros(n) if args.degenerate_z else rng.standard_normal(n)
+    z = DVector.from_components(z1, np.zeros(n) if args.degenerate_z else rng.standard_normal(n))
     a1 = rng.standard_normal((n, n))
     a2 = rng.standard_normal((n, n))
-    instance = {
-        "n": n,
-        "seed": args.seed,
-        "M": DSubmodule(n, basis1, basis2).to_json(),
-        "z": DVector.from_components(z1, z2).to_json(),
-        "functional": DBilinear2Functional((a1 - a1.T) / 2.0, (a2 - a2.T) / 2.0).to_json(),
-        "norm": {"kind": "gramdet"},
-    }
+    f = DBilinear2Functional((a1 - a1.T) / 2.0, (a2 - a2.T) / 2.0)
+    instance = ExtensionProblem(n, M, z, f).to_json() | {"seed": args.seed}
     text = json.dumps(instance, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tol import ROUND, SPAN, THIN, negligible, null, within
-from .dmodule import DSubmodule, DVector, _dependent_pair, _dimension, _dot, _orthonormal_rows
+from .dmodule import DSubmodule, DVector, _dependent_pair, _dot, _orthonormal_rows
 from .hyperbolic import Hyperbolic
 from .two_functional import DBilinear2Functional
 from .two_norm import D2Norm, wedge_area_batch
@@ -123,11 +123,12 @@ class RestrictedFunctional:
         nw = np.sqrt(_dot(self.w, self.w))
         return Hyperbolic(*np.divide(nw, nz, out=np.zeros(2), where=~null(nz)))
 
-    def evaluate(self, x: DVector, y: DVector, check_domain: bool = True) -> Hyperbolic:
-        """Value at (x, y) with x in M and y = alpha z in [z]; rejects y
-        whose residual off the line of z is not negligible beside ||y||.  A
-        component where z vanishes admits only y = 0 there, with alpha = 0."""
-        if check_domain and not self.domain.contains(x):
+    def evaluate(self, x: DVector, y: DVector) -> Hyperbolic:
+        """Value at (x, y) with x in M and y = alpha z in [z]; rejects x
+        outside M, and y whose residual off the line of z is not negligible
+        beside ||y||.  A component where z vanishes admits only y = 0 there,
+        with alpha = 0."""
+        if not self.domain.contains(x):
             raise ValueError("first argument lies outside the domain submodule")
         z, yc = self.z.c, y.c
         nz2 = _dot(z, z)
@@ -201,21 +202,6 @@ class ExtensionProblem:
             "functional": self.functional.to_json(),
             "norm": {"kind": "gramdet"},
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExtensionProblem":
-        norm = obj.get("norm", {})
-        if not isinstance(norm, dict):
-            raise ValueError(f"the norm field must be an object, got {norm!r}")
-        kind = norm.get("kind", "gramdet")
-        if kind != "gramdet":
-            raise ValueError(f"unsupported 2-norm kind {kind!r}")
-        return cls(
-            _dimension(obj["n"]),
-            DSubmodule.from_json(obj["M"]),
-            DVector.from_json(obj["z"]),
-            DBilinear2Functional.from_json(obj["functional"]),
-        )
 
 
 @dataclass

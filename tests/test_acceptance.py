@@ -5,6 +5,8 @@ runs exactly the same checks; here each one is asserted at its stated
 tolerance and budget.
 """
 
+from itertools import count
+
 from hyp2 import acceptance
 
 
@@ -45,3 +47,14 @@ def test_criterion_7_norm_attaining_corollary():
 
 def test_criterion_8_componentwise_decoupling():
     _run(acceptance.criterion_componentwise_decoupling)
+
+
+def test_runner_fails_a_criterion_over_its_budget(monkeypatch):
+    # a clock that advances 5 s per read: the body's checks pass, its runtime
+    # equals the 5 s budget, and the runner's wall-clock gate fails it
+    clock = count(0.0, 5.0)
+    monkeypatch.setattr(acceptance, "perf_counter", lambda: next(clock))
+    result = acceptance.criterion_ring_order()
+    assert (result.runtime, result.budget) == (5.0, 5.0)
+    assert result.detail["worst_violation"] <= 1e-12
+    assert result.passed is False

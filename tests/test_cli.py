@@ -237,6 +237,14 @@ def _set_norm_list(blob):
     blob["norm"] = []
 
 
+def _set_norm_null(blob):
+    blob["norm"] = None
+
+
+def _set_norm_exotic(blob):
+    blob["norm"] = {"kind": "exotic"}
+
+
 def _unchanged(blob):
     pass
 
@@ -248,7 +256,9 @@ _CORRUPTIONS = (
     # a "norm" field that is not an object is malformed input, not a crash
     + [(command, corrupt, "norm field")
        for command in ("extend", "norm", "check-axioms")
-       for corrupt in (_set_norm_string, _set_norm_list)]
+       for corrupt in (_set_norm_string, _set_norm_list, _set_norm_null)]
+    + [(command, _set_norm_exotic, "2-norm kind")
+       for command in ("extend", "norm", "check-axioms")]
     # a dimension must be a JSON integer and a basis a list of length-n rows
     + [(command, corrupt, "JSON integer")
        for command in ("extend", "norm", "check-axioms")
@@ -351,6 +361,17 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest", "--only", "ring")
         assert code == 0
         assert "[PASS] ring-and-order-suite" in out
+
+    @pytest.mark.parametrize(
+        "name",
+        ["decomposition-identity", "two-norm-axiom-suite", "k-decomposition-identities",
+         "norm-attaining-corollary", "componentwise-decoupling"],
+    )
+    def test_printed_name_selects_that_criterion(self, capsys, name):
+        code, out, _ = run_cli(capsys, "selftest", "--only", name)
+        verdict, summary = out.splitlines()
+        assert code == 0 and summary == "1/1 criteria passed"
+        assert verdict.startswith(f"[PASS] {name} (")
 
     def test_unknown_filter_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "selftest", "--only", "no-such-criterion")
