@@ -10,15 +10,16 @@ independent norm computations are provided: the spectral value (exact, by
 SVD) and a randomized supremum search polished by alternating ascent, which
 uses C only through products (a lower estimate that converges).
 
-The search samples each component from its own RNG substream.  It draws
-`xs` per chunk and `ys` in cache-sized blocks, samples the two components on
-two threads at once, and polishes them one after the other on the calling
-thread.  Neither the blocks nor the threads change a bit of its samples.
+The search samples each component from its own RNG substream.  One fill of
+a + b rows, a and b near sqrt(budget), gives an a x b grid of pairs, and the
+first `budget` cells are scored by two small matrix products, one row block
+at a time.  Both components are sampled and polished on the calling thread;
+no thread is started.
 """
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,11 +28,7 @@ import numpy as np
 from ._tol import ROUND, SPAN, THIN, negligible, null, within
 from .dmodule import DimensionMismatch, DVector
 from .hyperbolic import Hyperbolic, _as_scalar
-from .two_norm import D2Norm, _split_draws, _stack_evaluator, wedge_area_batch
-
-#: Rows of `ys` that `norm_bruteforce` draws and scores at a time; a block
-#: and its temporaries stay in cache.
-_BLOCK = 8192
+from .two_norm import _WEDGE_CELLS, D2Norm, _split_draws, _stack_evaluator, wedge_area_batch
 
 
 class Method(Enum):
@@ -243,45 +240,45 @@ def _sample_component(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Best of `budget` sampled pairs of one component, before the climb.
 
-    Per chunk of up to 131072 pairs, all `xs` are drawn and normalised at
-    once, then `ys` is drawn and scored in blocks of `_BLOCK` rows paired with
-    the matching rows of `xs`.  Generator fills consume the stream in order,
-    so the blocks are exactly the rows of one `(m, n)` fill after `xs`, and
-    every score is computed row by row as on the whole chunk.  The first pair
-    of largest score wins.
+    One `(a + b, n)` fill, a = ceil(sqrt(budget)) and b = ceil(budget / a),
+    normalised by rows: the first a rows are `xs`, the other b are `ys`, and
+    cell (i, j) of the a x b grid is the pair (xs[i], ys[j]).  The first
+    `budget` cells in row-major order are scored, from `xs @ ys.T` and
+    `(xs @ C) @ ys.T`, in row blocks of at most _WEDGE_CELLS cells, so no
+    temporary exceeds 128 KiB, glibc's default mmap threshold, and the heap
+    reuses them.  The first cell of largest score wins.
     """
     n = C.shape[0]
+    a = math.isqrt(budget - 1) + 1
+    b = -(-budget // a)
+    rows = rng.standard_normal((a + b, n))
+    rows *= (1.0 / np.sqrt(np.einsum("bi,bi->b", rows, rows)))[:, None]
+    xs, ys = rows[:a], rows[a:]
+    xcs = xs @ C
     best, bu, bv = 0.0, np.eye(n)[0], np.eye(n)[min(1, n - 1)]
-    chunk = 131072
-    done = 0
-    while done < budget:
-        m = min(chunk, budget - done)
-        done += m
-        xs_all = rng.standard_normal((m, n))
-        xs_all *= (1.0 / np.sqrt(np.einsum("bi,bi->b", xs_all, xs_all)))[:, None]
-        for start in range(0, m, _BLOCK):
-            ys = rng.standard_normal((min(_BLOCK, m - start), n))
-            xs = xs_all[start : start + len(ys)]
-            ys *= (1.0 / np.sqrt(np.einsum("bi,bi->b", ys, ys)))[:, None]
-            # unit rows: area^2 = 1 - <u,v>^2; fine here because thin pairs are
-            # rejected outright and the winner is re-measured by the climb
-            dots = np.einsum("bi,bi->b", xs, ys)
-            den = np.sqrt(np.maximum(1.0 - dots * dots, 0.0))
-            ok = den > THIN
+    step = max(1, _WEDGE_CELLS // b)
+    for s in range(0, a, step):
+        # unit rows: area^2 = 1 - <x,y>^2; fine here because thin pairs are
+        # rejected outright and the winner is re-measured by the climb
+        dots = xs[s : s + step] @ ys.T
+        den = np.sqrt(np.maximum(1.0 - dots * dots, 0.0))
+        scores = np.abs(xcs[s : s + step] @ ys.T)
+        if formula == "unit":
+            # |f| at the pair rescaled by 1/sqrt(area), which has unit area
+            scale = 1.0 / np.sqrt(np.maximum(den, THIN))
+            scores *= scale
+            scores *= scale
+        else:
+            scores /= np.maximum(den, THIN)
+        scores[den <= THIN] = -1.0
+        # cells past the budget; (a - 1) * b < budget, so each row has one
+        scores.reshape(-1)[budget - s * b :] = -1.0
+        k = int(np.argmax(scores))
+        if scores.flat[k] > best:
+            i, j = divmod(k, b)
+            best, bu, bv = float(scores.flat[k]), xs[s + i], ys[j]
             if formula == "unit":
-                # rescale each pair to unit area, in place (each row of xs_all is
-                # scored once), then take |f| directly
-                scale = (1.0 / np.sqrt(np.maximum(den, THIN)))[:, None]
-                xs *= scale
-                ys *= scale
-            scores = np.abs(np.einsum("bj,bj->b", xs @ C, ys))
-            if formula != "unit":
-                scores /= np.maximum(den, THIN)
-            scores[~ok] = -1.0
-            i = int(np.argmax(scores))
-            if scores[i] > best:
-                # copies, so the winner does not keep its block's draws alive
-                best, bu, bv = float(scores[i]), xs[i].copy(), ys[i].copy()
+                bu, bv = bu * scale[i, j], bv * scale[i, j]
     return best, bu, bv
 
 
@@ -290,52 +287,35 @@ def norm_bruteforce(
     budget: int = 20000,
     seed: int = 0,
     formula: str = "quotient",
-    climb_steps: int = 100,
+    climb_steps: int = 1000,
 ) -> NormCertificate:
     """Sampled supremum of |f(x,y)|_k over pairs with invertible 2-norm.
 
-    Samples `budget` pairs per idempotent component (each component from its
-    own RNG substream, so component results do not depend on the other
-    component's data), rejects pairs whose 2-norm component is zero or a zero
-    divisor, then polishes the best pair by alternating ascent: u <- Cv/|Cv|,
-    v <- C'u/|C'u| until a step gains at most ROUND relative, or for at most
-    `climb_steps` steps, with no SVD or eig of C.  The result is a lower
-    estimate of the true norm.  `formula` selects the quotient form
-    ("quotient") or the unit-normalized form ("unit"); the two agree in the
-    limit.
+    Scores `budget` pairs per idempotent component, rejects pairs whose
+    2-norm component is zero or a zero divisor, then polishes the best pair
+    by alternating ascent: u <- Cv/|Cv|, v <- C'u/|C'u| until a step gains at
+    most ROUND relative, or for at most `climb_steps` steps, with no SVD or
+    eig of C.  The result is a lower estimate of the true norm.  `formula`
+    selects the quotient form ("quotient") or the unit-normalized form
+    ("unit"); the two agree in the limit.
 
-    The two components are sampled at once: the second on a worker thread,
-    the first on the calling thread (numpy releases the GIL while it fills
-    and scores the blocks of `_sample_component`).  They share no buffers,
-    and a worker's exception is re-raised here.  The polishes then run one
-    after the other on the calling thread.  The sampled values and witnesses
-    are bit for bit those of sampling each component serially in one fill.
+    Draws: component c fills one `(a + b, n)` standard-normal block from its
+    own substream `default_rng([seed, c, tag])`, tag 0 for "quotient" and 1
+    for "unit", with a = ceil(sqrt(budget)) and b = ceil(budget / a); the
+    scored pairs are the first `budget` cells of the grid of its first a
+    rows against its other b (`_sample_component`).  So a component's result
+    never depends on the other component's data.  Both components are
+    sampled and polished one after the other on the calling thread.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if formula not in ("quotient", "unit"):
         raise ValueError(f"unknown formula {formula!r}")
     tag = 0 if formula == "quotient" else 1
-    sampled: list = [None, None]
-
-    def sample(comp: int) -> None:
-        rng = np.random.default_rng([seed, comp, tag])
-        try:
-            sampled[comp] = _sample_component(f.C[comp], budget, rng, formula)
-        except BaseException as exc:  # re-raised on the calling thread
-            sampled[comp] = exc
-
-    worker = threading.Thread(target=sample, args=(1,), name="hyp2-norm_bruteforce")
-    worker.start()
-    try:
-        sample(0)
-    finally:
-        worker.join()
     results = []
-    for C, found in zip(f.C, sampled):
-        if isinstance(found, BaseException):
-            raise found
-        best, bu, bv = found
+    for comp, C in enumerate(f.C):
+        rng = np.random.default_rng([seed, comp, tag])
+        best, bu, bv = _sample_component(C, budget, rng, formula)
         if climb_steps > 0:
             best, bu, bv = _climb_component(C, bu, bv, climb_steps)
         results.append((best, bu, bv))
