@@ -36,14 +36,12 @@ from .two_norm import (
     GramDet2Norm,
     axiom_check,
     decompose,
-    sequence_converges,
 )
 from .two_functional import (
     BoundednessReport,
     DBilinear2Functional,
     Method,
     NormCertificate,
-    certificate_gap,
     is_bounded_check,
     norm_bruteforce,
     norm_spectral,
@@ -53,12 +51,10 @@ from .hahn_banach import (
     ExtensionProblem,
     ExtensionStep,
     ExtensionTrace,
-    OptimizationFailure,
     RestrictedFunctional,
     ZeroDivisorInput,
     corollary_functional,
     full_extend,
-    gap_interval,
     gap_interval_grid,
 )
 
@@ -87,12 +83,10 @@ __all__ = [
     "GramDet2Norm",
     "axiom_check",
     "decompose",
-    "sequence_converges",
     "BoundednessReport",
     "DBilinear2Functional",
     "Method",
     "NormCertificate",
-    "certificate_gap",
     "is_bounded_check",
     "norm_bruteforce",
     "norm_spectral",
@@ -100,11 +94,9 @@ __all__ = [
     "ExtensionProblem",
     "ExtensionStep",
     "ExtensionTrace",
-    "OptimizationFailure",
     "RestrictedFunctional",
     "ZeroDivisorInput",
     "corollary_functional",
     "full_extend",
-    "gap_interval",
     "gap_interval_grid",
 ]

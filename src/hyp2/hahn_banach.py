@@ -18,15 +18,14 @@ preserved exactly when xi = 0, i.e. for the single value r = <w, x'>.  The
 gap interval [m0, m] of admissible values collapses to that point here (the
 quotient unit ball of the area 2-norm is strictly convex), and the moment w
 never changes: every step, and so the whole extension, only enlarges the
-domain.  gap_interval returns the point in closed form and every extension
-step takes its r from the same formula, so full_extend only finds the
-standard basis vectors each component misses.  gap_interval_grid bounds the
-endpoints by direct optimization of the defining sup/inf objectives and
-serves as an independent cross-check.  The audit reads
-the printed matrices C_F of F: it checks each step's r and F's moment
-against the gap point and moment recomputed by SVD from the problem's raw
-data, and F's norm ||P C_F z|| / ||z|| (P projects onto z-perp) against
-the reported |F|.
+domain.  Every extension step takes that point as its r, so full_extend
+only finds the standard basis vectors each component misses.
+gap_interval_grid bounds the endpoints by direct optimization of the
+defining sup/inf objectives, an independent cross-check of the printed r.
+The audit reads the printed matrices C_F of F: it checks each step's r and
+F's moment against the gap point and moment recomputed by SVD from the
+problem's raw data, and F's norm ||P C_F z|| / ||z|| (P projects onto
+z-perp) against the reported |F|.
 
 Storage.  Vectors, matrices and moments are (2, ...) component stacks, so
 each D-level step below is one array call over the leading axis.  What
@@ -55,10 +54,6 @@ from .two_norm import D2Norm, wedge_area_batch
 
 #: The audit's relative tolerance for F against f on M x [z], r and F's moment.
 RESTRICTION_TOL = 1e-10
-
-
-class OptimizationFailure(RuntimeError):
-    """A verified bracket or a sanity invariant failed during extension."""
 
 
 class DependentPair(ValueError):
@@ -207,37 +202,20 @@ class ExtensionProblem:
 @dataclass
 class ExtensionStep:
     """One generator adjunction: the chosen value r = g(x', z) and the
-    components whose domain grew.  r is the gap point, so the bracket
-    [m0, m] of the JSON form is [r, r]."""
+    components whose domain grew.  r is the gap point <w, x'>, the whole gap
+    interval [m0, m] for the area 2-norm, so it is printed once."""
 
     x_prime: DVector
     r: Hyperbolic
     grew: tuple[bool, bool]
 
     def to_json(self) -> dict:
-        r = self.r.to_json()
-        return {
-            "x_prime": self.x_prime.to_json(), "m0": r, "m": r, "r": r, "grew": list(self.grew)
-        }
+        return {"x_prime": self.x_prime.to_json(), "r": self.r.to_json(), "grew": list(self.grew)}
 
 
 def _gap_point(rf: RestrictedFunctional, x_prime: DVector) -> Hyperbolic:
     """<w, x'> per component: the single norm-preserving value of g(x', z)."""
     return Hyperbolic(*_dot(rf.w, x_prime.c))
-
-
-def gap_interval(problem: ExtensionProblem, x_prime: DVector) -> tuple[Hyperbolic, Hyperbolic]:
-    """The bracket [m0, m] of norm-preserving extension values for x_prime.
-
-    m is the infimum over x in M of |f| * gram(x + x', z) - f(x, z) and m0
-    the matching supremum.  For the area 2-norm both equal the closed form
-    <w, x'> (see the module docstring), which is returned twice.  Raises
-    OptimizationFailure when that point is not finite.
-    """
-    pt = _gap_point(problem.restriction(), x_prime)
-    if not (np.isfinite(pt.p) and np.isfinite(pt.q)):
-        raise OptimizationFailure(f"gap endpoints are not finite: {[pt.p, pt.q]}")
-    return pt, pt
 
 
 @dataclass
@@ -451,7 +429,11 @@ def full_extend(problem: ExtensionProblem) -> ExtensionTrace:
     appended.  The continued rows are bit for bit those of Gram-Schmidt over
     that basis, so the domain takes them as they are, and each step's domain
     is spanned by their leading rows.  Every z takes this path: where z
-    vanishes the moment is 0, and so is every r there.
+    vanishes the moment is 0, and so is every r there.  The final domain is
+    always full: with fewer than n rows kept, sum_i ||P_perp e_i||^2 = n -
+    rank >= 1 would leave some e_i a residual of at least 1/sqrt(n), at
+    least as large when e_i was processed and so far above the SPAN cut at
+    which it is dropped.
     """
     n = problem.n
     rf, M, eye = problem.restriction(), problem.M, np.eye(n)
@@ -465,8 +447,6 @@ def full_extend(problem: ExtensionProblem) -> ExtensionTrace:
         steps.append(ExtensionStep(xp, _gap_point(rf, xp), (bool(need[0, i]), bool(need[1, i]))))
     bases = [np.vstack([b, eye[nd]]) for b, nd in zip((M.basis1, M.basis2), need)]
     domain = DSubmodule._of(n, bases, (q1, q2))
-    if not domain.is_full():
-        raise OptimizationFailure("extension finished without exhausting the module")
     final = RestrictedFunctional(domain, rf.z, *rf.w)
     return ExtensionTrace(problem, steps, final=final, norm_f=rf.norm(), norm_F=final.norm())
 

@@ -101,17 +101,6 @@ class DBilinear2Functional:
 
     __rmul__ = __mul__
 
-    def component_forms(self):
-        """The two real bilinear forms (f1, f2) on real vector pairs."""
-
-        def f1(u: np.ndarray, v: np.ndarray) -> float:
-            return float(np.asarray(u, dtype=float) @ self.C1 @ np.asarray(v, dtype=float))
-
-        def f2(u: np.ndarray, v: np.ndarray) -> float:
-            return float(np.asarray(u, dtype=float) @ self.C2 @ np.asarray(v, dtype=float))
-
-        return f1, f2
-
     def k_parts(self):
         """Real and k-part (phi, psi) of the evaluation: f = phi + k*psi.
 
@@ -388,8 +377,3 @@ def is_bounded_check(
             DVector.from_components(ys[0, i], ys[1, i]),
         )
     return BoundednessReport(ok=ok, max_excess=worst, witness=witness)
-
-
-def certificate_gap(spectral: NormCertificate, brute: NormCertificate) -> Hyperbolic:
-    """Componentwise gap spectral - brute (nonnegative up to float error)."""
-    return spectral.value - brute.value

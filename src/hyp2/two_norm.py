@@ -1,4 +1,4 @@
-"""Real 2-norms, their hyperbolic-valued lift on D^n, and convergence tests.
+"""Real 2-norms and their hyperbolic-valued lift on D^n.
 
 A real 2-norm measures the parallelogram spanned by two vectors; the shipped
 instance is the Euclidean area (Gram-determinant) 2-norm.  Two real 2-norms
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -270,32 +270,3 @@ def axiom_check(
 
     worst = {"i": worst_i, "ii": worst_ii, "iii": worst_iii, "iv": worst_iv}
     return AxiomReport(n=n, samples=samples, worst=worst)
-
-
-def sequence_converges(
-    norm: D2Norm,
-    seq: Sequence[DVector],
-    x0: DVector,
-    probes: Sequence[DVector],
-    tol: float = 1e-8,
-) -> bool:
-    """Tail test for convergence in the hyperbolic-valued 2-norm.
-
-    True iff over the last quarter of the sequence both coordinates of
-    norm(x_k - x0, y) stay below tol for every probe direction y.  This is
-    equivalent to coordinatewise convergence of the two real component
-    sequences.
-    """
-    if not probes:
-        raise ValueError("at least one probe direction is required")
-    seq = list(seq)
-    if not seq:
-        return False
-    window = max(1, len(seq) // 4)
-    for x in seq[-window:]:
-        diff = x - x0
-        for y in probes:
-            v = norm(diff, y)
-            if max(v.p, v.q) >= tol:
-                return False
-    return True

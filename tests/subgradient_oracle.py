@@ -1,6 +1,7 @@
 """The subgradient gap oracle: a second, independent bound of the gap endpoints.
 
-It cross-checks `hyp2.gap_interval` in the tests only; the grid oracle
+It cross-checks the closed-form gap point <w, x'>, the r that every
+extension step prints, in the tests only; the grid oracle
 `gap_interval_grid` is the one the acceptance suite runs.  It shares the
 per-component gap data and objective with the grid oracle.
 """

@@ -16,7 +16,6 @@ from hyp2 import (
     ZeroDivisorInput,
     corollary_functional,
     full_extend,
-    gap_interval,
     gap_interval_grid,
 )
 import hyp2.hahn_banach as hb
@@ -144,12 +143,12 @@ class TestGapInterval:
             DBilinear2Functional.random(n, 50),
         )
         xp = rand_dvec(rng, n)
-        m0, m = gap_interval(problem, xp)
+        r = hb._gap_point(problem.restriction(), xp)
         nf = problem.norm_f()
         lo = -1.0 * nf * NORM(xp, problem.z)
         hi = nf * NORM(xp, problem.z)
-        assert (m0 - lo).max_abs() <= 1e-12
-        assert (m - hi).max_abs() <= 1e-12
+        assert (r - lo).max_abs() <= 1e-12
+        assert (r - hi).max_abs() <= 1e-12
 
     def test_pairwise_inequality(self):
         # -|f| |y+x',z| - f(y,z) <=' |f| |x+x',z| - f(x,z) over samples
@@ -169,16 +168,15 @@ class TestGapInterval:
         rng = np.random.default_rng(7)
         problem = random_problem(rng, n=3, dims=(1, 2))
         xp = outside_vector(rng, problem.M)
-        m0, m = gap_interval(problem, xp)
+        r = hb._gap_point(problem.restriction(), xp)
         nf = problem.norm_f()
         f = problem.functional
-        assert m0.leq(m)
         for _ in range(300):
             x = problem.M.random_element(rng)
             upper = nf * NORM(x + xp, problem.z) - f(x, problem.z)
             lower = -1.0 * nf * NORM(x + xp, problem.z) - f(x, problem.z)
-            assert m.leq(upper + Hyperbolic(1e-9, 1e-9))
-            assert (lower - Hyperbolic(1e-9, 1e-9)).leq(m0)
+            assert r.leq(upper + Hyperbolic(1e-9, 1e-9))
+            assert (lower - Hyperbolic(1e-9, 1e-9)).leq(r)
 
     def test_forced_value_inside_the_domain(self):
         # x' already in M: the only admissible value is f(x', z)
@@ -188,32 +186,32 @@ class TestGapInterval:
             n, DSubmodule.full(n), rand_dvec(rng, n), DBilinear2Functional.random(n, 60)
         )
         xp = rand_dvec(rng, n)
-        m0, m = gap_interval(problem, xp)
+        r = hb._gap_point(problem.restriction(), xp)
         want = problem.functional(xp, problem.z)
-        assert (m0 - want).max_abs() <= 1e-10 and (m - want).max_abs() <= 1e-10
+        assert (r - want).max_abs() <= 1e-10
 
     def test_grid_oracle_agreement_small_dims(self):
         rng = np.random.default_rng(8)
         for dims in ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2)):
             problem = random_problem(rng, n=3, dims=dims)
             xp = outside_vector(rng, problem.M)
-            m0, m = gap_interval(problem, xp)
+            r = hb._gap_point(problem.restriction(), xp)
             g0, gm = gap_interval_grid(problem, xp)
-            assert (g0 - m0).max_abs() <= 1e-4
-            assert (gm - m).max_abs() <= 1e-4
+            assert (g0 - r).max_abs() <= 1e-4
+            assert (gm - r).max_abs() <= 1e-4
 
     def test_subgradient_outer_bracket(self):
         rng = np.random.default_rng(9)
         for trial in range(5):
             problem = random_problem(rng, n=3)
             xp = outside_vector(rng, problem.M)
-            m0, m = gap_interval(problem, xp)
+            r = hb._gap_point(problem.restriction(), xp)
             s0, sm = gap_interval_subgradient(problem, xp, seed=trial)
             slack = Hyperbolic(1e-9, 1e-9)
-            assert (s0 - slack).leq(m0)
-            assert m.leq(sm + slack)
+            assert (s0 - slack).leq(r)
+            assert r.leq(sm + slack)
             # and the estimate is not vacuous
-            assert (sm - s0).max_abs() <= 2.0 * (1.0 + m.max_abs())
+            assert (sm - s0).max_abs() <= 2.0 * (1.0 + r.max_abs())
 
 
 class TestZeroDivisorZ:
@@ -380,15 +378,59 @@ class TestFullExtend:
             k1, k2 = domain.dims
             assert np.array_equal(domain.q1, q1[:k1]) and np.array_equal(domain.q2, q2[:k2])
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 8),
+        dims=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+        kind=st.sampled_from(["random", "near_dependent", "near_axis"]),
+        k=st.integers(-150, 150),
+    )
+    def test_ends_on_the_full_module(self, seed, n, dims, kind, k):
+        # the final domain is always D^n, with one step for each e_i that
+        # some component misses: component c grows n - dim_c times
+        rng = np.random.default_rng(seed)
+        bases = []
+        for dim in (min(d, n) for d in dims):
+            basis = rng.standard_normal((dim, n))
+            if kind == "near_dependent" and dim >= 2:
+                # the last row is a combination of the others, off by 1e-6 .. 1e-13
+                basis[-1] = rng.standard_normal(dim - 1) @ basis[:-1]
+                basis[-1] += 10.0 ** -rng.uniform(6.0, 13.0) * rng.standard_normal(n)
+            elif kind == "near_axis":
+                basis = np.eye(n)[rng.choice(n, size=dim, replace=False)]
+                basis = basis + 1e-10 * rng.standard_normal((dim, n))
+            basis *= 10.0**k
+            try:
+                DSubmodule(n, basis, basis)
+            except ValueError:
+                # dependent within the span tolerance: M is the other rows
+                assert kind == "near_dependent"
+                basis = basis[:-1]
+            bases.append(basis)
+        M = DSubmodule(n, *bases)
+        problem = ExtensionProblem(n, M, rand_dvec(rng, n), DBilinear2Functional.random(n, seed))
+        trace = full_extend(problem)
+        assert trace.final.domain.is_full()
+        assert trace.growth_counts() == (n - M.dims[0], n - M.dims[1])
+        axes = []
+        for step in trace.steps:
+            assert any(step.grew)
+            (i,) = np.flatnonzero(step.x_prime.c.any(axis=0))
+            axes.append(i)
+            want = np.where(np.array(step.grew)[:, None], np.eye(n)[i], 0.0)
+            assert np.array_equal(step.x_prime.c, want)
+        assert axes == sorted(set(axes))
+
     def test_trace_json_shape(self):
         rng = np.random.default_rng(22)
         problem = random_problem(rng, n=2, dims=(1, 0))
         trace = full_extend(problem)
         blob = trace.to_json()
         assert "steps" in blob and "final" in blob
+        assert blob["steps"]
         for step in blob["steps"]:
-            assert {"x_prime", "m0", "m", "r"} <= set(step)
-            assert step["m0"] == step["m"] == step["r"]
+            assert set(step) == {"x_prime", "r", "grew"}
         assert {"F", "norm_f", "norm_F"} <= set(blob["final"])
 
 

@@ -14,7 +14,6 @@ from hyp2 import (
     axiom_check,
     decompose,
     linear_dependent,
-    sequence_converges,
 )
 from hyp2.acceptance import BrokenTriangle2Norm
 from hyp2.two_norm import wedge_area
@@ -185,35 +184,6 @@ class TestAxiomCheck:
         data = report.to_json(1e-9)
         assert set("i ii iii iv".split()) <= set(data)
         assert data["passed"] is True
-
-
-class TestConvergence:
-    def setup_method(self):
-        self.norm = D2Norm()
-        self.n = 3
-        rng = np.random.default_rng(9)
-        self.x0 = rand_dvec(rng, self.n)
-        self.probes = [rand_dvec(rng, self.n) for _ in range(4)]
-
-    def test_constant_sequence(self):
-        seq = [self.x0] * 20
-        assert sequence_converges(self.norm, seq, self.x0, self.probes, tol=1e-8)
-
-    def test_one_over_n_sequence(self):
-        rng = np.random.default_rng(10)
-        v = rand_dvec(rng, self.n)
-        seq = [self.x0 + Hyperbolic.from_real(1.0 / k) * v for k in range(1, 2001)]
-        assert sequence_converges(self.norm, seq, self.x0, self.probes, tol=1e-2)
-
-    def test_alternating_sequence_diverges(self):
-        rng = np.random.default_rng(11)
-        v = rand_dvec(rng, self.n)
-        seq = [self.x0 + (v if k % 2 else -v) for k in range(40)]
-        assert not sequence_converges(self.norm, seq, self.x0, self.probes, tol=1e-3)
-
-    def test_requires_probes(self):
-        with pytest.raises(ValueError):
-            sequence_converges(self.norm, [self.x0], self.x0, [], tol=1e-8)
 
 
 def reference_axiom_check(norm_fn, n: int, samples: int, rng) -> dict:
