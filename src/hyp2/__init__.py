@@ -40,7 +40,6 @@ from .two_norm import (
 from .two_functional import (
     BoundednessReport,
     DBilinear2Functional,
-    Method,
     NormCertificate,
     is_bounded_check,
     norm_bruteforce,
@@ -55,7 +54,6 @@ from .hahn_banach import (
     ZeroDivisorInput,
     corollary_functional,
     full_extend,
-    gap_interval_grid,
 )
 
 __version__ = "0.1.0"
@@ -85,7 +83,6 @@ __all__ = [
     "decompose",
     "BoundednessReport",
     "DBilinear2Functional",
-    "Method",
     "NormCertificate",
     "is_bounded_check",
     "norm_bruteforce",
@@ -98,5 +95,4 @@ __all__ = [
     "ZeroDivisorInput",
     "corollary_functional",
     "full_extend",
-    "gap_interval_grid",
 ]

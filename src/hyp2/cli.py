@@ -22,7 +22,9 @@ import numpy as np
 from . import acceptance
 from ._tol import within
 from .dmodule import DSubmodule, DVector, _dimension
-from .hahn_banach import ExtensionProblem, _exact_norm, corollary_functional, full_extend
+from .hahn_banach import (
+    NORM_REL_TOL, ExtensionProblem, _exact_norm, corollary_functional, full_extend
+)
 from .hyperbolic import Hyperbolic
 from .two_functional import DBilinear2Functional, is_bounded_check, norm_bruteforce, norm_spectral
 from .two_norm import D2Norm, axiom_check
@@ -187,7 +189,8 @@ def cmd_extend(args) -> int:
     except (TypeError, ValueError) as exc:
         raise InstanceError(str(exc)) from exc
     trace = full_extend(problem)
-    audit = trace.audit(samples=args.samples, seed=args.seed, norm_rel_tol=_tol_arg(args, 1e-5))
+    tol = _tol_arg(args, NORM_REL_TOL)
+    audit = trace.audit(samples=args.samples, seed=args.seed, norm_rel_tol=tol)
     report = trace.to_json()
     if args.swap_domain:
         # present F back in the caller's [z] x M orientation

@@ -117,10 +117,6 @@ class DVector:
     def coords(self) -> list[Hyperbolic]:
         return [self[i] for i in range(self.n)]
 
-    def split(self) -> tuple[np.ndarray, np.ndarray]:
-        """The unique idempotent split (x1, x2); arrays are read-only."""
-        return self.c1, self.c2
-
     def e1_part(self) -> "DVector":
         return DVector.from_components(self.c1, np.zeros(self.n))
 
@@ -300,14 +296,11 @@ class DSubmodule:
     def is_full(self) -> bool:
         return self.dims == (self.n, self.n)
 
-    def component_q(self, comp: int) -> np.ndarray:
-        return self.q1 if comp == 0 else self.q2
-
     def component_contains(self, comp: int, v: np.ndarray) -> bool:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise DimensionMismatch(f"expected a vector of length {self.n}")
-        return _in_span(self.component_q(comp), v)
+        return _in_span(self.q1 if comp == 0 else self.q2, v)
 
     def contains(self, x: DVector) -> bool:
         if x.n != self.n:

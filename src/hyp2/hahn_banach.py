@@ -20,8 +20,9 @@ quotient unit ball of the area 2-norm is strictly convex), and the moment w
 never changes: every step, and so the whole extension, only enlarges the
 domain.  Every extension step takes that point as its r, so full_extend
 only finds the standard basis vectors each component misses.
-gap_interval_grid bounds the endpoints by direct optimization of the
-defining sup/inf objectives, an independent cross-check of the printed r.
+gap_interval_grid, the suite's oracle and not exported from hyp2, bounds
+the endpoints by direct optimization of the defining sup/inf objectives, an
+independent cross-check of the printed r.
 The audit reads the printed matrices C_F of F: it checks each step's r and
 F's moment against the gap point and moment recomputed by SVD from the
 problem's raw data, and F's norm ||P C_F z|| / ||z|| (P projects onto
@@ -54,6 +55,9 @@ from .two_norm import D2Norm, wedge_area_batch
 
 #: The audit's relative tolerance for F against f on M x [z], r and F's moment.
 RESTRICTION_TOL = 1e-10
+
+#: The audit's default relative tolerance for F's norm (`extend --tol`).
+NORM_REL_TOL = 1e-5
 
 
 class DependentPair(ValueError):
@@ -186,9 +190,6 @@ class ExtensionProblem:
             self._rf = RestrictedFunctional.from_matrices(self.M, self.z, self.functional)
         return self._rf
 
-    def norm_f(self) -> Hyperbolic:
-        return self.restriction().norm()
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -233,12 +234,7 @@ class ExtensionTrace:
         """Whether z is a zero divisor; it takes the same path as any z."""
         return self.problem.z.is_zero_divisor()
 
-    def growth_counts(self) -> tuple[int, int]:
-        g1 = sum(1 for s in self.steps if s.grew[0])
-        g2 = sum(1 for s in self.steps if s.grew[1])
-        return g1, g2
-
-    def audit(self, samples: int = 1000, seed: int = 0, norm_rel_tol: float = 1e-5) -> dict:
+    def audit(self, samples: int = 1000, seed: int = 0, norm_rel_tol: float = NORM_REL_TOL) -> dict:
         """Independent checks of F = final.as_functional(), the matrices
         that extend prints.
 
@@ -478,49 +474,47 @@ def corollary_functional(x0: DVector, y0: DVector) -> tuple[RestrictedFunctional
 # -- independent gap estimators ---------------------------------------------
 
 
-def _gap_setup(problem: ExtensionProblem, x_prime: DVector) -> list[tuple]:
-    """The gap data of each component: the orthonormal domain basis q, z,
-    x', the coefficients q C z of f(., z) in that basis, and |f|."""
-    cz = (problem.functional.C @ problem.z.c[:, :, None])[..., 0]
-    nf = problem.norm_f()
-    return [
-        (q, z, xp, q @ czc, nfc)
-        for q, z, xp, czc, nfc in zip(
-            (problem.M.q1, problem.M.q2), problem.z.c, x_prime.c, cz, (nf.p, nf.q)
-        )
-    ]
+def _gap_objectives(problem: ExtensionProblem, x_prime: DVector) -> list[tuple]:
+    """Per component, the two batched gap objectives and the domain dimension k.
 
-
-def _gap_objective(setup: tuple, sign: float):
-    """Batched objective |f|*gram(x +- x', z) sign f(x, z) in coefficients,
-    for one component's `_gap_setup` data.
-
-    sign=+1 yields the infimum objective for m; sign=-1 the inner objective
-    whose negated minimum is m0.  Coefficients parameterize the domain
-    component in its orthonormal basis.
+    An objective maps coefficient rows c of x = c q, q the domain
+    component's orthonormal basis, to |f| * gram(x + x', z) -+ f(x, z).  The
+    minimum of the first (- f) is m; the negated minimum of the second (+ f)
+    is m0.
     """
-    q, z, xp, cz_q, nf = setup
+    cz = (problem.functional.C @ problem.z.c[:, :, None])[..., 0]
+    norm_f = problem.restriction().norm()
 
-    def objective(coeffs: np.ndarray) -> np.ndarray:
-        coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        xs = coeffs @ q + xp
-        grams = wedge_area_batch(xs, np.broadcast_to(z, xs.shape))
-        return nf * grams - sign * (coeffs @ cz_q)
+    def objective(q, z, xp, cz_q, nf, sign):
+        def value(coeffs: np.ndarray) -> np.ndarray:
+            xs = coeffs @ q + xp
+            grams = wedge_area_batch(xs, np.broadcast_to(z, xs.shape))
+            return nf * grams - sign * (coeffs @ cz_q)
 
-    return objective, q.shape[0]
+        return value
+
+    out = []
+    for q, z, xp, czc, nf in zip(
+        (problem.M.q1, problem.M.q2), problem.z.c, x_prime.c, cz, (norm_f.p, norm_f.q)
+    ):
+        data = (q, z, xp, q @ czc, nf)
+        out.append((objective(*data, +1.0), objective(*data, -1.0), q.shape[0]))
+    return out
 
 
-def _radial_min(objective, dirs: np.ndarray, tau_hi: float, iters: int = 90) -> np.ndarray:
-    """Golden-section radial minimum per direction (convex along each ray)."""
+def _radial_min(objective, dirs: np.ndarray) -> np.ndarray:
+    """Golden-section radial minimum per direction (convex along each ray),
+    90 steps over radii up to 1e7, since the infimum may be approached only
+    along an escaping ray."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     m = dirs.shape[0]
     a = np.zeros(m)
-    b = np.full(m, tau_hi)
+    b = np.full(m, 1e7)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc = objective(dirs * c[:, None])
     fd = objective(dirs * d[:, None])
-    for _ in range(iters):
+    for _ in range(90):
         right = fc > fd
         a = np.where(right, c, a)
         b = np.where(right, b, d)
@@ -534,13 +528,12 @@ def _radial_min(objective, dirs: np.ndarray, tau_hi: float, iters: int = 90) -> 
     return np.minimum(vals, at_zero)
 
 
-def _grid_min(objective, k: int, tau_hi: float = 1e7) -> float:
+def _grid_min(objective, k: int) -> float:
     """Radial line searches along directions on S^(k-1), with zooming.
 
     Each round draws normalised standard-normal rows about a centre: first
     0 (uniform on the sphere), then the best direction so far at a smaller
-    spread.  Radii go up to tau_hi, since the infimum may be approached only
-    along an escaping ray.
+    spread.
     """
     best = float(objective(np.zeros((1, k)))[0])
     if k == 0:
@@ -551,7 +544,7 @@ def _grid_min(objective, k: int, tau_hi: float = 1e7) -> float:
         dirs = center + 0.05**j * rng.standard_normal((600 if j else 800, k))
         # normalised, and each direction once: for k = 1 the sphere is {-1, 1}
         dirs = np.unique(dirs / np.linalg.norm(dirs, axis=1, keepdims=True), axis=0)
-        vals = _radial_min(objective, dirs, tau_hi)
+        vals = _radial_min(objective, dirs)
         i = int(np.argmin(vals))
         if vals[i] < best:
             best, center = float(vals[i]), dirs[i]
@@ -560,14 +553,10 @@ def _grid_min(objective, k: int, tau_hi: float = 1e7) -> float:
     return best
 
 
-def gap_interval_grid(
-    problem: ExtensionProblem, x_prime: DVector, tau_hi: float = 1e7
-) -> tuple[Hyperbolic, Hyperbolic]:
+def gap_interval_grid(problem: ExtensionProblem, x_prime: DVector) -> tuple[Hyperbolic, Hyperbolic]:
     """Direction-search oracle for the gap endpoints (checked for dimensions <= 3)."""
     los, his = [], []
-    for setup in _gap_setup(problem, x_prime):
-        obj_m, k = _gap_objective(setup, +1.0)
-        obj_s, _ = _gap_objective(setup, -1.0)
-        his.append(_grid_min(obj_m, k, tau_hi))
-        los.append(-_grid_min(obj_s, k, tau_hi))
+    for obj_m, obj_m0, k in _gap_objectives(problem, x_prime):
+        his.append(_grid_min(obj_m, k))
+        los.append(-_grid_min(obj_m0, k))
     return Hyperbolic(los[0], los[1]), Hyperbolic(his[0], his[1])

@@ -239,7 +239,7 @@ class Hyperbolic:
             out = cls.from_cartesian(float(obj["a"]), float(obj["b"]))
         else:
             raise ValueError(f"scalar object needs p/q or a/b keys, got {sorted(obj)}")
-        if not isfinite(out):
+        if not (math.isfinite(out.p) and math.isfinite(out.q)):
             raise ValueError(f"scalar has a non-finite coordinate: {obj!r}")
         return out
 
@@ -265,7 +265,3 @@ def inf_d(values: Iterable[Hyperbolic]) -> Hyperbolic:
     if not values:
         raise EmptyCollection("inf_d of an empty collection")
     return Hyperbolic(min(v.p for v in values), min(v.q for v in values))
-
-
-def isfinite(z: Hyperbolic) -> bool:
-    return math.isfinite(z.p) and math.isfinite(z.q)

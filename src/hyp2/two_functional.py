@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -29,11 +28,6 @@ from ._tol import ROUND, SPAN, THIN, negligible, null, within
 from .dmodule import DimensionMismatch, DVector
 from .hyperbolic import Hyperbolic, _as_scalar
 from .two_norm import _WEDGE_CELLS, D2Norm, _split_draws, _stack_evaluator, wedge_area_batch
-
-
-class Method(Enum):
-    SPECTRAL = "spectral"
-    BRUTE_FORCE = "brute_force"
 
 
 def _as_antisymmetric(mat, n: int | None = None) -> np.ndarray:
@@ -91,8 +85,6 @@ class DBilinear2Functional:
             raise DimensionMismatch(f"functional on D^{self.n} applied to D^{x.n} x D^{y.n}")
         return Hyperbolic(*(x.c[:, None, :] @ self.C @ y.c[:, :, None])[:, 0, 0])
 
-    evaluate = __call__
-
     def __mul__(self, alpha) -> "DBilinear2Functional":
         alpha = _as_scalar(alpha)
         if alpha is None:
@@ -135,11 +127,12 @@ class DBilinear2Functional:
 
 @dataclass
 class NormCertificate:
-    """An operator-norm bound with the pair of vectors that (nearly) attains it."""
+    """An operator-norm bound with the pair of vectors that (nearly) attains it,
+    and the method that found it: "spectral" or "brute_force"."""
 
     value: Hyperbolic
     witness: tuple[DVector, DVector]
-    method: Method
+    method: str
 
     def to_json(self) -> dict:
         x, y = self.witness
@@ -147,7 +140,7 @@ class NormCertificate:
             "value": self.value.to_json(),
             "witness_x": x.to_json(),
             "witness_y": y.to_json(),
-            "method": self.method.value,
+            "method": self.method,
         }
 
 
@@ -167,7 +160,7 @@ def norm_spectral(f: DBilinear2Functional) -> NormCertificate:
     u = np.where(zero[:, None], eye[0], u_mat[:, :, 0])
     v = np.where(zero[:, None], eye[min(1, f.n - 1)], vh[:, 0, :])
     value = Hyperbolic(*np.where(zero, 0.0, sigma))
-    return NormCertificate(value, (DVector._of(u), DVector._of(v)), Method.SPECTRAL)
+    return NormCertificate(value, (DVector._of(u), DVector._of(v)), "spectral")
 
 
 def _component_ratios(C: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -310,7 +303,7 @@ def norm_bruteforce(
         results.append((best, bu, bv))
     (b1, u1, v1), (b2, u2, v2) = results
     witness = (DVector.from_components(u1, u2), DVector.from_components(v1, v2))
-    return NormCertificate(Hyperbolic(b1, b2), witness, Method.BRUTE_FORCE)
+    return NormCertificate(Hyperbolic(b1, b2), witness, "brute_force")
 
 
 @dataclass

@@ -135,19 +135,18 @@ def decompose(norm_fn, n: int, rng: np.random.Generator | int | None = None):
     (1 + |norm(e_1, e_2)|): the violations are absolute, so the bound
     follows the scale of the norm.
     """
-    norm_eval = norm_fn if callable(norm_fn) else norm_fn.evaluate
     e = [DVector.from_components(v, v) for v in np.eye(n)[:2]]
-    tol = 1e-9 * (1.0 + norm_eval(e[0], e[-1]).max_abs())
+    tol = 1e-9 * (1.0 + norm_fn(e[0], e[-1]).max_abs())
     report = axiom_check(norm_fn, n, samples=8, rng=rng)
     failed = [k for k, v in report.worst.items() if not v <= tol]
     if failed:
         raise AxiomViolation(f"the map fails 2-norm axioms {failed}: worst {report.worst}")
 
     def phi(x: DVector, y: DVector) -> float:
-        return norm_eval(x, y).p
+        return norm_fn(x, y).p
 
     def psi(x: DVector, y: DVector) -> float:
-        return norm_eval(x, y).q
+        return norm_fn(x, y).q
 
     return phi, psi
 
@@ -178,12 +177,11 @@ def _stack_evaluator(norm_fn) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     batch = getattr(norm_fn, "batch", None)
     if batch is not None:
         return batch
-    norm_eval = norm_fn if callable(norm_fn) else norm_fn.evaluate
 
     def rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         out = np.empty(xs.shape[:2])
         for i in range(xs.shape[1]):
-            v = norm_eval(
+            v = norm_fn(
                 DVector.from_components(xs[0, i], xs[1, i]),
                 DVector.from_components(ys[0, i], ys[1, i]),
             )

@@ -2,15 +2,16 @@
 
 It cross-checks the closed-form gap point <w, x'>, the r that every
 extension step prints, in the tests only; the grid oracle
-`gap_interval_grid` is the one the acceptance suite runs.  It shares the
-per-component gap data and objective with the grid oracle.
+`hyp2.hahn_banach.gap_interval_grid` is the one the acceptance suite runs.
+It reads the gap data off the problem itself and evaluates the objective by
+its own formula, so it shares only `_perp` with the engine.
 """
 
 import numpy as np
 
 from hyp2 import DVector, ExtensionProblem, Hyperbolic
 from hyp2._tol import null
-from hyp2.hahn_banach import _gap_objective, _gap_setup, _perp
+from hyp2.hahn_banach import _perp
 
 
 def gap_interval_subgradient(
@@ -29,16 +30,19 @@ def gap_interval_subgradient(
     [m0_hat, m_hat] contains the exact gap interval.
     """
     rng = np.random.default_rng(seed)
+    cz = (problem.functional.C @ problem.z.c[:, :, None])[..., 0]
+    norm_f = problem.restriction().norm()
     los, his = [], []
-    for setup in _gap_setup(problem, x_prime):
-        q, z, xp, cz_q, nf = setup
+    for q, z, xp, czc, nf in zip(
+        (problem.M.q1, problem.M.q2), problem.z.c, x_prime.c, cz, (norm_f.p, norm_f.q)
+    ):
+        cz_q = q @ czc
         nz = float(np.linalg.norm(z))
         k = q.shape[0]
 
         def minimize(sign: float) -> float:
             if k == 0:
-                obj, _ = _gap_objective(setup, sign)
-                return float(obj(np.zeros((1, 0)))[0])
+                return nf * float(np.linalg.norm(_perp(z, xp))) * nz
             best = np.inf
             spread = 1.0 + float(np.linalg.norm(xp))
             step0 = max(1.0, spread)

@@ -443,11 +443,11 @@ class TestScaledInstances:
         self, capsys, tmp_path, seed1_blob, monkeypatch
     ):
         import hyp2.cli
-        from hyp2 import Hyperbolic, Method, NormCertificate
+        from hyp2 import Hyperbolic, NormCertificate
 
         def zero_brute(f, **kwargs):
             u = hyp2.cli.DVector.zero(f.n)
-            return NormCertificate(Hyperbolic(0.0, 0.0), (u, u), Method.BRUTE_FORCE)
+            return NormCertificate(Hyperbolic(0.0, 0.0), (u, u), "brute_force")
 
         monkeypatch.setattr(hyp2.cli, "norm_bruteforce", zero_brute)
         path = _write(tmp_path, _scaled(seed1_blob, "F", 1e-12))

@@ -25,19 +25,19 @@ def dvec(c1, c2) -> DVector:
 class TestSplitJoin:
     def test_real_vector_has_equal_parts(self):
         x = DVector([Hyperbolic.from_real(1.0), Hyperbolic.from_real(-2.0)])
-        x1, x2 = x.split()
+        x1, x2 = x.c1, x.c2
         assert np.array_equal(x1, x2)
 
     def test_pure_e1_vector(self):
         x = E1 * dvec([1.0, 0.0], [1.0, 0.0])
-        x1, x2 = x.split()
+        x1, x2 = x.c1, x.c2
         assert np.array_equal(x1, [1.0, 0.0])
         assert np.array_equal(x2, [0.0, 0.0])
 
     @given(vec_arrays)
     def test_roundtrip(self, arr):
         x = dvec(arr, arr[::-1])
-        assert DVector.from_components(*x.split()) == x
+        assert DVector.from_components(x.c1, x.c2) == x
 
     def test_coords_view(self):
         x = dvec([1.0, 2.0], [3.0, 4.0])

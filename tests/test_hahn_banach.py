@@ -16,9 +16,9 @@ from hyp2 import (
     ZeroDivisorInput,
     corollary_functional,
     full_extend,
-    gap_interval_grid,
 )
 import hyp2.hahn_banach as hb
+from hyp2.hahn_banach import gap_interval_grid
 from hyp2._tol import THIN
 from subgradient_oracle import gap_interval_subgradient
 
@@ -144,7 +144,7 @@ class TestGapInterval:
         )
         xp = rand_dvec(rng, n)
         r = hb._gap_point(problem.restriction(), xp)
-        nf = problem.norm_f()
+        nf = problem.restriction().norm()
         lo = -1.0 * nf * NORM(xp, problem.z)
         hi = nf * NORM(xp, problem.z)
         assert (r - lo).max_abs() <= 1e-12
@@ -155,7 +155,7 @@ class TestGapInterval:
         rng = np.random.default_rng(6)
         problem = random_problem(rng, n=3, dims=(2, 2))
         xp = outside_vector(rng, problem.M)
-        nf = problem.norm_f()
+        nf = problem.restriction().norm()
         f = problem.functional
         for _ in range(300):
             x = problem.M.random_element(rng)
@@ -169,7 +169,7 @@ class TestGapInterval:
         problem = random_problem(rng, n=3, dims=(1, 2))
         xp = outside_vector(rng, problem.M)
         r = hb._gap_point(problem.restriction(), xp)
-        nf = problem.norm_f()
+        nf = problem.restriction().norm()
         f = problem.functional
         for _ in range(300):
             x = problem.M.random_element(rng)
@@ -306,7 +306,7 @@ class TestFullExtend:
         rng = np.random.default_rng(20)
         problem = random_problem(rng, n=3, dims=(1, 1))
         trace = full_extend(problem)
-        assert trace.growth_counts() == (2, 2)
+        assert [sum(s.grew[c] for s in trace.steps) for c in (0, 1)] == [2, 2]
 
     def test_random_instances_audit(self):
         rng = np.random.default_rng(21)
@@ -412,7 +412,7 @@ class TestFullExtend:
         problem = ExtensionProblem(n, M, rand_dvec(rng, n), DBilinear2Functional.random(n, seed))
         trace = full_extend(problem)
         assert trace.final.domain.is_full()
-        assert trace.growth_counts() == (n - M.dims[0], n - M.dims[1])
+        assert [M.dims[c] + sum(s.grew[c] for s in trace.steps) for c in (0, 1)] == [n, n]
         axes = []
         for step in trace.steps:
             assert any(step.grew)
@@ -554,7 +554,7 @@ def reference_audit(trace, samples: int, seed: int) -> dict:
     cols = [F(DVector.from_components(e, e), z) for e in np.eye(n)]
     cfz = np.array([[v.p for v in cols], [v.q for v in cols]])
     exact, moment_rel = [], []
-    for zc, v, w, C in zip(z.split(), cfz, prob.restriction().w, prob.functional.C):
+    for zc, v, w, C in zip(z.c, cfz, prob.restriction().w, prob.functional.C):
         nz2 = zc @ zc
         m = v - zc * ((zc @ v) / nz2) if nz2 > 0.0 else v
         exact.append(float(np.sqrt(m @ m) / np.sqrt(nz2)) if nz2 > 0.0 else 0.0)
@@ -567,7 +567,7 @@ def reference_audit(trace, samples: int, seed: int) -> dict:
     for x1, x2 in zip(*rows):
         x = DVector.from_components(x1, x2)
         val, gram = F(x, z).modulus(), NORM(x, z)
-        parts = zip((val.p, val.q), (gram.p, gram.q), (x1, x2), z.split())
+        parts = zip((val.p, val.q), (gram.p, gram.q), (x1, x2), z.c)
         for c, (v, g, xc, zc) in enumerate(parts):
             if g > THIN * np.linalg.norm(zc) * np.linalg.norm(xc):
                 sampled[c] = max(sampled[c], v / g)
@@ -670,7 +670,7 @@ class TestAuditBatched:
         # a final functional whose generator no longer spans the original
         # [z] in the surviving component prints matrices that disagree with
         # f on M x [z]
-        z1, z2 = trace.final.z.split()
+        z1, z2 = trace.final.z.c
         rotated = RestrictedFunctional(
             trace.final.domain, dvec(z1, np.roll(z2, 1)), trace.final.w1, trace.final.w2
         )

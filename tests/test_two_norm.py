@@ -193,7 +193,6 @@ def reference_axiom_check(norm_fn, n: int, samples: int, rng) -> dict:
     Hyperbolic/DVector objects; kept here as the oracle of the batched check.
     Returns the worst violation per axiom.
     """
-    norm_eval = norm_fn if callable(norm_fn) else norm_fn.evaluate
     rng = np.random.default_rng(rng)
     worst = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0}
 
@@ -213,21 +212,21 @@ def reference_axiom_check(norm_fn, n: int, samples: int, rng) -> dict:
         x, y, z = rand_vec(), rand_vec(), rand_vec()
         alpha = Hyperbolic(rng.standard_normal(), rng.standard_normal())
         for factor in (alpha, E1 * alpha, E2 * alpha):
-            v = norm_eval(x, factor * x)
+            v = norm_fn(x, factor * x)
             worst["i"] = max(worst["i"], v.max_abs())
         if not linear_dependent(x, y):
-            v = norm_eval(x, y)
+            v = norm_fn(x, y)
             worst["i"] = max(worst["i"], max(0.0, -min(v.p, v.q)))
-        worst["ii"] = max(worst["ii"], (norm_eval(x, y) - norm_eval(y, x)).max_abs())
-        base = norm_eval(x, y)
+        worst["ii"] = max(worst["ii"], (norm_fn(x, y) - norm_fn(y, x)).max_abs())
+        base = norm_fn(x, y)
         scalars = [Hyperbolic(rng.standard_normal(), rng.standard_normal())]
         scalars += corner_scalars
         for s in scalars:
-            diff = norm_eval(s * x, y) - s.modulus() * base
+            diff = norm_fn(s * x, y) - s.modulus() * base
             worst["iii"] = max(worst["iii"], diff.max_abs())
         triples = [(x, y, z), (x, x, z), (x, 2.0 * x, z), (x, 0.5 * x, y)]
         for xx, yy, zz in triples:
-            gap = norm_eval(xx + yy, zz) - norm_eval(xx, zz) - norm_eval(yy, zz)
+            gap = norm_fn(xx + yy, zz) - norm_fn(xx, zz) - norm_fn(yy, zz)
             worst["iv"] = max(worst["iv"], max(0.0, gap.p, gap.q))
     return worst
 
