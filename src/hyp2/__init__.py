@@ -33,7 +33,6 @@ from .two_norm import (
     AxiomReport,
     AxiomViolation,
     D2Norm,
-    GramDet2Norm,
     axiom_check,
     decompose,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "AxiomReport",
     "AxiomViolation",
     "D2Norm",
-    "GramDet2Norm",
     "axiom_check",
     "decompose",
     "BoundednessReport",

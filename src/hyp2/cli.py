@@ -6,7 +6,9 @@ exit code 0 means every configured check passed, 1 means a check failed, and
 2 means the input could not be parsed or validated.  The HYP2_TOL environment
 variable overrides a command's default tolerance (relative in norm and
 corollary); an explicit --tol wins over both.  A tolerance must be a finite
-number >= 0 and --samples at least 1; anything else exits 2.
+number >= 0, --samples at least 1, --seed at least 0, and each number in the
+instance fields a command reads a JSON number, not a string or a boolean;
+anything else exits 2.
 """
 
 from __future__ import annotations
@@ -70,6 +72,15 @@ def _load_json(path: str) -> dict:
         raise InstanceError(f"cannot read instance {path!r}: {exc}") from exc
 
 
+def _json_numbers(value, key: str) -> None:
+    """Raise unless every leaf of a field's lists and objects is a JSON number."""
+    if isinstance(value, (list, dict)):
+        for leaf in value.values() if isinstance(value, dict) else value:
+            _json_numbers(leaf, key)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} holds {json.dumps(value)}, which is not a JSON number")
+
+
 #: How each instance field is read.
 _READERS = dict(functional=DBilinear2Functional.from_json, M=DSubmodule.from_json,
                 **dict.fromkeys(("z", "x0", "y0"), DVector.from_json))
@@ -89,6 +100,7 @@ def _parse_instance(blob: dict, need: tuple[str, ...]) -> dict:
             raise ValueError(f"unsupported 2-norm kind {norm['kind']!r}")
         out = {"n": n, "norm": D2Norm()}
         for key in need:
+            _json_numbers(blob[key], key)
             out[key] = _READERS[key](blob[key])
             if out[key].n != n:
                 raise ValueError(f"{key} dimension differs from n")
@@ -123,8 +135,11 @@ def cmd_gen(args) -> int:
     instance = ExtensionProblem(n, M, z, f).to_json() | {"seed": args.seed}
     text = json.dumps(instance, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InstanceError(f"cannot write {args.out!r}: {exc}") from exc
     else:
         print(text)
     return 0
@@ -319,6 +334,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "samples", 1) < 1:
             raise InstanceError(f"--samples must be at least 1, got {args.samples}")
+        if getattr(args, "seed", 0) < 0:
+            raise InstanceError(f"--seed must be at least 0, got {args.seed}")
         return args.func(args)
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,16 @@
 """Real 2-norms and their hyperbolic-valued lift on D^n.
 
-A real 2-norm measures the parallelogram spanned by two vectors; the shipped
-instance is the Euclidean area (Gram-determinant) 2-norm.  Two real 2-norms
-lift to a hyperbolic-valued 2-norm on D^n by evaluating one per idempotent
-component, and conversely any hyperbolic-valued 2-norm decomposes into its
-two coordinate 2-norms.  axiom_check probes the four defining axioms on
-random samples plus adversarial corners and reports the worst violation per
-axiom.
+A real 2-norm measures the parallelogram spanned by two vectors.  In code it
+is a function of two (m, n) stacks of vectors that returns the (m,) values,
+row by row.  The shipped instance, wedge_area_batch, is the Euclidean area
+sqrt(|x|^2 |y|^2 - <x,y>^2), evaluated through the wedge coordinates
+sum_{i<j} (x_i y_j - x_j y_i)^2: the same value by the Lagrange identity, but
+free of the cancellation the direct formula suffers near dependent pairs.
+Two real 2-norms lift to a hyperbolic-valued 2-norm on D^n by evaluating one
+per idempotent component, and conversely any hyperbolic-valued 2-norm
+decomposes into its two coordinate 2-norms.  axiom_check probes the four
+defining axioms on random samples plus adversarial corners and reports the
+worst violation per axiom.
 
 Batches of D-vector pairs are held as (2, m, n) component stacks, one plane
 per idempotent component; D2Norm.batch maps a pair of stacks to the (2, m)
@@ -34,15 +38,6 @@ def _wedge_cols(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
-def wedge_area(x: np.ndarray, y: np.ndarray) -> float:
-    """Euclidean length of the wedge x ^ y (the spanned parallelogram area)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    iu, ju = _wedge_cols(x.shape[0])
-    w = x[iu] * y[ju] - x[ju] * y[iu]
-    return float(np.sqrt(w @ w))
-
-
 _WEDGE_CELLS = 16384  #: wedge cells per block: 128 KiB of float64 per temporary
 
 
@@ -68,60 +63,28 @@ def wedge_area_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-class GramDet2Norm:
-    """Euclidean area 2-norm: sqrt(|x|^2 |y|^2 - <x,y>^2).
-
-    Evaluated through the wedge coordinates sum_{i<j} (x_i y_j - x_j y_i)^2,
-    which is the same value by the Lagrange identity but free of the
-    cancellation the direct formula suffers near dependent pairs.
-    """
-
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> float:
-        return wedge_area(x, y)
-
-    batch = staticmethod(wedge_area_batch)
-
-    def __repr__(self) -> str:
-        return "GramDet2Norm()"
-
-
-#: Signature every real 2-norm evaluator follows.
-Real2Norm = Callable[[np.ndarray, np.ndarray], float]
-
-
-def _real_batch(norm: Real2Norm, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Row-wise values of a real 2-norm on (m, n) stacks: its `batch` if it
-    has one, else one call per row."""
-    batch = getattr(norm, "batch", None)
-    if batch is not None:
-        return batch(xs, ys)
-    return np.array([norm(x, y) for x, y in zip(xs, ys)], dtype=float)
-
-
 class D2Norm:
-    """Hyperbolic-valued 2-norm on D^n lifted from two real 2-norms."""
+    """Hyperbolic-valued 2-norm on D^n lifted from two real 2-norms, one per
+    idempotent component; a slot left as None is the area, wedge_area_batch."""
 
     __slots__ = ("norm1", "norm2")
 
-    def __init__(self, norm1: Real2Norm | None = None, norm2: Real2Norm | None = None):
-        self.norm1 = norm1 if norm1 is not None else GramDet2Norm()
-        self.norm2 = norm2 if norm2 is not None else GramDet2Norm()
+    def __init__(self, norm1: Callable | None = None, norm2: Callable | None = None):
+        # the module global is read here, not bound on the class, so a
+        # wrapper installed on wedge_area_batch sees every call
+        self.norm1 = norm1 if norm1 is not None else wedge_area_batch
+        self.norm2 = norm2 if norm2 is not None else wedge_area_batch
 
     def __call__(self, x: DVector, y: DVector) -> Hyperbolic:
         if x.n != y.n:
             raise DimensionMismatch(f"{x.n} != {y.n}")
-        return Hyperbolic(self.norm1(x.c1, y.c1), self.norm2(x.c2, y.c2))
+        return Hyperbolic(*self.batch(x.c[:, None], y.c[:, None])[:, 0])
 
     evaluate = __call__
 
     def batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Values on (2, m, n) component stacks of pairs, as a (2, m) array."""
-        return np.stack(
-            (_real_batch(self.norm1, xs[0], ys[0]), _real_batch(self.norm2, xs[1], ys[1]))
-        )
-
-    def __repr__(self) -> str:
-        return f"D2Norm({self.norm1!r}, {self.norm2!r})"
+        return np.stack((self.norm1(xs[0], ys[0]), self.norm2(xs[1], ys[1])))
 
 
 def decompose(norm_fn, n: int, rng: np.random.Generator | int | None = None):

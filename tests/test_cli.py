@@ -52,6 +52,15 @@ class TestGen:
         code, _, err = run_cli(capsys, "gen", "--n", "3", "--dims", "1,5")
         assert code == 2 and "dims" in err
 
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [(["--seed", "-1"], "--seed"), (["--out", "/nonexistent/x.json"], "cannot write")],
+    )
+    def test_bad_seed_or_out_exit_2_with_one_line(self, capsys, argv, needle):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
 
 class TestCheckAxioms:
     def test_passes_on_generated_instance(self, capsys, instance_path):
@@ -229,6 +238,18 @@ def _set_basis_3d(blob):
     blob["M"]["basis1"] = [blob["M"]["basis1"]]
 
 
+def _set_string_entry(blob):
+    blob["functional"]["C1"][0][1] = str(blob["functional"]["C1"][0][1])
+
+
+def _set_string_bool_scalar(blob):
+    blob["z"][0] = {"p": "0.5", "q": True}
+
+
+def _set_bool_basis(blob):
+    blob["M"]["basis1"] = [[True, False, "2"]]
+
+
 def _set_norm_string(blob):
     blob["norm"] = "gramdet"
 
@@ -264,6 +285,9 @@ _CORRUPTIONS = (
        for command in ("extend", "norm", "check-axioms")
        for corrupt in (_set_n_float, _set_n_string, _set_n_bool)]
     + [("extend", _set_m_n_float, "JSON integer"), ("extend", _set_basis_3d, "rows of length")]
+    # a string or a bool where a number belongs is not read as one
+    + [("extend", corrupt, "JSON number")
+       for corrupt in (_set_string_entry, _set_string_bool_scalar, _set_bool_basis)]
 )
 
 #: (command, argv after the instance, environment, needle): a bad flag or
@@ -281,6 +305,10 @@ _BAD_FLAGS = [
     ("norm", ["--tol", "-1"], {}, "--tol"),
     ("extend", ["--tol", "-1"], {}, "--tol"),
     ("check-axioms", ["--tol", "inf"], {}, "--tol"),
+    ("check-axioms", ["--seed", "-1"], {}, "--seed"),
+    ("norm", ["--seed", "-1"], {}, "--seed"),
+    ("extend", ["--seed", "-1"], {}, "--seed"),
+    ("corollary", ["--seed", "-1"], {}, "--seed"),
 ]
 
 
