@@ -98,7 +98,7 @@ def _parse_instance(blob: dict, need: tuple[str, ...]) -> dict:
             raise ValueError(f"the norm field must be an object, got {norm!r}")
         if norm.get("kind", "gramdet") != "gramdet":
             raise ValueError(f"unsupported 2-norm kind {norm['kind']!r}")
-        out = {"n": n, "norm": D2Norm()}
+        out = {"n": n}
         for key in need:
             _json_numbers(blob[key], key)
             out[key] = _READERS[key](blob[key])
@@ -151,7 +151,7 @@ def cmd_gen(args) -> int:
 def cmd_check_axioms(args) -> int:
     inst = _parse_instance(_load_json(args.instance), need=())
     tol = _tol_arg(args, 1e-9)
-    report = axiom_check(inst["norm"], inst["n"], samples=args.samples, rng=args.seed)
+    report = axiom_check(D2Norm(), inst["n"], samples=args.samples, rng=args.seed)
     _emit(report.to_json(tol))
     return 0 if report.passed(tol) else 1
 
@@ -162,12 +162,11 @@ def cmd_check_axioms(args) -> int:
 def cmd_norm(args) -> int:
     inst = _parse_instance(_load_json(args.instance), need=("functional",))
     f = inst["functional"]
-    norm = inst["norm"]
     tol = _tol_arg(args, 1e-9)
     spectral = norm_spectral(f)
     quot = norm_bruteforce(f, budget=args.samples, seed=args.seed, formula="quotient")
     unit = norm_bruteforce(f, budget=args.samples, seed=args.seed, formula="unit")
-    bounded = is_bounded_check(f, norm, spectral.value, samples=1000, seed=args.seed, tol=tol)
+    bounded = is_bounded_check(f, spectral.value, samples=1000, seed=args.seed, tol=tol)
     # per component, relative to the spectral value sigma
     sigma, brute = _pq(spectral.value), _pq(quot.value)
     checks = {
@@ -226,16 +225,16 @@ def cmd_extend(args) -> int:
 
 def cmd_corollary(args) -> int:
     inst = _parse_instance(_load_json(args.instance), need=("x0", "y0"))
-    x0, y0, norm = inst["x0"], inst["y0"], inst["norm"]
+    x0, y0 = inst["x0"], inst["y0"]
     tol = _tol_arg(args, 1e-9)
     try:
         f0, trace = corollary_functional(x0, y0)
     except ValueError as exc:
         raise InstanceError(str(exc)) from exc
-    target = norm(x0, y0)
+    target = D2Norm()(x0, y0)
     value = trace.final.evaluate(x0, y0)
     rng = np.random.default_rng(args.seed)
-    cases = acceptance.corollary_case_table(f0, x0, y0, norm, rng)
+    cases = acceptance.corollary_case_table(f0, x0, y0, rng)
     # the norm on X x [y0] of the matrices printed as "f"
     F = trace.final.as_functional()
     _, norm_F = _exact_norm((F.C @ y0.c[:, :, None])[..., 0], y0.c)

@@ -137,8 +137,6 @@ class RestrictedFunctional:
             raise ValueError("second argument lies outside the cyclic domain [z]")
         return Hyperbolic(*(alpha * _dot(self.w, x.c)))
 
-    __call__ = evaluate
-
     def as_functional(self) -> DBilinear2Functional:
         """A global antisymmetric-matrix functional restricting to this one.
 

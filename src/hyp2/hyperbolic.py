@@ -14,7 +14,7 @@ import numbers
 from enum import Enum
 from typing import Iterable
 
-from ._tol import ROUND, negligible, null
+from ._tol import negligible, null
 
 
 class NotInvertible(ZeroDivisionError):
@@ -172,9 +172,9 @@ class Hyperbolic:
     def is_invertible(self) -> bool:
         return not (self.is_zero() or self.is_zero_divisor())
 
-    def is_nonneg(self, tol: float = 0.0) -> bool:
-        """Membership in the nonnegative cone, both coordinates >= -tol."""
-        return self.p >= -tol and self.q >= -tol
+    def is_nonneg(self) -> bool:
+        """Membership in the nonnegative cone, both coordinates >= 0."""
+        return self.p >= 0.0 and self.q >= 0.0
 
     def is_real(self) -> bool:
         return negligible(self.p - self.q, self.max_abs())
@@ -204,15 +204,11 @@ class Hyperbolic:
     # -- misc --------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        """Coordinatewise equality within ROUND times the larger coordinate."""
         other = _as_scalar(other)
         if other is None:
             return NotImplemented
-        return self.isclose(other)
-
-    def isclose(self, other, tol: float = ROUND) -> bool:
-        """Coordinatewise equality within tol times the larger coordinate."""
-        other = _coerce(other)
-        return negligible((self - other).max_abs(), max(self.max_abs(), other.max_abs()), tol)
+        return negligible((self - other).max_abs(), max(self.max_abs(), other.max_abs()))
 
     def max_abs(self) -> float:
         return max(abs(self.p), abs(self.q))

@@ -12,9 +12,10 @@ uses C only through products (a lower estimate that converges).
 
 The search samples each component from its own RNG substream.  One fill of
 a + b rows, a and b near sqrt(budget), gives an a x b grid of pairs, and the
-first `budget` cells are scored by two small matrix products, one row block
-at a time.  Both components are sampled and polished on the calling thread;
-no thread is started.
+first `budget` cells are scored as |f| / area by two small matrix products,
+one row block at a time, on C * 2^-e with e the exponent of C's largest
+entry (exact).  Both components are sampled and polished on the calling
+thread; no thread is started.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from ._tol import ROUND, SPAN, THIN, negligible, null, within
 from .dmodule import DimensionMismatch, DVector
 from .hyperbolic import Hyperbolic, _as_scalar
-from .two_norm import _WEDGE_CELLS, D2Norm, _split_draws, _stack_evaluator, wedge_area_batch
+from .two_norm import _WEDGE_CELLS, D2Norm, _split_draws, wedge_area_batch
 
 
 def _as_antisymmetric(mat, n: int | None = None) -> np.ndarray:
@@ -185,22 +186,25 @@ def _plane_representative(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.
     return uu, w / nw
 
 
+_CLIMB_STEPS = 1000  #: the polish's step cap
+
+
 def _climb_component(
-    C: np.ndarray, u: np.ndarray, v: np.ndarray, steps: int
+    C: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Alternating ascent on orthonormal pairs: u <- Cv/|Cv|, then v <- C'u/|C'u|.
 
     With one slot fixed, each half-step is the exact maximiser of the ratio
     over the other, and it is orthogonal to the fixed slot (v'Cv = 0), so the
-    value |C'u| never falls.  A step that gains at most ROUND relative, or the
-    `steps`-th step, ends the ascent.  C enters through products only, never
+    value |C'u| never falls.  A step that gains at most ROUND relative, or
+    step _CLIMB_STEPS, ends the ascent.  C enters through products only, never
     an SVD or eig, so the polish stays independent of `norm_spectral`.  The
     value is re-measured at the orthonormal representative of the last plane:
     the printed value is a measured ratio at the printed witness.
     """
     u, v = _plane_representative(u, v)
     best = value = float(_component_ratios(C, u[None, :], v[None, :])[0])
-    for _ in range(steps):
+    for _ in range(_CLIMB_STEPS):
         cv = C @ v
         size = float(np.linalg.norm(cv))
         if null(size):  # C vanishes on v: no direction to climb
@@ -228,7 +232,8 @@ def _sample_component(
     `budget` cells in row-major order are scored, from `xs @ ys.T` and
     `(xs @ C) @ ys.T`, in row blocks of at most _WEDGE_CELLS cells, so no
     temporary exceeds 128 KiB, glibc's default mmap threshold, and the heap
-    reuses them.  The first cell of largest score wins.
+    reuses them.  A cell scores |f| / area; the first of largest score
+    wins, and for "unit" its pair is rescaled to unit area.
     """
     n = C.shape[0]
     a = math.isqrt(budget - 1) + 1
@@ -245,22 +250,15 @@ def _sample_component(
         dots = xs[s : s + step] @ ys.T
         den = np.sqrt(np.maximum(1.0 - dots * dots, 0.0))
         scores = np.abs(xcs[s : s + step] @ ys.T)
-        if formula == "unit":
-            # |f| at the pair rescaled by 1/sqrt(area), which has unit area
-            scale = 1.0 / np.sqrt(np.maximum(den, THIN))
-            scores *= scale
-            scores *= scale
-        else:
-            scores /= np.maximum(den, THIN)
+        scores /= np.maximum(den, THIN)
         scores[den <= THIN] = -1.0
         # cells past the budget; (a - 1) * b < budget, so each row has one
         scores.reshape(-1)[budget - s * b :] = -1.0
         k = int(np.argmax(scores))
         if scores.flat[k] > best:
             i, j = divmod(k, b)
-            best, bu, bv = float(scores.flat[k]), xs[s + i], ys[j]
-            if formula == "unit":
-                bu, bv = bu * scale[i, j], bv * scale[i, j]
+            scale = 1.0 / np.sqrt(den[i, j]) if formula == "unit" else 1.0
+            best, bu, bv = float(scores.flat[k]), xs[s + i] * scale, ys[j] * scale
     return best, bu, bv
 
 
@@ -269,17 +267,18 @@ def norm_bruteforce(
     budget: int = 20000,
     seed: int = 0,
     formula: str = "quotient",
-    climb_steps: int = 1000,
 ) -> NormCertificate:
     """Sampled supremum of |f(x,y)|_k over pairs with invertible 2-norm.
 
-    Scores `budget` pairs per idempotent component, rejects pairs whose
-    2-norm component is zero or a zero divisor, then polishes the best pair
-    by alternating ascent: u <- Cv/|Cv|, v <- C'u/|C'u| until a step gains at
-    most ROUND relative, or for at most `climb_steps` steps, with no SVD or
-    eig of C.  The result is a lower estimate of the true norm.  `formula`
-    selects the quotient form ("quotient") or the unit-normalized form
-    ("unit"); the two agree in the limit.
+    Scores `budget` pairs per idempotent component as |f| / area, rejects
+    pairs whose 2-norm component is zero or a zero divisor, then polishes
+    the best pair by alternating ascent: u <- Cv/|Cv|, v <- C'u/|C'u| until
+    a step gains at most ROUND relative, or for at most _CLIMB_STEPS steps,
+    with no SVD or eig of C.  The result is a lower estimate of the true
+    norm.  `formula`, "quotient" or "unit" (the supremum over unit-area
+    pairs, equal by homogeneity), picks the substream, and "unit" rescales
+    the sampled pair to unit area.  A component runs on C * 2^-e, e the
+    exponent of its largest entry, and its value is scaled back by 2^e.
 
     Draws: component c fills one `(a + b, n)` standard-normal block from its
     own substream `default_rng([seed, c, tag])`, tag 0 for "quotient" and 1
@@ -297,10 +296,11 @@ def norm_bruteforce(
     results = []
     for comp, C in enumerate(f.C):
         rng = np.random.default_rng([seed, comp, tag])
-        best, bu, bv = _sample_component(C, budget, rng, formula)
-        if climb_steps > 0:
-            best, bu, bv = _climb_component(C, bu, bv, climb_steps)
-        results.append((best, bu, bv))
+        e = int(np.frexp(np.max(np.abs(C), initial=0.0))[1])
+        C = np.ldexp(C, -e)
+        _, bu, bv = _sample_component(C, budget, rng, formula)
+        best, bu, bv = _climb_component(C, bu, bv)
+        results.append((float(np.ldexp(best, e)), bu, bv))
     (b1, u1, v1), (b2, u2, v2) = results
     witness = (DVector.from_components(u1, u2), DVector.from_components(v1, v2))
     return NormCertificate(Hyperbolic(b1, b2), witness, "brute_force")
@@ -320,13 +320,12 @@ class BoundednessReport:
 
 def is_bounded_check(
     f: DBilinear2Functional,
-    norm: D2Norm,
     delta: Hyperbolic,
     samples: int = 1000,
     seed: int = 0,
     tol: float = SPAN,
 ) -> BoundednessReport:
-    """Check the defining bound on random pairs plus the spectral witness.
+    """Check the area 2-norm's bound on random pairs plus the spectral witness.
 
     delta must lie in the nonnegative cone.  The spectral witness (and scaled
     copies of it) is always included among the probes, so an insufficient
@@ -357,7 +356,7 @@ def is_bounded_check(
 
     lhs = np.abs(np.einsum("cmi,cmi->cm", xs @ f.C, ys))
     d = np.array([[delta.p], [delta.q]])
-    rhs = d * _stack_evaluator(norm)(xs, ys)
+    rhs = d * D2Norm().batch(xs, ys)
     size = d * np.linalg.norm(xs, axis=-1) * np.linalg.norm(ys, axis=-1)
     ok = within(np.maximum(lhs - rhs, 0.0), size, tol)
     excess = np.max(lhs - rhs, axis=0)

@@ -40,11 +40,11 @@ class TestGen:
         assert all(q == 0.0 for q in qs) and any(p != 0.0 for p in ps)
 
     def test_generated_functional_is_bounded_by_spectral(self, instance_path):
-        from hyp2 import D2Norm, DBilinear2Functional, is_bounded_check, norm_spectral
+        from hyp2 import DBilinear2Functional, is_bounded_check, norm_spectral
 
         blob = json.loads(instance_path.read_text())
         f = DBilinear2Functional.from_json(blob["functional"])
-        assert is_bounded_check(f, D2Norm(), norm_spectral(f).value, samples=500, seed=0)
+        assert is_bounded_check(f, norm_spectral(f).value, samples=500, seed=0)
 
     def test_bad_dims_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "gen", "--n", "9", "--out", str(tmp_path / "x.json"))
@@ -453,6 +453,20 @@ class TestScaledInstances:
     def test_norm_passes_on_a_scaled_functional(self, capsys, tmp_path, seed1_blob, s):
         code, out, _ = run_cli(capsys, "norm", _write(tmp_path, _scaled(seed1_blob, "F", s)))
         assert code == 0 and json.loads(out)["passed"]
+
+    @pytest.mark.parametrize("s", [1e170, 1e-300])
+    def test_norm_is_exact_at_extreme_scales(self, capsys, tmp_path, seed1_blob, s):
+        # the search runs on C * 2^-e, so no square over- or underflows and
+        # the polish still reaches sigma
+        path = _write(tmp_path, _scaled(seed1_blob, "F", s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "norm", path)
+        report = json.loads(out)
+        assert code == 0 and err == ""
+        for c in "pq":
+            sigma = report["spectral"]["value"][c]
+            assert report["brute_force"]["value"][c] == pytest.approx(sigma, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("s", [1e-5, 1e5])
     def test_corollary_passes_on_a_scaled_pair(self, capsys, tmp_path, s):

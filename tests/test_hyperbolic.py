@@ -99,7 +99,7 @@ class TestConjugation:
     def test_involutive_additive_multiplicative(self, z, w):
         assert z.dagger().dagger() == z
         assert (z + w).dagger() == z.dagger() + w.dagger()
-        assert ((z * w).dagger()).isclose(z.dagger() * w.dagger())
+        assert (z * w).dagger() == z.dagger() * w.dagger()
 
 
 class TestInverse:
@@ -110,7 +110,7 @@ class TestInverse:
         z = Hyperbolic.from_cartesian(3.0, 1.0)
         inv = z.inverse()
         assert inv == Hyperbolic(0.25, 0.5)
-        assert (z * inv).isclose(ONE)
+        assert z * inv == ONE
 
     def test_small_scalar_is_invertible(self):
         # invertibility compares the coordinates with each other, not with 1
@@ -125,7 +125,7 @@ class TestInverse:
 
     def test_division(self):
         z = Hyperbolic(4.0, 2.0)
-        assert (z / z).isclose(ONE)
+        assert z / z == ONE
 
 
 class TestModulus:
@@ -220,8 +220,6 @@ class TestNonScalarOperands:
         z = Hyperbolic(1.0, 2.0)
         with pytest.raises(TypeError, match="cannot interpret"):
             z.compare([1.0])
-        with pytest.raises(TypeError, match="cannot interpret"):
-            z.isclose("x")
 
 
 class TestJson:

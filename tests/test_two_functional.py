@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hyp2.two_functional as tf
 from hyp2 import (
@@ -13,6 +13,7 @@ from hyp2 import (
     DimensionMismatch,
     DVector,
     Hyperbolic,
+    NormCertificate,
     is_bounded_check,
     norm_bruteforce,
     norm_spectral,
@@ -198,8 +199,8 @@ class TestNormSpectral:
         s = 10.0**k
         base, cert = norm_spectral(f).value, norm_spectral(s * f).value
         assert (cert.p, cert.q) == pytest.approx((s * base.p, s * base.q), rel=1e-12, abs=0.0)
-        assert is_bounded_check(s * f, D2Norm(), cert, samples=100, seed=seed)
-        assert not is_bounded_check(s * f, D2Norm(), Hyperbolic(0.5, 0.5) * cert, samples=10)
+        assert is_bounded_check(s * f, cert, samples=100, seed=seed)
+        assert not is_bounded_check(s * f, Hyperbolic(0.5, 0.5) * cert, samples=10)
 
     def test_witness_attains_value(self):
         norm = D2Norm()
@@ -236,11 +237,24 @@ class TestNormBruteforce:
     def test_certificate_gap_nonnegative(self):
         f = DBilinear2Functional.random(3, 16)
         spectral, brute = norm_spectral(f), norm_bruteforce(f, budget=5000, seed=2)
-        assert (spectral.value - brute.value).is_nonneg(1e-9)
+        gap = spectral.value - brute.value
+        assert min(gap.p, gap.q) >= -1e-9
 
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             norm_bruteforce(DBilinear2Functional.zero(2), budget=0)
+
+
+def unpolished(f, budget: int, seed: int, formula: str = "quotient") -> NormCertificate:
+    """norm_bruteforce's sampled pairs before the polish, from each
+    component's own substream, as a certificate."""
+    tag = 0 if formula == "quotient" else 1
+    (b1, u1, v1), (b2, u2, v2) = (
+        tf._sample_component(C, budget, np.random.default_rng([seed, comp, tag]), formula)
+        for comp, C in enumerate(f.C)
+    )
+    witness = (DVector.from_components(u1, u2), DVector.from_components(v1, v2))
+    return NormCertificate(Hyperbolic(b1, b2), witness, "brute_force")
 
 
 def reference_grid_pairs(C, budget, rng, formula):
@@ -283,12 +297,12 @@ class TestBruteforceKernel:
     def test_matches_per_pair_reference(self, formula, n, budget):
         f = DBilinear2Functional.random(n, 300 + n)
         tag = 0 if formula == "quotient" else 1
-        cert = norm_bruteforce(f, budget=budget, seed=7, formula=formula, climb_steps=0)
+        cert = unpolished(f, budget, 7, formula)
         polished = norm_bruteforce(f, budget=budget, seed=7, formula=formula)
         values = (cert.value.p, cert.value.q)
         for comp, C in enumerate(f.C):
             # the polish starts from the sampled pair
-            want = tf._climb_component(C, cert.witness[0].c[comp], cert.witness[1].c[comp], 1000)
+            want = tf._climb_component(C, cert.witness[0].c[comp], cert.witness[1].c[comp])
             assert (polished.value.p, polished.value.q)[comp] == want[0]
             assert np.array_equal(polished.witness[0].c[comp], want[1])
             assert np.array_equal(polished.witness[1].c[comp], want[2])
@@ -312,7 +326,7 @@ class TestBruteforceKernel:
         everything = reference_grid_pairs(f.C1, 20, np.random.default_rng([2, 0, 0]), "quotient")
         scored = reference_grid_pairs(f.C1, 17, np.random.default_rng([2, 0, 0]), "quotient")
         assert everything[1] >= 17 and scored[0] < everything[0]
-        cert = norm_bruteforce(f, budget=17, seed=2, climb_steps=0)
+        cert = unpolished(f, 17, 2)
         assert cert.value.p == pytest.approx(scored[0], rel=1e-13, abs=0.0)
         assert cert.value.p < everything[0]
 
@@ -348,12 +362,16 @@ class TestBruteforceKernel:
             assert np.array_equal(wa.c1, wb.c1)
 
     @pytest.mark.parametrize("formula", ["quotient", "unit"])
-    @pytest.mark.parametrize("steps,rel", [(100, 1e-12), (0, 1e-8)])
-    def test_witness_attains_value(self, formula, steps, rel):
-        # the pair printed as the witness must give the printed value
+    @pytest.mark.parametrize("polished,rel", [(True, 1e-12), (False, 1e-8)])
+    def test_witness_attains_value(self, formula, polished, rel):
+        # the pair printed as the witness must give the printed value, and so
+        # must the sampled pair the polish starts from
         for n in (2, 3, 5, 8):
             f = DBilinear2Functional.random(n, 400 + n)
-            cert = norm_bruteforce(f, budget=20000, seed=n, formula=formula, climb_steps=steps)
+            if polished:
+                cert = norm_bruteforce(f, budget=20000, seed=n, formula=formula)
+            else:
+                cert = unpolished(f, 20000, n, formula)
             x, y = cert.witness
             attained, area = f(x, y).modulus(), D2Norm()(x, y)
             for got, value, a in (
@@ -361,6 +379,43 @@ class TestBruteforceKernel:
                 (attained.q, cert.value.q, area.q),
             ):
                 assert got / a == pytest.approx(value, rel=rel)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("budget", [1, 17, 250, 20000])
+    def test_unit_is_the_quotient_pair_at_unit_area(self, n, budget):
+        # one score for both formulas: "unit" gives the quotient value bit for
+        # bit and only rescales the winning pair by 1/sqrt(area)
+        C = DBilinear2Functional.random(n, 700 + n).C1
+        quot = tf._sample_component(C, budget, np.random.default_rng(n), "quotient")
+        unit = tf._sample_component(C, budget, np.random.default_rng(n), "unit")
+        assert unit[0] == quot[0]
+        dot = quot[1] @ quot[2]
+        area = np.sqrt(1.0 - dot * dot)
+        # the sampler takes <x,y> from a matrix product, which may round it
+        # apart from this one; 1 - <x,y>^2 amplifies that by 1 / area^2
+        for got, want in zip(unit[1:], quot[1:]):
+            np.testing.assert_allclose(got, want / np.sqrt(area), rtol=1e-15 / area**2, atol=0.0)
+
+
+class TestPowerOfTwoScaling:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**16),
+        k=st.integers(-900, 900),
+        formula=st.sampled_from(["quotient", "unit"]),
+    )
+    @example(seed=1, k=900, formula="quotient")
+    @example(seed=2, k=-900, formula="unit")
+    def test_only_the_value_scales(self, seed, k, formula):
+        # each component is searched on C * 2^-e, e the exponent of its
+        # largest entry, so f * 2^k runs the very same search
+        f = DBilinear2Functional.random(2 + seed % 7, seed)
+        base = norm_bruteforce(f, budget=500, seed=seed, formula=formula)
+        cert = norm_bruteforce(f * 2.0**k, budget=500, seed=seed, formula=formula)
+        assert cert.value.p == math.ldexp(base.value.p, k)
+        assert cert.value.q == math.ldexp(base.value.q, k)
+        for got, want in zip(cert.witness, base.witness):
+            assert np.array_equal(got.c, want.c)
 
 
 class TestPolish:
@@ -388,21 +443,21 @@ class TestPolish:
         f = DBilinear2Functional.random(6, 31)
         for C in f.C:
             u, v = np.eye(6)[0], np.eye(6)[1]
-            assert tf._climb_component(C, u, v, 100)[0] > 0.0
+            assert tf._climb_component(C, u, v)[0] > 0.0
 
 
 class TestBoundedness:
     def test_spectral_bound_holds(self):
         f = DBilinear2Functional.random(3, 17)
         delta = norm_spectral(f).value
-        report = is_bounded_check(f, D2Norm(), delta, samples=2000, seed=0)
+        report = is_bounded_check(f, delta, samples=2000, seed=0)
         assert report
         assert report.max_excess <= 1e-9
 
     def test_half_bound_fails_with_witness(self):
         f = DBilinear2Functional.random(3, 18)
         delta = Hyperbolic(0.5, 0.5) * norm_spectral(f).value
-        report = is_bounded_check(f, D2Norm(), delta, samples=200, seed=0)
+        report = is_bounded_check(f, delta, samples=200, seed=0)
         assert not report
         assert report.witness is not None
         x, y = report.witness
@@ -412,14 +467,12 @@ class TestBoundedness:
 
     def test_zero_functional_zero_bound(self):
         f = DBilinear2Functional.zero(2)
-        report = is_bounded_check(f, D2Norm(), Hyperbolic(0.0, 0.0), samples=100, seed=0)
+        report = is_bounded_check(f, Hyperbolic(0.0, 0.0), samples=100, seed=0)
         assert report
 
     def test_rejects_negative_delta(self):
         with pytest.raises(ValueError):
-            is_bounded_check(
-                DBilinear2Functional.zero(2), D2Norm(), Hyperbolic(-1.0, 0.0), samples=10
-            )
+            is_bounded_check(DBilinear2Functional.zero(2), Hyperbolic(-1.0, 0.0), samples=10)
 
 
 def test_scaling_by_hyperbolic_scalar():
@@ -471,7 +524,7 @@ class TestBoundednessBatched:
         f = DBilinear2Functional.random(n, 40 + n)
         delta = Hyperbolic(*factor) * norm_spectral(f).value
         rng_new, rng_old = np.random.default_rng(n), np.random.default_rng(n)
-        report = is_bounded_check(f, D2Norm(), delta, samples=300, seed=rng_new)
+        report = is_bounded_check(f, delta, samples=300, seed=rng_new)
         ok, excess, witness = reference_is_bounded_check(f, D2Norm(), delta, 300, rng_old)
         # identical draws: both consumed the same stream
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
@@ -490,7 +543,7 @@ class TestBoundednessBatched:
         # the spectral probes at scale 2 under a halved bound
         f = DBilinear2Functional.random(8, 48)
         spectral = norm_spectral(f)
-        report = is_bounded_check(f, D2Norm(), Hyperbolic(0.5, 0.5) * spectral.value, seed=0)
+        report = is_bounded_check(f, Hyperbolic(0.5, 0.5) * spectral.value, seed=0)
         wx = spectral.witness[0]
         assert not any(
             np.array_equal(report.witness[0].c1, s * wx.c1) for s in (1.0, 0.5, 2.0)
