@@ -17,6 +17,11 @@ SPAN = 1e-9
 #: The sine of the angle at or below which a pair is too thin to score.
 THIN = 1e-3
 
+#: The largest double t with fl(sqrt(t)) <= THIN, so a clamp of a squared
+#: sine at THIN_SQ leaves its rounded root > THIN exactly on the pairs that
+#: are not thin; fl(sqrt(THIN_SQ)) = THIN.
+THIN_SQ = 1.0000000000000002e-06
+
 
 def negligible(x, scale, rel: float = ROUND):
     """|x| <= rel * scale, elementwise on arrays; at scale 0 only x = 0."""

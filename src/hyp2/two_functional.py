@@ -14,8 +14,13 @@ The search samples each component from its own RNG substream.  One fill of
 a + b rows, a and b near sqrt(budget), gives an a x b grid of pairs, and the
 first `budget` cells are scored as |f| / area by two small matrix products,
 one row block at a time, on C * 2^-e with e the exponent of C's largest
-entry (exact).  Both components are sampled and polished on the calling
-thread; no thread is started.
+entry (exact).  Every block is computed in place in the same two buffers,
+one for the areas and one for the scores.  A pair is thin when its area is
+at most THIN; the squared area is clamped at THIN_SQ, the largest double
+whose rounded root is THIN, so a thin pair's area reads exactly THIN, and a
+thin winner is struck out and the block's maximum taken again.  Both
+components are sampled and polished on the calling thread; no thread is
+started.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tol import ROUND, SPAN, THIN, negligible, null, within
+from ._tol import ROUND, SPAN, THIN, THIN_SQ, negligible, null, within
 from .dmodule import DimensionMismatch, DVector
 from .hyperbolic import Hyperbolic, _as_scalar
 from .two_norm import _WEDGE_CELLS, D2Norm, _split_draws, wedge_area_batch
@@ -198,20 +203,22 @@ def _climb_component(
     over the other, and it is orthogonal to the fixed slot (v'Cv = 0), so the
     value |C'u| never falls.  A step that gains at most ROUND relative, or
     step _CLIMB_STEPS, ends the ascent.  C enters through products only, never
-    an SVD or eig, so the polish stays independent of `norm_spectral`.  The
-    value is re-measured at the orthonormal representative of the last plane:
-    the printed value is a measured ratio at the printed witness.
+    an SVD or eig, so the polish stays independent of `norm_spectral`.  A
+    length is sqrt(v @ v): the ddot of `np.linalg.norm` without its call
+    overhead, and the same bits, as both square roots are correctly rounded.
+    The value is re-measured at the orthonormal representative of the last
+    plane: the printed value is a measured ratio at the printed witness.
     """
     u, v = _plane_representative(u, v)
     best = value = float(_component_ratios(C, u[None, :], v[None, :])[0])
     for _ in range(_CLIMB_STEPS):
         cv = C @ v
-        size = float(np.linalg.norm(cv))
+        size = math.sqrt(cv @ cv)
         if null(size):  # C vanishes on v: no direction to climb
             break
         u = cv / size
         ctu = u @ C
-        reached = float(np.linalg.norm(ctu))
+        reached = math.sqrt(ctu @ ctu)
         v = ctu / reached
         if negligible(reached - value, value):
             break
@@ -230,10 +237,16 @@ def _sample_component(
     normalised by rows: the first a rows are `xs`, the other b are `ys`, and
     cell (i, j) of the a x b grid is the pair (xs[i], ys[j]).  The first
     `budget` cells in row-major order are scored, from `xs @ ys.T` and
-    `(xs @ C) @ ys.T`, in row blocks of at most _WEDGE_CELLS cells, so no
-    temporary exceeds 128 KiB, glibc's default mmap threshold, and the heap
-    reuses them.  A cell scores |f| / area; the first of largest score
-    wins, and for "unit" its pair is rescaled to unit area.
+    `(xs @ C) @ ys.T`, in row blocks of at most _WEDGE_CELLS cells.  Each
+    block writes, with `out=`, into two buffers allocated once per call,
+    `den` = sqrt(max(1 - <x,y>^2, THIN_SQ)) and `scores` = |f| / den, each
+    `(min(step, a), b)` float64: _WEDGE_CELLS cells, 128 KiB, at most, for
+    any budget below 2^28.  The first of largest score among the cells whose
+    area exceeds THIN wins, and for "unit" its pair is rescaled to unit
+    area.  A thin cell's den reads THIN exactly, so while the block's first
+    largest cell beats the best so far and is thin, it is set to -1 and the
+    maximum taken again: the result of rejecting thin cells outright,
+    without a mask.
     """
     n = C.shape[0]
     a = math.isqrt(budget - 1) + 1
@@ -241,20 +254,30 @@ def _sample_component(
     rows = rng.standard_normal((a + b, n))
     rows *= (1.0 / np.sqrt(np.einsum("bi,bi->b", rows, rows)))[:, None]
     xs, ys = rows[:a], rows[a:]
-    xcs = xs @ C
+    xcs, yt = xs @ C, ys.T
     best, bu, bv = 0.0, np.eye(n)[0], np.eye(n)[min(1, n - 1)]
     step = max(1, _WEDGE_CELLS // b)
+    den_buf, score_buf = np.empty((2, min(step, a), b))
     for s in range(0, a, step):
-        # unit rows: area^2 = 1 - <x,y>^2; fine here because thin pairs are
-        # rejected outright and the winner is re-measured by the climb
-        dots = xs[s : s + step] @ ys.T
-        den = np.sqrt(np.maximum(1.0 - dots * dots, 0.0))
-        scores = np.abs(xcs[s : s + step] @ ys.T)
-        scores /= np.maximum(den, THIN)
-        scores[den <= THIN] = -1.0
+        m = min(step, a - s)
+        den, scores = den_buf[:m], score_buf[:m]
+        # unit rows: area^2 = 1 - <x,y>^2, clamped at THIN_SQ, so a thin
+        # pair's area reads THIN; fine here because thin pairs never win and
+        # the winner is re-measured by the climb
+        np.matmul(xs[s : s + m], yt, out=den)
+        np.square(den, out=den)
+        np.subtract(1.0, den, out=den)
+        np.maximum(den, THIN_SQ, out=den)
+        np.sqrt(den, out=den)
+        np.matmul(xcs[s : s + m], yt, out=scores)
+        np.abs(scores, out=scores)
+        np.divide(scores, den, out=scores)
         # cells past the budget; (a - 1) * b < budget, so each row has one
         scores.reshape(-1)[budget - s * b :] = -1.0
         k = int(np.argmax(scores))
+        while scores.flat[k] > best and den.flat[k] <= THIN:
+            scores.flat[k] = -1.0
+            k = int(np.argmax(scores))
         if scores.flat[k] > best:
             i, j = divmod(k, b)
             scale = 1.0 / np.sqrt(den[i, j]) if formula == "unit" else 1.0

@@ -217,6 +217,11 @@ def _set_huge_functional(blob):
     blob["functional"]["C1"] = (np.array(blob["functional"]["C1"]) * 1e307).tolist()
 
 
+def _set_huge_basis(blob):
+    # every entry finite, but the row's squared length overflows
+    blob["M"]["basis1"] = [[1e308] * 3]
+
+
 def _set_n_float(blob):
     blob["n"] = 3.5
 
@@ -273,7 +278,8 @@ def _unchanged(blob):
 _CORRUPTIONS = (
     [("norm", _set_nan_functional, "non-finite"), ("extend", _set_nan_z, "non-finite"),
      ("extend", _set_inf_basis, "non-finite"), ("extend", _set_nan_functional, "non-finite"),
-     ("extend", _set_huge_z, "non-finite"), ("extend", _set_huge_functional, "non-finite")]
+     ("extend", _set_huge_z, "non-finite"), ("extend", _set_huge_functional, "non-finite"),
+     ("extend", _set_huge_basis, "basis row 0 is too large")]
     # a "norm" field that is not an object is malformed input, not a crash
     + [(command, corrupt, "norm field")
        for command in ("extend", "norm", "check-axioms")

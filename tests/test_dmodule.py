@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -138,6 +140,14 @@ class TestSubmodule:
     def test_dependent_basis_rejected(self):
         with pytest.raises(ValueError):
             DSubmodule(2, [[1.0, 0.0], [2.0, 0.0]], [])
+
+    def test_row_with_non_finite_squared_length_rejected(self):
+        # finite entries whose squared length overflows: too large, not dependent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="basis row 1 is too large"):
+                DSubmodule(3, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [1e308, 1e308, 0.0]])
+            assert DSubmodule(3, [[1e153, 1e153, 0.0]], []).dims == (1, 0)
 
     def test_dimension_mismatch(self):
         m = DSubmodule.zero(3)

@@ -18,7 +18,7 @@ from hyp2 import (
     norm_bruteforce,
     norm_spectral,
 )
-from hyp2._tol import THIN
+from hyp2._tol import THIN, THIN_SQ
 
 
 def dvec(c1, c2) -> DVector:
@@ -395,6 +395,47 @@ class TestBruteforceKernel:
         # apart from this one; 1 - <x,y>^2 amplifies that by 1 / area^2
         for got, want in zip(unit[1:], quot[1:]):
             np.testing.assert_allclose(got, want / np.sqrt(area), rtol=1e-15 / area**2, atol=0.0)
+
+
+class FixedRows:
+    """An rng whose one fill is the given rows: a 2 x 2 grid at budget 4."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=float)
+
+    def standard_normal(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
+
+
+class TestThinPairs:
+    # x' C y = x1 y2 - x2 y1: the plane of e1, e2 scores its sine, and any
+    # pair with a factor on the line of e3 scores 0
+    C = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    e1, e2, e3 = np.eye(3)
+
+    @pytest.mark.parametrize("formula", ["quotient", "unit"])
+    def test_a_thin_pair_alone_scores_nothing(self, formula):
+        # (e1, e1 + 9e-4 e2) has sine 9e-4 < THIN, and every other cell is 0
+        rows = FixedRows([self.e1, self.e3, self.e1 + 9e-4 * self.e2, self.e1 + self.e3])
+        value, u, v = tf._sample_component(self.C, 4, rows, formula)
+        assert value == 0.0
+        assert np.array_equal(u, self.e1) and np.array_equal(v, self.e2)
+
+    @pytest.mark.parametrize("formula", ["quotient", "unit"])
+    def test_a_thin_pair_never_beats_a_scored_one(self, formula):
+        # the thin cell (e1, e1 + 9.9e-4 e2) comes first and would score
+        # about 0.99 as |f| / THIN; the first pair that is not thin scores
+        # 1 / sqrt(10) at area 1
+        y = (self.e2 + 3.0 * self.e3) / np.sqrt(10.0)
+        rows = FixedRows([self.e1, self.e3, self.e1 + 9.9e-4 * self.e2, self.e2 + 3.0 * self.e3])
+        value, u, v = tf._sample_component(self.C, 4, rows, formula)
+        assert value == pytest.approx(1.0 / np.sqrt(10.0), rel=1e-15)
+        assert np.array_equal(u, self.e1)
+        np.testing.assert_allclose(v, y, rtol=0.0, atol=1e-16)
+
+    def test_thin_sq_is_the_last_square_whose_root_is_thin(self):
+        assert np.sqrt(THIN_SQ) <= THIN < np.sqrt(np.nextafter(THIN_SQ, np.inf))
 
 
 class TestPowerOfTwoScaling:
