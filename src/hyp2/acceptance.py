@@ -17,11 +17,11 @@ from time import perf_counter
 
 import numpy as np
 
-from ._tol import SPAN, within
 from .dmodule import DSubmodule, DVector, linear_dependent
 from .hahn_banach import (
     ExtensionProblem,
     _gap_point,
+    corollary_case_table,
     corollary_functional,
     full_extend,
     gap_interval_grid,
@@ -250,7 +250,7 @@ def criterion_extension_engine():
         problem = _random_problem(rng, degenerate=(i % 4 == 3))
         trace = full_extend(problem)
         audit = trace.audit(samples=1000, seed=i)
-        worst_restr = max(worst_restr, audit["restriction_max_err"])
+        worst_restr = max(worst_restr, *audit["restriction_max_err"])
         worst_norm_rel = max(worst_norm_rel, *audit["norm_rel_err"])
         audits_passed = audits_passed and audit["passed"]
         small = max(problem.M.dims) <= 2 and oracle_runs < 25
@@ -272,41 +272,6 @@ def criterion_extension_engine():
         "worst_oracle_gap": worst_oracle,
         "oracle_runs": float(oracle_runs),
     }
-
-
-def corollary_case_table(f0, x0: DVector, y0: DVector, rng) -> list[dict]:
-    """The zero-pattern cases of the attaining functional's bound.
-
-    Enumerates scalar pairs (alpha, beta) with the four support patterns
-    (e1 x e2, e1 x e1, full x full, e2 x e1) and reports the modulus of the
-    value against the area of the scaled pair, the bound of a norm-one
-    functional.  Per component, an excess or mismatch of at most 1e-9 times
-    that bound is negligible.
-    """
-    a1, a2, b1, b2 = (float(abs(v) + 0.25) for v in rng.standard_normal(4))
-    patterns = [
-        ("e1-alpha x e2-beta", Hyperbolic(a1, 0.0), Hyperbolic(0.0, b2), "zero"),
-        ("e1-alpha x e1-beta", Hyperbolic(a1, 0.0), Hyperbolic(b1, 0.0), "equal"),
-        ("full x full", Hyperbolic(a1, a2), Hyperbolic(b1, b2), "equal"),
-        ("e2-alpha x e1-beta", Hyperbolic(0.0, a2), Hyperbolic(b1, 0.0), "zero"),
-    ]
-    rows = []
-    for name, alpha, beta, expect in patterns:
-        lhs = f0.evaluate(alpha * x0, beta * y0).modulus()
-        rhs = D2Norm()(alpha * x0, beta * y0)
-        bound = np.array([rhs.p, rhs.q])
-        gap = np.array([lhs.p, lhs.q]) - bound
-        rows.append(
-            {
-                "case": name,
-                "lhs": lhs.to_json(),
-                "rhs": rhs.to_json(),
-                "expect": expect,
-                "bounded": within(np.maximum(gap, 0.0), bound, SPAN),
-                "matched": within([lhs.p, lhs.q] if expect == "zero" else gap, bound, SPAN),
-            }
-        )
-    return rows
 
 
 @_criterion("norm-attaining-corollary")

@@ -21,11 +21,11 @@ import sys
 
 import numpy as np
 
-from . import acceptance
 from ._tol import within
 from .dmodule import DSubmodule, DVector, _dimension
 from .hahn_banach import (
-    NORM_REL_TOL, ExtensionProblem, _exact_norm, corollary_functional, full_extend
+    NORM_REL_TOL, ExtensionProblem, _exact_norm, corollary_case_table, corollary_functional,
+    full_extend,
 )
 from .hyperbolic import Hyperbolic
 from .two_functional import DBilinear2Functional, is_bounded_check, norm_bruteforce, norm_spectral
@@ -234,7 +234,7 @@ def cmd_corollary(args) -> int:
     target = D2Norm()(x0, y0)
     value = trace.final.evaluate(x0, y0)
     rng = np.random.default_rng(args.seed)
-    cases = acceptance.corollary_case_table(f0, x0, y0, rng)
+    cases = corollary_case_table(f0, x0, y0, rng)
     # the norm on X x [y0] of the matrices printed as "f"
     F = trace.final.as_functional()
     _, norm_F = _exact_norm((F.C @ y0.c[:, :, None])[..., 0], y0.c)
@@ -263,6 +263,8 @@ def cmd_corollary(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import acceptance  # only selftest pays for importing the suite
+
     results = acceptance.run_all(only=args.only)
     if not results:
         print(f"no acceptance criterion matches {args.only!r}", file=sys.stderr)

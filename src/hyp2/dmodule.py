@@ -160,23 +160,19 @@ class DVector:
 
     # -- predicates --------------------------------------------------------
 
-    def _vanishing(self) -> np.ndarray:
-        """Per component: is the real vector negligible beside the other?"""
-        size = np.sqrt(_dot(self.c, self.c))
-        return negligible(size, size[::-1])
-
     def is_zero(self) -> bool:
         """Both squared lengths are 0 (an underflowed one included)."""
         return bool(np.all(null(_dot(self.c, self.c))))
 
     def is_zero_divisor(self) -> bool:
-        """Nonzero with exactly one vanishing real component vector."""
-        z1, z2 = self._vanishing()
+        """Exactly one component's squared length is 0 (an underflowed one
+        included), the test the extension engine applies to z."""
+        z1, z2 = null(_dot(self.c, self.c))
         return bool(z1 != z2)
 
     def is_degenerate(self) -> bool:
-        """Zero or a zero divisor: some component vector vanishes."""
-        return bool(np.any(self._vanishing()))
+        """Zero or a zero divisor: some component's squared length is 0."""
+        return bool(np.any(null(_dot(self.c, self.c))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DVector):

@@ -237,13 +237,13 @@ class ExtensionTrace:
         that extend prints.
 
         Restriction: alpha * x' C_F z against alpha * x' C z on `samples`
-        random pairs of M x [z].  restriction_max_err is the largest absolute
-        difference.  restriction_rel_err is, per component, the largest
-        difference over the largest |alpha| * ||x|| * ||C z|| of the samples
-        (0 for no difference, inf for a difference at zero scale), and the
-        larger of the two; restriction_ok compares it with RESTRICTION_TOL.
-        So the verdict depends neither on the scale of f, z or M nor on one
-        component's scale beside the other's.
+        random pairs of M x [z].  restriction_max_err is, per component, the
+        largest absolute difference, and restriction_rel_err that difference
+        over the largest |alpha| * ||x|| * ||C z|| of the samples (0 for no
+        difference, inf for a difference at zero scale); restriction_ok
+        compares each with RESTRICTION_TOL.  So the verdict depends neither on
+        the scale of f, z or M nor on one component's scale beside the
+        other's.  Every reported maximum is a [p, q] pair.
 
         w' is C z projected onto the span of the z-perp parts of M's basis
         rows, by SVD on the problem's raw data (rows scaled to unit length,
@@ -252,7 +252,8 @@ class ExtensionTrace:
         RESTRICTION_TOL * ||C z|| * ||x'||.  pointwise_ok: every sampled
         |f(x, z) + r| exceeds |f| * gram(x + x', z) by at most 1e-9 times it,
         with x in the step's domain, spanned by leading rows of the final
-        domain's orthonormal bases.
+        domain's orthonormal bases; pointwise_bound_excess is each
+        component's largest excess, and at least 0.
 
         Norm on X x [z] (P the projection onto z-perp): norm_F_audit =
         ||P C_F z|| / ||z|| exactly, and norm_rel_err is its relative gap to
@@ -288,8 +289,7 @@ class ExtensionTrace:
         F_vals = alpha * np.einsum("cmn,cn->cm", xs, (F.C @ z[:, :, None])[..., 0])
         errs = np.max(np.abs(F_vals - f_vals), axis=1, initial=0.0)
         scale = np.abs(alpha) * np.linalg.norm(xs, axis=-1) * np.linalg.norm(cz, axis=-1)[:, None]
-        restr_err = float(np.max(errs))
-        restr_rel = float(np.max(_rel_err(errs, np.max(scale, axis=1, initial=0.0))))
+        restr_rel = _rel_err(errs, np.max(scale, axis=1, initial=0.0)).tolist()
 
         # the reference moment w' from the problem's raw data
         w_ref = np.zeros_like(z)
@@ -317,7 +317,7 @@ class ExtensionTrace:
         w, q1, q2 = prob.restriction().w, self.final.domain.q1, self.final.domain.q2
         nf = self.norm_f
         per_step = max(8, samples // max(1, len(self.steps) * 4))
-        excesses, pointwise_ok = [], True
+        pointwise_excess, pointwise_ok = np.zeros(2), True
         for step in self.steps:
             draws = rng.standard_normal((per_step, k1 + k2))
             xs = np.stack((draws[:, :k1] @ q1[:k1], draws[:, k1:] @ q2[:k2]))
@@ -326,9 +326,8 @@ class ExtensionTrace:
             shifted = xs + step.x_prime.c[:, None, :]
             grams = wedge_area_batch(shifted.reshape(-1, n), np.repeat(z, per_step, axis=0))
             rhs = [[nf.p], [nf.q]] * grams.reshape(2, per_step)
-            excesses.append(np.max(lhs - rhs))
+            pointwise_excess = np.maximum(pointwise_excess, np.max(lhs - rhs, axis=1))
             pointwise_ok &= within(np.maximum(lhs - rhs, 0.0), rhs, SPAN)
-        pointwise_excess = float(np.max(excesses, initial=0.0))
 
         # F's norm on X x [z]: exact value, first-order moment, sampled bound
         cFz = (F.C @ z[:, :, None])[..., 0]
@@ -344,11 +343,11 @@ class ExtensionTrace:
         )
 
         out = {
-            "restriction_max_err": restr_err,
+            "restriction_max_err": errs.tolist(),
             "restriction_rel_err": restr_rel,
-            "restriction_ok": restr_rel <= RESTRICTION_TOL,
+            "restriction_ok": max(restr_rel) <= RESTRICTION_TOL,
             "brackets_ok": brackets_ok,
-            "pointwise_bound_excess": pointwise_excess,
+            "pointwise_bound_excess": pointwise_excess.tolist(),
             "pointwise_ok": pointwise_ok,
             "norm_f": self.norm_f.to_json(),
             "norm_F": self.norm_F.to_json(),
@@ -467,6 +466,41 @@ def corollary_functional(x0: DVector, y0: DVector) -> tuple[RestrictedFunctional
     problem = ExtensionProblem(n, M, y0, f0.as_functional())
     trace = full_extend(problem)
     return f0, trace
+
+
+def corollary_case_table(f0, x0: DVector, y0: DVector, rng) -> list[dict]:
+    """The zero-pattern cases of the attaining functional's bound.
+
+    Enumerates scalar pairs (alpha, beta) with the four support patterns
+    (e1 x e2, e1 x e1, full x full, e2 x e1) and reports the modulus of the
+    value against the area of the scaled pair, the bound of a norm-one
+    functional.  Per component, an excess or mismatch of at most 1e-9 times
+    that bound is negligible.
+    """
+    a1, a2, b1, b2 = (float(abs(v) + 0.25) for v in rng.standard_normal(4))
+    patterns = [
+        ("e1-alpha x e2-beta", Hyperbolic(a1, 0.0), Hyperbolic(0.0, b2), "zero"),
+        ("e1-alpha x e1-beta", Hyperbolic(a1, 0.0), Hyperbolic(b1, 0.0), "equal"),
+        ("full x full", Hyperbolic(a1, a2), Hyperbolic(b1, b2), "equal"),
+        ("e2-alpha x e1-beta", Hyperbolic(0.0, a2), Hyperbolic(b1, 0.0), "zero"),
+    ]
+    rows = []
+    for name, alpha, beta, expect in patterns:
+        lhs = f0.evaluate(alpha * x0, beta * y0).modulus()
+        rhs = D2Norm()(alpha * x0, beta * y0)
+        bound = np.array([rhs.p, rhs.q])
+        gap = np.array([lhs.p, lhs.q]) - bound
+        rows.append(
+            {
+                "case": name,
+                "lhs": lhs.to_json(),
+                "rhs": rhs.to_json(),
+                "expect": expect,
+                "bounded": within(np.maximum(gap, 0.0), bound, SPAN),
+                "matched": within([lhs.p, lhs.q] if expect == "zero" else gap, bound, SPAN),
+            }
+        )
+    return rows
 
 
 # -- independent gap estimators ---------------------------------------------

@@ -59,8 +59,8 @@ class Hyperbolic:
     """A split-complex scalar in idempotent coordinates.
 
     ``p`` multiplies e1 and ``q`` multiplies e2.  Values are immutable by
-    convention; every operation returns a fresh instance.  Zero, equality
-    and order tests are relative to the operands' larger coordinate.
+    convention; every operation returns a fresh instance.  A coordinate is
+    zero only at 0; equality and order are relative to the larger one.
     """
 
     __slots__ = ("p", "q")
@@ -144,11 +144,11 @@ class Hyperbolic:
     def inverse(self) -> "Hyperbolic":
         """Multiplicative inverse, the conjugate divided by z * z.dagger().
 
-        Raises NotInvertible for zero and for zero divisors (a coordinate
-        negligible beside the other).
+        Raises NotInvertible for zero, for zero divisors, and where a
+        coordinate's reciprocal is not finite (a subnormal coordinate).
         """
-        if not self.is_invertible():
-            raise NotInvertible(f"{self!r} has a vanishing idempotent coordinate")
+        if not (self.is_invertible() and all(map(math.isfinite, (1.0 / self.p, 1.0 / self.q)))):
+            raise NotInvertible(f"{self!r} has a coordinate 0 or with no finite reciprocal")
         return Hyperbolic(1.0 / self.p, 1.0 / self.q)
 
     def modulus(self) -> "Hyperbolic":
@@ -165,9 +165,8 @@ class Hyperbolic:
         return null(self.p) and null(self.q)
 
     def is_zero_divisor(self) -> bool:
-        """Exactly one idempotent coordinate negligible beside the other."""
-        p, q = abs(self.p), abs(self.q)
-        return negligible(p, q) != negligible(q, p)
+        """Exactly one idempotent coordinate is 0."""
+        return null(self.p) != null(self.q)
 
     def is_invertible(self) -> bool:
         return not (self.is_zero() or self.is_zero_divisor())

@@ -334,7 +334,7 @@ class BoundednessReport:
     """Result of a sampled boundedness check |f(x,y)|_k <=' delta * norm(x,y)."""
 
     ok: bool
-    max_excess: float
+    max_excess: list[float]
     witness: tuple[DVector, DVector] | None
 
     def __bool__(self) -> bool:
@@ -358,9 +358,11 @@ def is_bounded_check(
     All probes are evaluated at once on (2, m, n) component stacks.  Draws:
     one (samples, 4n + 2) standard-normal block, per row x1 x2 y1 y2 and the
     scalar s of the dependent corner (x, s x); this is the stream of drawing
-    sample after sample.  The witness is the first probe of largest excess,
-    in the order: spectral witness at scales 1, 1/2, 2, then per sample
-    (x, y) and (x, s x).
+    sample after sample.  Each component runs on C and delta times 2^-e, e
+    the exponent of its C's largest entry (exact), and max_excess[c] is its
+    largest excess scaled back; the witness takes component c from the first
+    probe of largest excess there, in the order: spectral witness at scales
+    1, 1/2, 2, then per sample (x, y) and (x, s x).
     """
     if not delta.is_nonneg():
         raise ValueError("delta must lie in the nonnegative cone")
@@ -377,18 +379,12 @@ def is_bounded_check(
         (spectral_y, np.stack((y, s[..., None] * x), axis=2).reshape(2, 2 * samples, n)), axis=1
     )
 
-    lhs = np.abs(np.einsum("cmi,cmi->cm", xs @ f.C, ys))
-    d = np.array([[delta.p], [delta.q]])
-    rhs = d * D2Norm().batch(xs, ys)
+    e = np.frexp(np.max(np.abs(f.C), axis=(1, 2)))[1]
+    lhs = np.abs(np.einsum("cmi,cmi->cm", xs @ np.ldexp(f.C, -e[:, None, None]), ys))
+    d = np.ldexp([[delta.p], [delta.q]], -e[:, None])
+    excess = lhs - d * D2Norm().batch(xs, ys)
     size = d * np.linalg.norm(xs, axis=-1) * np.linalg.norm(ys, axis=-1)
-    ok = within(np.maximum(lhs - rhs, 0.0), size, tol)
-    excess = np.max(lhs - rhs, axis=0)
-    i = int(np.argmax(excess))
-    worst = float(excess[i])
-    witness = None
-    if not ok:
-        witness = (
-            DVector.from_components(xs[0, i], xs[1, i]),
-            DVector.from_components(ys[0, i], ys[1, i]),
-        )
-    return BoundednessReport(ok=ok, max_excess=worst, witness=witness)
+    ok = within(np.maximum(excess, 0.0), size, tol)
+    i = np.argmax(excess, axis=1)
+    witness = None if ok else (DVector._of(xs[[0, 1], i]), DVector._of(ys[[0, 1], i]))
+    return BoundednessReport(ok, np.ldexp(excess[[0, 1], i], e).tolist(), witness)

@@ -426,10 +426,17 @@ def seed1_blob(tmp_path):
 
 
 def _scaled(blob, key, s):
-    """A copy of blob with z, M's basis or F multiplied by s."""
+    """A copy of blob with z, z's second component, M's basis or F multiplied
+    by s, or ("F_max") each of F's matrices scaled to a largest entry of s."""
     blob = json.loads(json.dumps(blob))
     if key == "z":
         blob["z"] = [{"p": c["p"] * s, "q": c["q"] * s} for c in blob["z"]]
+    elif key == "zq":
+        blob["z"] = [{"p": c["p"], "q": c["q"] * s} for c in blob["z"]]
+    elif key == "F_max":
+        blob["functional"] = {
+            k: (np.array(m) / np.max(np.abs(m)) * s).tolist() for k, m in blob["functional"].items()
+        }
     elif key == "M":
         for b in ("basis1", "basis2"):
             blob["M"][b] = (np.array(blob["M"][b]) * s).tolist()
@@ -447,11 +454,13 @@ def _write(tmp_path, blob, name="scaled.json"):
 class TestScaledInstances:
     # each verdict depends only on relative sizes, so rescaling one part of an
     # instance changes no exit code, and extend keeps its norm
-    @pytest.mark.parametrize("key,s", [("z", 1e-13), ("M", 1e-10), ("M", 1e-14)])
+    # ("zq", 1e-13): only z's second component is short, and it is no zero
+    # divisor: the engine keeps that component's norm
+    @pytest.mark.parametrize("key,s", [("z", 1e-13), ("M", 1e-10), ("M", 1e-14), ("zq", 1e-13)])
     def test_extend_keeps_the_norm(self, capsys, tmp_path, seed1_blob, key, s):
         code, out, _ = run_cli(capsys, "extend", _write(tmp_path, _scaled(seed1_blob, key, s)))
         report = json.loads(out)
-        assert code == 0 and report["passed"]
+        assert code == 0 and report["passed"] and report["audit"]["repaired"] is False
         got = report["final"]["norm_f"]
         assert (got["p"], got["q"]) == pytest.approx(SEED1_NORM_F, rel=1e-9, abs=0.0)
 
@@ -460,11 +469,19 @@ class TestScaledInstances:
         code, out, _ = run_cli(capsys, "norm", _write(tmp_path, _scaled(seed1_blob, "F", s)))
         assert code == 0 and json.loads(out)["passed"]
 
-    @pytest.mark.parametrize("s", [1e170, 1e-300])
-    def test_norm_is_exact_at_extreme_scales(self, capsys, tmp_path, seed1_blob, s):
-        # the search runs on C * 2^-e, so no square over- or underflows and
-        # the polish still reaches sigma
-        path = _write(tmp_path, _scaled(seed1_blob, "F", s))
+    @pytest.mark.parametrize(
+        "key,s",
+        [
+            pytest.param("F", 1e170, id="1e+170"),
+            pytest.param("F", 1e-300, id="1e-300"),
+            pytest.param("F_max", 1e308, id="max-entry-1e308"),
+        ],
+    )
+    def test_norm_is_exact_at_extreme_scales(self, capsys, tmp_path, seed1_blob, key, s):
+        # the search and the boundedness probes run on C * 2^-e, so no
+        # square or product over- or underflows and the polish still reaches
+        # sigma
+        path = _write(tmp_path, _scaled(seed1_blob, key, s))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run_cli(capsys, "norm", path)
@@ -474,11 +491,19 @@ class TestScaledInstances:
             sigma = report["spectral"]["value"][c]
             assert report["brute_force"]["value"][c] == pytest.approx(sigma, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("s", [1e-5, 1e5])
-    def test_corollary_passes_on_a_scaled_pair(self, capsys, tmp_path, s):
+    @pytest.mark.parametrize(
+        "keys,sp,sq",
+        [
+            pytest.param(("x0", "y0"), 1e-5, 1e-5, id="1e-05"),
+            pytest.param(("x0", "y0"), 1e5, 1e5, id="100000.0"),
+            # only y0's second component short: still no zero divisor
+            pytest.param(("y0",), 1.0, 1e-13, id="y0q-1e-13"),
+        ],
+    )
+    def test_corollary_passes_on_a_scaled_pair(self, capsys, tmp_path, keys, sp, sq):
         blob = json.loads((GOLDEN / "pair_n3.json").read_text())
-        for key in ("x0", "y0"):
-            blob[key] = [{"p": c["p"] * s, "q": c["q"] * s} for c in blob[key]]
+        for key in keys:
+            blob[key] = [{"p": c["p"] * sp, "q": c["q"] * sq} for c in blob[key]]
         code, out, _ = run_cli(capsys, "corollary", _write(tmp_path, blob))
         assert code == 0 and json.loads(out)["passed"]
 

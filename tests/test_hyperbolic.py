@@ -113,9 +113,21 @@ class TestInverse:
         assert z * inv == ONE
 
     def test_small_scalar_is_invertible(self):
-        # invertibility compares the coordinates with each other, not with 1
+        # a coordinate vanishes only at 0: neither is compared with 1 or with
+        # the other
         assert Hyperbolic(1e-13, 2e-13).inverse() == Hyperbolic(1e13, 5e12)
-        assert Hyperbolic(1.0, 1e-13).is_zero_divisor()
+        assert not Hyperbolic(1.0, 1e-13).is_zero_divisor()
+        assert Hyperbolic(1.0, 1e-13).inverse() == Hyperbolic(1.0, 1e13)
+        assert Hyperbolic(1.0, 0.0).is_zero_divisor()
+
+    def test_subnormal_coordinate_is_not_inverted(self):
+        # 1 / 5e-324 overflows, so no inf reaches arithmetic
+        z = Hyperbolic(1.0, 5e-324)
+        assert z.is_invertible()
+        with pytest.raises(NotInvertible):
+            z.inverse()
+        with pytest.raises(NotInvertible):
+            ONE / z
 
     def test_zero_divisor_not_invertible(self):
         with pytest.raises(NotInvertible):
