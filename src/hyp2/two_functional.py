@@ -13,14 +13,15 @@ uses C only through products (a lower estimate that converges).
 The search samples each component from its own RNG substream.  One fill of
 a + b rows, a and b near sqrt(budget), gives an a x b grid of pairs, and the
 first `budget` cells are scored as |f| / area by two small matrix products,
-one row block at a time, on C * 2^-e with e the exponent of C's largest
-entry (exact).  Every block is computed in place in the same two buffers,
-one for the areas and one for the scores.  A pair is thin when its area is
-at most THIN; the squared area is clamped at THIN_SQ, the largest double
-whose rounded root is THIN, so a thin pair's area reads exactly THIN, and a
-thin winner is struck out and the block's maximum taken again.  Both
-components are sampled and polished on the calling thread; no thread is
-started.
+one row block at a time, in two reused buffers, on C * 2^-e with e the
+exponent of C's largest entry (exact).  A pair is thin when its area is at
+most THIN; the squared area is clamped at THIN_SQ, the largest double whose
+rounded root is THIN, so a thin pair's area reads exactly THIN, and a thin
+winner is struck out and the block's maximum taken again.  No cell of row x
+scores above |x'C|, as x'C is orthogonal to x, so rows whose bound falls
+short of the best score are not scored, and neither is a block left without
+rows; no bit of the result changes.  Both components are sampled and
+polished on the calling thread.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tol import ROUND, SPAN, THIN, THIN_SQ, negligible, null, within
+from ._tol import ROUND, SCORE_SLACK, SPAN, THIN, THIN_SQ, negligible, null, within
 from .dmodule import DimensionMismatch, DVector
 from .hyperbolic import Hyperbolic, _as_scalar
 from .two_norm import _WEDGE_CELLS, D2Norm, _split_draws, wedge_area_batch
@@ -237,16 +238,21 @@ def _sample_component(
     normalised by rows: the first a rows are `xs`, the other b are `ys`, and
     cell (i, j) of the a x b grid is the pair (xs[i], ys[j]).  The first
     `budget` cells in row-major order are scored, from `xs @ ys.T` and
-    `(xs @ C) @ ys.T`, in row blocks of at most _WEDGE_CELLS cells.  Each
-    block writes, with `out=`, into two buffers allocated once per call,
-    `den` = sqrt(max(1 - <x,y>^2, THIN_SQ)) and `scores` = |f| / den, each
-    `(min(step, a), b)` float64: _WEDGE_CELLS cells, 128 KiB, at most, for
-    any budget below 2^28.  The first of largest score among the cells whose
-    area exceeds THIN wins, and for "unit" its pair is rescaled to unit
-    area.  A thin cell's den reads THIN exactly, so while the block's first
-    largest cell beats the best so far and is thin, it is set to -1 and the
-    maximum taken again: the result of rejecting thin cells outright,
-    without a mask.
+    `(xs @ C) @ ys.T`, in row blocks of at most _WEDGE_CELLS cells, into two
+    buffers allocated once per call (at most 128 KiB each below budget 2^28):
+    `den` = sqrt(max(1 - <x,y>^2, THIN_SQ)) and `scores` = |f| / den.  The
+    first of largest score among the cells whose area exceeds THIN wins, and
+    for "unit" its pair is rescaled to unit area.  A thin cell's den reads
+    THIN exactly, so a thin block maximum above the best so far is set to -1
+    and the maximum taken again: thin cells are rejected without a mask.
+
+    Row i scores at most bound[i] = (|x'C| + |x'Cx| / THIN)(1 + SCORE_SLACK),
+    as x'Cy = <x'C, y - <x,y>x> + <x,y>x'Cx.  The row of largest bound is
+    scored alone first, on its cells clearly wider than THIN, for a `floor`
+    at or below the best score.  Each block's two products run whole, so a
+    scored cell keeps its bits, and the passes after them only on the rows
+    whose bound reaches the floor and the best so far; a block with none is
+    skipped.
     """
     n = C.shape[0]
     a = math.isqrt(budget - 1) + 1
@@ -255,25 +261,38 @@ def _sample_component(
     rows *= (1.0 / np.sqrt(np.einsum("bi,bi->b", rows, rows)))[:, None]
     xs, ys = rows[:a], rows[a:]
     xcs, yt = xs @ C, ys.T
+    bound = np.sqrt(np.einsum("bi,bi->b", xcs, xcs))
+    bound += np.abs(np.einsum("bi,bi->b", xcs, xs)) / THIN
+    bound *= 1.0 + SCORE_SLACK
+    top = int(np.argmax(bound))
+    dots, fs = np.stack((xs[top], xcs[top])) @ yt[:, : budget - top * b]
+    wide = np.sqrt(np.maximum(1.0 - dots * dots, THIN_SQ))
+    floor = np.max(np.abs(fs) / wide, initial=0.0, where=wide > THIN * (1.0 + SCORE_SLACK))
+    floor -= SCORE_SLACK * bound[top]
     best, bu, bv = 0.0, np.eye(n)[0], np.eye(n)[min(1, n - 1)]
     step = max(1, _WEDGE_CELLS // b)
     den_buf, score_buf = np.empty((2, min(step, a), b))
     for s in range(0, a, step):
         m = min(step, a - s)
+        keep = np.flatnonzero(bound[s : s + m] >= max(best, floor))
+        if keep.size == 0:
+            continue
+        np.matmul(xs[s : s + m], yt, out=den_buf[:m])
+        np.matmul(xcs[s : s + m], yt, out=score_buf[:m])
         den, scores = den_buf[:m], score_buf[:m]
+        if keep.size < m:
+            den, scores = den[keep], scores[keep]
         # unit rows: area^2 = 1 - <x,y>^2, clamped at THIN_SQ, so a thin
         # pair's area reads THIN; fine here because thin pairs never win and
         # the winner is re-measured by the climb
-        np.matmul(xs[s : s + m], yt, out=den)
         np.square(den, out=den)
         np.subtract(1.0, den, out=den)
         np.maximum(den, THIN_SQ, out=den)
         np.sqrt(den, out=den)
-        np.matmul(xcs[s : s + m], yt, out=scores)
         np.abs(scores, out=scores)
         np.divide(scores, den, out=scores)
-        # cells past the budget; (a - 1) * b < budget, so each row has one
-        scores.reshape(-1)[budget - s * b :] = -1.0
+        # cells past the budget: (a - 1) * b < budget, so all in the last row
+        scores[keep == a - 1 - s, budget - (a - 1) * b :] = -1.0
         k = int(np.argmax(scores))
         while scores.flat[k] > best and den.flat[k] <= THIN:
             scores.flat[k] = -1.0
@@ -281,7 +300,7 @@ def _sample_component(
         if scores.flat[k] > best:
             i, j = divmod(k, b)
             scale = 1.0 / np.sqrt(den[i, j]) if formula == "unit" else 1.0
-            best, bu, bv = float(scores.flat[k]), xs[s + i] * scale, ys[j] * scale
+            best, bu, bv = float(scores.flat[k]), xs[s + keep[i]] * scale, ys[j] * scale
     return best, bu, bv
 
 
@@ -307,9 +326,10 @@ def norm_bruteforce(
     own substream `default_rng([seed, c, tag])`, tag 0 for "quotient" and 1
     for "unit", with a = ceil(sqrt(budget)) and b = ceil(budget / a); the
     scored pairs are the first `budget` cells of the grid of its first a
-    rows against its other b (`_sample_component`).  So a component's result
-    never depends on the other component's data.  Both components are
-    sampled and polished one after the other on the calling thread.
+    rows against its other b (`_sample_component`, which skips the rows that
+    cannot hold the best pair).  So a component's result never depends on
+    the other component's data.  Both components are sampled and polished
+    one after the other on the calling thread.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

@@ -18,7 +18,7 @@ from hyp2 import (
     norm_bruteforce,
     norm_spectral,
 )
-from hyp2._tol import THIN, THIN_SQ
+from hyp2._tol import SCORE_SLACK, THIN, THIN_SQ
 
 
 def dvec(c1, c2) -> DVector:
@@ -398,7 +398,7 @@ class TestBruteforceKernel:
 
 
 class FixedRows:
-    """An rng whose one fill is the given rows: a 2 x 2 grid at budget 4."""
+    """An rng whose one fill is the given rows, e.g. a 2 x 2 grid at budget 4."""
 
     def __init__(self, rows):
         self.rows = np.array(rows, dtype=float)
@@ -436,6 +436,123 @@ class TestThinPairs:
 
     def test_thin_sq_is_the_last_square_whose_root_is_thin(self):
         assert np.sqrt(THIN_SQ) <= THIN < np.sqrt(np.nextafter(THIN_SQ, np.inf))
+
+
+def rotation_blocks(n: int, weights, seed: int) -> np.ndarray:
+    """Q diag(w_j [[0, 1], [-1, 0]]) Q': each w_j a singular value twice, the
+    rest of the spectrum 0."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    blocks = np.zeros((n, n))
+    for j, w in enumerate(weights):
+        blocks[2 * j, 2 * j + 1], blocks[2 * j + 1, 2 * j] = w, -w
+    m = q @ blocks @ q.T
+    return (m - m.T) / 2.0
+
+
+def unit_rows(rows):
+    """Rows normalised as the sampler normalises them."""
+    rows = np.array(rows, dtype=float)
+    return rows * (1.0 / np.sqrt(np.einsum("bi,bi->b", rows, rows)))[:, None]
+
+
+PRUNE_CASES = {
+    # every row's bound is |c|: no row is ever pruned
+    "n2": lambda: DBilinear2Functional.random(2, 1).C1,
+    # a repeated top singular pair: at n = 4 every row's bound is the same
+    "repeated_n4": lambda: rotation_blocks(4, [0.75, 0.75], 2),
+    "repeated_n8": lambda: rotation_blocks(8, [0.75, 0.75, 0.5, 0.25], 3),
+    "rank2_n7": lambda: rotation_blocks(7, [0.75], 4),
+    "random_n8": lambda: DBilinear2Functional.random(8, 5).C1,
+    "zero_n5": lambda: np.zeros((5, 5)),
+}
+
+
+class TestRowBound:
+    """The sampler scores only rows whose bound |x'C| + |x'Cx| / THIN, times
+    1 + SCORE_SLACK, can still reach the best score; pruning moves no bit.
+    SCORE_SLACK = 1e150 puts every bound above every score, which is the
+    scan over every row."""
+
+    @staticmethod
+    def same(got, want):
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_a_score_stays_within_its_row_bound(self, n):
+        # y's part perpendicular to x lies along x'C, where |x'Cy| / area is
+        # |x'C| exactly, and the sine is just above THIN, where the rounding
+        # of 1 - <x,y>^2 weighs most against the area
+        rng = np.random.default_rng(n)
+        scored = 0
+        for _ in range(300):
+            C = DBilinear2Functional.random(n, rng).C1 * 2.0 ** int(rng.integers(-40, 41))
+            x = unit_rows([rng.standard_normal(n)])[0]
+            xc = x @ C
+            perp = xc - (xc @ x) * x
+            perp /= np.linalg.norm(perp)
+            sine = THIN * (1.2 - 0.2 * rng.random())  # in (THIN, 1.2 THIN]
+            rows = [x, math.sqrt(1.0 - sine * sine) * x + sine * perp]
+            value = tf._sample_component(C, 1, FixedRows(rows), "quotient")[0]
+            xc = unit_rows(rows)[0] @ C
+            assert value <= math.sqrt(xc @ xc) * (1.0 + SCORE_SLACK / 100)
+            scored += value > 0.0
+        assert scored >= 290  # a pair the rounding makes thin scores nothing
+
+    @pytest.mark.parametrize("formula", ["quotient", "unit"])
+    @pytest.mark.parametrize("budget", [1, 17, 250, 20000, 100000])
+    @pytest.mark.parametrize("case", sorted(PRUNE_CASES))
+    def test_pruning_changes_no_bit(self, monkeypatch, case, budget, formula):
+        C = PRUNE_CASES[case]()
+        pruned = tf._sample_component(C, budget, np.random.default_rng(budget), formula)
+        monkeypatch.setattr(tf, "SCORE_SLACK", 1e150)
+        self.same(pruned, tf._sample_component(C, budget, np.random.default_rng(budget), formula))
+
+    @pytest.mark.parametrize("formula", ["quotient", "unit"])
+    @pytest.mark.parametrize("budget", [17, 250, 20000, 100000])
+    @pytest.mark.parametrize("last", ["kept", "pruned"])
+    def test_partial_last_row(self, monkeypatch, last, budget, formula):
+        # the last x row has fewer scored cells than the others; at n = 5, C
+        # is sigma_1 on the plane (u1, v1) and 0 on the line of `kernel`
+        n = 5
+        C = DBilinear2Functional.random(n, 11).C1
+        u_mat, sigma, vh = np.linalg.svd(C)
+        u1, v1, kernel = u_mat[:, 0], vh[0], vh[-1]
+        a = math.isqrt(budget - 1) + 1
+        b = -(-budget // a)
+        rows = np.random.default_rng(budget).standard_normal((a + b, n))
+        if last == "kept":
+            # the last row has the largest bound; its first cell scores just
+            # under sigma_1, and its last, past the budget, sigma_1 itself
+            rows[a - 1], rows[a], rows[-1] = u1, v1 + 0.01 * kernel, v1
+        else:
+            # cell (0, 0) scores sigma_1 and sets the floor; the last row's
+            # bound is far below it
+            rows[0], rows[a] = u1, v1
+            rows[a - 1] = kernel + 0.05 * rows[a - 1]
+            x = unit_rows(rows[a - 1 : a])[0]
+            xc = x @ C
+            assert math.sqrt(xc @ xc) + abs(xc @ x) / THIN < 0.5 * sigma[0]
+        pruned = tf._sample_component(C, budget, FixedRows(rows), formula)
+        monkeypatch.setattr(tf, "SCORE_SLACK", 1e150)
+        self.same(pruned, tf._sample_component(C, budget, FixedRows(rows), formula))
+        x, y = unit_rows(rows[[a - 1, a]] if last == "kept" else rows[[0, a]])
+        for got, want in zip(pruned[1:], (x, y)):
+            np.testing.assert_allclose(got / np.linalg.norm(got), want, rtol=0.0, atol=1e-12)
+
+    def test_a_row_of_rounding_keeps_its_score(self, monkeypatch):
+        # x on the axis of a cross-product form: x'C is rounding, which is
+        # not orthogonal to x, so a thin pair scores far above |x'C|; the
+        # term |x'Cx| / THIN of the bound keeps the row
+        axis = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)
+        C = cross_form(axis)
+        perp = np.cross(axis, [1.0, 0.0, 0.0])
+        rows = [axis, math.sqrt(1.0 - 1.1e-6) * axis + 1.1e-3 * perp / np.linalg.norm(perp)]
+        value = tf._sample_component(C, 1, FixedRows(rows), "quotient")[0]
+        xc = unit_rows(rows)[0] @ C
+        assert value > 100.0 * math.sqrt(xc @ xc) > 0.0
+        monkeypatch.setattr(tf, "SCORE_SLACK", 1e150)
+        assert tf._sample_component(C, 1, FixedRows(rows), "quotient")[0] == value
 
 
 class TestPowerOfTwoScaling:
