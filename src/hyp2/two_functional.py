@@ -12,16 +12,17 @@ uses C only through products (a lower estimate that converges).
 
 The search samples each component from its own RNG substream.  One fill of
 a + b rows, a and b near sqrt(budget), gives an a x b grid of pairs, and the
-first `budget` cells are scored as |f| / area by two small matrix products,
-one row block at a time, in two reused buffers, on C * 2^-e with e the
+first `budget` cells are scored as |f| / area by two small matrix products
+per chunk of gathered rows, in two reused buffers, on C * 2^-e with e the
 exponent of C's largest entry (exact).  A pair is thin when its area is at
 most THIN; the squared area is clamped at THIN_SQ, the largest double whose
 rounded root is THIN, so a thin pair's area reads exactly THIN, and a thin
-winner is struck out and the block's maximum taken again.  No cell of row x
-scores above |x'C|, as x'C is orthogonal to x, so rows whose bound falls
-short of the best score are not scored, and neither is a block left without
-rows; no bit of the result changes.  Both components are sampled and
-polished on the calling thread.
+winner is struck out and the chunk's maximum taken again.  No cell of row x
+scores above |x'C|, as x'C is orthogonal to x, so rows are visited largest
+bound first and the scan stops at the first whose bound falls short of the
+best score.  The first of largest score in row-major order wins, whatever
+the order of the visit.  The polish measures its one pair without the batch
+kernel.  Both components are sampled and polished on the calling thread.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from ._tol import ROUND, SCORE_SLACK, SPAN, THIN, THIN_SQ, negligible, null, within
 from .dmodule import DimensionMismatch, DVector
 from .hyperbolic import Hyperbolic, _as_scalar
-from .two_norm import _WEDGE_CELLS, D2Norm, _split_draws, wedge_area_batch
+from .two_norm import _WEDGE_CELLS, D2Norm, _split_draws, _wedge_cols
 
 
 def _as_antisymmetric(mat, n: int | None = None) -> np.ndarray:
@@ -170,29 +171,33 @@ def norm_spectral(f: DBilinear2Functional) -> NormCertificate:
     return NormCertificate(value, (DVector._of(u), DVector._of(v)), "spectral")
 
 
-def _component_ratios(C: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """|x' C y| / area(x, y) on the polish's rows, near an orthonormal pair, so
-    the area is about the sine: a pair with area at most THIN gets -1."""
-    num = np.abs(np.einsum("bj,bj->b", xs @ C, ys))
-    den = wedge_area_batch(xs, ys)
-    return np.where(den > THIN, num / np.maximum(den, THIN), -1.0)
+def _pair_ratio(C: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """|u'Cv| / area(u, v) of one pair near an orthonormal one, so the area is
+    about the sine: a pair with area at most THIN gets -1.  The area sums the
+    wedge cells as one row of `wedge_area_batch` does, with the same bits."""
+    iu, ju = _wedge_cols(u.shape[0])
+    w = u[iu] * v[ju]
+    w -= u[ju] * v[iu]
+    den = math.sqrt(np.einsum("k,k->", w, w))
+    return float(abs(np.einsum("j,j->", u @ C, v)) / den) if den > THIN else -1.0
 
 
 def _plane_representative(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal pair spanning the same plane (the ratio is plane-invariant)."""
-    nu = float(np.linalg.norm(u))
+    nu = math.sqrt(u @ u)
     if null(nu):
         return u, v
     uu = u / nu
     along = float(uu @ v)
     w = v - uu * along
-    nw = float(np.linalg.norm(w))
+    nw = math.sqrt(w @ w)
     if negligible(nw, abs(along)):  # v on the line of u
         return uu, v
     return uu, w / nw
 
 
 _CLIMB_STEPS = 1000  #: the polish's step cap
+_FIRST_ROWS = 8  #: rows of the sampler's first chunk, those of largest bound
 
 
 def _climb_component(
@@ -211,7 +216,7 @@ def _climb_component(
     plane: the printed value is a measured ratio at the printed witness.
     """
     u, v = _plane_representative(u, v)
-    best = value = float(_component_ratios(C, u[None, :], v[None, :])[0])
+    best = value = _pair_ratio(C, u, v)
     for _ in range(_CLIMB_STEPS):
         cv = C @ v
         size = math.sqrt(cv @ cv)
@@ -225,7 +230,7 @@ def _climb_component(
             break
         value = reached
     u, v = _plane_representative(u, v)
-    final = float(_component_ratios(C, u[None, :], v[None, :])[0])
+    final = _pair_ratio(C, u, v)
     return (final if final >= 0.0 else best), u, v
 
 
@@ -238,21 +243,25 @@ def _sample_component(
     normalised by rows: the first a rows are `xs`, the other b are `ys`, and
     cell (i, j) of the a x b grid is the pair (xs[i], ys[j]).  The first
     `budget` cells in row-major order are scored, from `xs @ ys.T` and
-    `(xs @ C) @ ys.T`, in row blocks of at most _WEDGE_CELLS cells, into two
-    buffers allocated once per call (at most 128 KiB each below budget 2^28):
-    `den` = sqrt(max(1 - <x,y>^2, THIN_SQ)) and `scores` = |f| / den.  The
-    first of largest score among the cells whose area exceeds THIN wins, and
-    for "unit" its pair is rescaled to unit area.  A thin cell's den reads
-    THIN exactly, so a thin block maximum above the best so far is set to -1
-    and the maximum taken again: thin cells are rejected without a mask.
+    `(xs @ C) @ ys.T` on chunks of gathered rows of at most _WEDGE_CELLS
+    cells, into two buffers allocated once per call (at most 128 KiB each
+    below budget 2^26): `den` = sqrt(max(1 - <x,y>^2, THIN_SQ)) and `scores`
+    = |f| / den.  The first of largest score in row-major order among the
+    cells whose area exceeds THIN wins, and for "unit" its pair is rescaled
+    to unit area.  A thin cell's den reads THIN exactly, so a thin chunk
+    maximum that would win is set to -1 and the maximum taken again.
 
     Row i scores at most bound[i] = (|x'C| + |x'Cx| / THIN)(1 + SCORE_SLACK),
-    as x'Cy = <x'C, y - <x,y>x> + <x,y>x'Cx.  The row of largest bound is
-    scored alone first, on its cells clearly wider than THIN, for a `floor`
-    at or below the best score.  Each block's two products run whole, so a
-    scored cell keeps its bits, and the passes after them only on the rows
-    whose bound reaches the floor and the best so far; a block with none is
-    skipped.
+    as x'Cy = <x'C, y - <x,y>x> + <x,y>x'Cx.  Rows are visited by bound,
+    largest first: _FIRST_ROWS of them, then chunks that fill the buffers,
+    each of the rows whose bound reaches the best score so far, and the scan
+    stops at the first row whose bound does not.  A winner is compared with
+    the best by (score, then row and column, lowest first), so the order of
+    the visit moves no result.  The products run against a C-contiguous copy
+    of ys.T: with it OpenBLAS gives a row the same bits in every chunk of two
+    or more rows, whichever rows share it, where with a Fortran-ordered ys.T
+    it rounds the last rows of a product apart; numpy sends a one-row product
+    through gemv, so a lone row is scored with a neighbour.
     """
     n = C.shape[0]
     a = math.isqrt(budget - 1) + 1
@@ -260,28 +269,26 @@ def _sample_component(
     rows = rng.standard_normal((a + b, n))
     rows *= (1.0 / np.sqrt(np.einsum("bi,bi->b", rows, rows)))[:, None]
     xs, ys = rows[:a], rows[a:]
-    xcs, yt = xs @ C, ys.T
+    both = np.stack((xs, xs @ C))  # gathered together: one product per chunk
+    xcs, yt = both[1], np.ascontiguousarray(ys.T)
     bound = np.sqrt(np.einsum("bi,bi->b", xcs, xcs))
     bound += np.abs(np.einsum("bi,bi->b", xcs, xs)) / THIN
     bound *= 1.0 + SCORE_SLACK
-    top = int(np.argmax(bound))
-    dots, fs = np.stack((xs[top], xcs[top])) @ yt[:, : budget - top * b]
-    wide = np.sqrt(np.maximum(1.0 - dots * dots, THIN_SQ))
-    floor = np.max(np.abs(fs) / wide, initial=0.0, where=wide > THIN * (1.0 + SCORE_SLACK))
-    floor -= SCORE_SLACK * bound[top]
-    best, bu, bv = 0.0, np.eye(n)[0], np.eye(n)[min(1, n - 1)]
-    step = max(1, _WEDGE_CELLS // b)
-    den_buf, score_buf = np.empty((2, min(step, a), b))
-    for s in range(0, a, step):
-        m = min(step, a - s)
-        keep = np.flatnonzero(bound[s : s + m] >= max(best, floor))
-        if keep.size == 0:
-            continue
-        np.matmul(xs[s : s + m], yt, out=den_buf[:m])
-        np.matmul(xcs[s : s + m], yt, out=score_buf[:m])
-        den, scores = den_buf[:m], score_buf[:m]
-        if keep.size < m:
-            den, scores = den[keep], scores[keep]
+    order = np.argsort(-bound, kind="stable")
+    falling = -bound[order]  # ascending, for searchsorted
+    # (score, -row, -column) of the best cell; a score of 0 never wins
+    win, bu, bv = (0.0, 1, 0), np.eye(n)[0], np.eye(n)[min(1, n - 1)]
+    step = max(2, _WEDGE_CELLS // b)
+    buf = np.empty((2, min(step, a), b))
+    s, size = 0, min(_FIRST_ROWS, step)
+    # the next chunk: up to `size` more rows, in visit order, whose bound
+    # reaches the best score so far
+    while (e := min(s + size, int(np.searchsorted(falling, -win[0], "right")))) > s:
+        idx = np.sort(order[s:e])
+        if idx.size == 1 < a:
+            idx = np.arange(2) + min(idx[0], a - 2)
+        s, size = e, step
+        den, scores = np.matmul(both[:, idx], yt, out=buf[:, : idx.size])
         # unit rows: area^2 = 1 - <x,y>^2, clamped at THIN_SQ, so a thin
         # pair's area reads THIN; fine here because thin pairs never win and
         # the winner is re-measured by the climb
@@ -291,17 +298,18 @@ def _sample_component(
         np.sqrt(den, out=den)
         np.abs(scores, out=scores)
         np.divide(scores, den, out=scores)
-        # cells past the budget: (a - 1) * b < budget, so all in the last row
-        scores[keep == a - 1 - s, budget - (a - 1) * b :] = -1.0
-        k = int(np.argmax(scores))
-        while scores.flat[k] > best and den.flat[k] <= THIN:
-            scores.flat[k] = -1.0
-            k = int(np.argmax(scores))
-        if scores.flat[k] > best:
-            i, j = divmod(k, b)
+        if idx[-1] == a - 1:  # cells past the budget: (a - 1) * b < budget
+            scores[-1, budget - (a - 1) * b :] = -1.0
+        while True:
+            i, j = divmod(int(np.argmax(scores)), b)
+            key = (float(scores[i, j]), -int(idx[i]), -j)
+            if key <= win or den[i, j] > THIN:
+                break
+            scores[i, j] = -1.0
+        if key > win:
             scale = 1.0 / np.sqrt(den[i, j]) if formula == "unit" else 1.0
-            best, bu, bv = float(scores.flat[k]), xs[s + keep[i]] * scale, ys[j] * scale
-    return best, bu, bv
+            win, bu, bv = key, xs[idx[i]] * scale, ys[j] * scale
+    return win[0], bu, bv
 
 
 def norm_bruteforce(

@@ -19,8 +19,9 @@ from hyp2 import DBilinear2Functional, norm_bruteforce
 
 PINS = Path(__file__).parent / "golden" / "bruteforce_pins.json"
 
-# one pair, a partial last row (17 of 5 x 4), and one and seven row blocks
-BUDGETS = (1, 17, 20000, 100000)
+# one pair, a 2 x 1 grid, a partial last row (17 of 5 x 4, 250 of 16 x 16),
+# one and seven row blocks, and the 448 x 447 grid of 200000 pairs
+BUDGETS = (1, 2, 17, 250, 20000, 100000, 200000)
 
 
 def pin(n: int, formula: str, budget: int) -> dict:

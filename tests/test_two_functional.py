@@ -288,6 +288,27 @@ def reference_grid_pairs(C, budget, rng, formula):
     return float(scores[cell]), cell, us[cell], vs[cell]
 
 
+def grid_by_pairs(C, budget, rng):
+    """The sampler's grid scored from products of two consecutive rows at a
+    time (the last pair overlapping), against the C-contiguous y block, then
+    the first of largest score among the cells wider than THIN, as
+    (value, u, v)."""
+    n = C.shape[0]
+    a = math.isqrt(budget - 1) + 1
+    b = -(-budget // a)
+    xs, ys = np.split(unit_rows(rng.standard_normal((a + b, n))), [a])
+    xcs, yt = xs @ C, np.ascontiguousarray(ys.T)
+    dots, fs = np.empty((a, b)), np.empty((a, b))
+    for s in range(0, a, 2):
+        first = min(s, a - 2)
+        dots[first : s + 2], fs[first : s + 2] = xs[first : s + 2] @ yt, xcs[first : s + 2] @ yt
+    den = np.sqrt(np.maximum(1.0 - dots * dots, THIN_SQ))
+    scores = np.where(den > THIN, np.abs(fs) / den, -1.0).reshape(-1)
+    scores[budget:] = -1.0
+    cell = int(np.argmax(scores))
+    return float(scores[cell]), xs[cell // b], ys[cell % b]
+
+
 class TestBruteforceKernel:
     # 1 x 1, 2 x 1 and 2 x 2 grids, a square, partial last rows (17 of
     # 5 x 4, 250 of 16 x 16, 20000 of 142 x 141) and two row blocks
@@ -333,23 +354,66 @@ class TestBruteforceKernel:
     @pytest.mark.parametrize("formula", ["quotient", "unit"])
     @pytest.mark.parametrize(
         "budget,cells",
-        # 317 rows in blocks of 51, the last of 11; 448 in blocks of 36, the
-        # last of 16; 142 in blocks of 7, the last of 2
+        # 317 rows in chunks of 51; 448 in chunks of 36; 142 in chunks of 7
         [(100_000, tf._WEDGE_CELLS), (200_000, tf._WEDGE_CELLS), (20_000, 1000)],
     )
     def test_row_blocks_score_as_one_pass(self, monkeypatch, formula, budget, cells):
-        # the same winning cell as one product over the whole grid.  BLAS may
-        # round a product cell of a small block and of the whole grid apart
-        # in the last bit, so the values agree to 2 ulp, not bit for bit
-        for n in (3, 8):
+        # the same winning cell, bit for bit, as products of two rows each
+        # (_WEDGE_CELLS = 1) and, at budget 10^5, as one product over all the
+        # rows after the first chunk; at n = 2 every cell scores |c| but for
+        # rounding, so the last bit of every cell picks the winner
+        for n in (2, 3, 8):
             C = DBilinear2Functional.random(n, 600 + n).C2
             monkeypatch.setattr(tf, "_WEDGE_CELLS", cells)
             blocked = tf._sample_component(C, budget, np.random.default_rng(n), formula)
-            monkeypatch.setattr(tf, "_WEDGE_CELLS", 2 * budget)
-            whole = tf._sample_component(C, budget, np.random.default_rng(n), formula)
-            assert abs(blocked[0] - whole[0]) <= 2 * np.spacing(whole[0])
-            for got, want in zip(blocked[1:], whole[1:]):
-                np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)
+            for other in (1, 2 * budget) if budget <= 100_000 else (1,):
+                monkeypatch.setattr(tf, "_WEDGE_CELLS", other)
+                got = tf._sample_component(C, budget, np.random.default_rng(n), formula)
+                assert got[0] == blocked[0]
+                assert np.array_equal(got[1], blocked[1]) and np.array_equal(got[2], blocked[2])
+
+    @pytest.mark.parametrize("b", [2, 17, 316, 447])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_gathered_rows_keep_their_bits(self, n, b):
+        # each row of a product over two or more gathered rows, against the
+        # C-contiguous (n, b) block, has the bits it has in the products of
+        # consecutive rows the sampler's chunks are cut from, at any chunk
+        # size up to _WEDGE_CELLS cells (a product of far more cells, such
+        # as the whole 448 x 447 grid at n = 8, may round apart)
+        rng = np.random.default_rng([n, b])
+        a = 448
+        xs = unit_rows(rng.standard_normal((a, n)))
+        yt = np.ascontiguousarray(unit_rows(rng.standard_normal((b, n))).T)
+        step = min(a, max(2, tf._WEDGE_CELLS // b))  # the sampler's chunk rows
+
+        def consecutive(rows):
+            out = np.empty((a, b))
+            for s in range(0, a, rows):
+                first = min(s, a - 2)  # a lone last row is taken with its neighbour
+                out[first : s + rows] = xs[first : s + rows] @ yt
+            return out
+
+        pairs = consecutive(2)
+        for rows in (3, 8, step):
+            assert np.array_equal(consecutive(rows), pairs)
+        out = np.empty((step, b))
+        for size in [k for k in (2, 3, 7, 8, 17, 36, 48, 49, 50, 51, step) if k <= step]:
+            for _ in range(5):
+                idx = np.sort(rng.choice(a, size=size, replace=False))
+                np.matmul(xs[idx], yt, out=out[:size])
+                assert np.array_equal(out[:size], pairs[idx])
+
+    # n = 2 draws where a Fortran-ordered ys.T, and n >= 3 draws where a lone
+    # first row scored through gemv, would pick another cell
+    @pytest.mark.parametrize("n,seed", [(2, 33), (2, 91), (2, 111), (2, 158), (3, 0), (4, 0), (8, 6)])
+    def test_every_cell_has_the_bits_of_a_two_row_product(self, monkeypatch, n, seed):
+        C = DBilinear2Functional.random(n, seed).C1
+        C = np.ldexp(C, -int(np.frexp(np.max(np.abs(C)))[1]))
+        value, u, v = grid_by_pairs(C, 100_000, np.random.default_rng(seed))
+        for first in (1, 8):
+            monkeypatch.setattr(tf, "_FIRST_ROWS", first)
+            got = tf._sample_component(C, 100_000, np.random.default_rng(seed), "quotient")
+            assert got[0] == value and np.array_equal(got[1], u) and np.array_equal(got[2], v)
 
     @pytest.mark.parametrize("formula", ["quotient", "unit"])
     def test_second_component_does_not_touch_the_first(self, formula):
@@ -469,9 +533,10 @@ PRUNE_CASES = {
 
 class TestRowBound:
     """The sampler scores only rows whose bound |x'C| + |x'Cx| / THIN, times
-    1 + SCORE_SLACK, can still reach the best score; pruning moves no bit.
-    SCORE_SLACK = 1e150 puts every bound above every score, which is the
-    scan over every row."""
+    1 + SCORE_SLACK, can still reach the best score, largest bound first;
+    neither pruning nor the order of the visit moves a bit.  SCORE_SLACK =
+    1e150 puts every bound above every score, which is the scan over every
+    row."""
 
     @staticmethod
     def same(got, want):
@@ -503,10 +568,31 @@ class TestRowBound:
     @pytest.mark.parametrize("budget", [1, 17, 250, 20000, 100000])
     @pytest.mark.parametrize("case", sorted(PRUNE_CASES))
     def test_pruning_changes_no_bit(self, monkeypatch, case, budget, formula):
+        # and neither does a first chunk of one row (scored with a neighbour)
+        # or two in place of eight
         C = PRUNE_CASES[case]()
         pruned = tf._sample_component(C, budget, np.random.default_rng(budget), formula)
+        for first in (1, 2):
+            monkeypatch.setattr(tf, "_FIRST_ROWS", first)
+            self.same(tf._sample_component(C, budget, np.random.default_rng(budget), formula), pruned)
         monkeypatch.setattr(tf, "SCORE_SLACK", 1e150)
         self.same(pruned, tf._sample_component(C, budget, np.random.default_rng(budget), formula))
+
+    @pytest.mark.parametrize("first", [1, 2, 8])
+    @pytest.mark.parametrize("formula", ["quotient", "unit"])
+    def test_an_exact_tie_goes_to_the_first_cell(self, monkeypatch, formula, first):
+        # rows e3 and -e3 score 0.5 exactly at y = e4, and row e1, of the
+        # largest bound, scores 0; a first chunk of one row is padded with its
+        # neighbour -e3, which is scored before e3, yet row e3 wins
+        C = np.zeros((5, 5))
+        C[0, 1], C[2, 3] = 1.0, 0.5
+        C -= C.T
+        e1, _, e3, e4, e5 = np.eye(5)
+        rows = [e3, e5, e1, -e3, e4, e5, e1 + e5, e3 + e5]
+        monkeypatch.setattr(tf, "_FIRST_ROWS", first)
+        value, u, v = tf._sample_component(C, 16, FixedRows(rows), formula)
+        assert value == 0.5
+        assert np.array_equal(u, e3) and np.array_equal(v, e4)
 
     @pytest.mark.parametrize("formula", ["quotient", "unit"])
     @pytest.mark.parametrize("budget", [17, 250, 20000, 100000])
@@ -526,7 +612,7 @@ class TestRowBound:
             # under sigma_1, and its last, past the budget, sigma_1 itself
             rows[a - 1], rows[a], rows[-1] = u1, v1 + 0.01 * kernel, v1
         else:
-            # cell (0, 0) scores sigma_1 and sets the floor; the last row's
+            # cell (0, 0) scores sigma_1, the best score; the last row's
             # bound is far below it
             rows[0], rows[a] = u1, v1
             rows[a - 1] = kernel + 0.05 * rows[a - 1]
