@@ -28,7 +28,8 @@ THIN_SQ = 1.0000000000000002e-06
 #: a relative kappa <~ 2(n + 2)u / THIN_SQ, about 2.2e-9 at n = 8 (u = 2^-53):
 #: an error of (n + 2)u in <x,y> near 1 is doubled in 1 - <x,y>^2 > THIN_SQ.
 #: The worst excess over 20000 pairs with sine in (THIN, 1.2 THIN] and y's
-#: perpendicular part along x'C was 5.6e-10.
+#: perpendicular part along x'C was 5.6e-10.  The search's winner is the
+#: first cell that reaches top = B / (1 + 2 SCORE_SLACK), B the largest bound.
 SCORE_SLACK = 1e-6
 
 

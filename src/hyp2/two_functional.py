@@ -20,9 +20,10 @@ rounded root is THIN, so a thin pair's area reads exactly THIN, and a thin
 winner is struck out and the chunk's maximum taken again.  No cell of row x
 scores above |x'C|, as x'C is orthogonal to x, so rows are visited largest
 bound first and the scan stops at the first whose bound falls short of the
-best score.  The first of largest score in row-major order wins, whatever
-the order of the visit.  The polish measures its one pair without the batch
-kernel.  Both components are sampled and polished on the calling thread.
+best score.  The first cell in row-major order within 2 SCORE_SLACK of the
+largest bound wins, else the first of largest score, whatever the order of
+the visit.  The polish measures its one pair without the batch kernel.
+Both components are sampled and polished on the calling thread.
 """
 
 from __future__ import annotations
@@ -246,18 +247,21 @@ def _sample_component(
     `(xs @ C) @ ys.T` on chunks of gathered rows of at most _WEDGE_CELLS
     cells, into two buffers allocated once per call (at most 128 KiB each
     below budget 2^26): `den` = sqrt(max(1 - <x,y>^2, THIN_SQ)) and `scores`
-    = |f| / den.  The first of largest score in row-major order among the
-    cells whose area exceeds THIN wins, and for "unit" its pair is rescaled
-    to unit area.  A thin cell's den reads THIN exactly, so a thin chunk
-    maximum that would win is set to -1 and the maximum taken again.
+    = |f| / den.  The winner, for "unit" rescaled to unit area, is the first
+    cell in row-major order wider than THIN whose score is above 0 and
+    reaches top = B / (1 + 2 SCORE_SLACK), B the largest row bound, else the
+    first of largest score wider than THIN (a thin cell's den reads THIN).
 
     Row i scores at most bound[i] = (|x'C| + |x'Cx| / THIN)(1 + SCORE_SLACK),
-    as x'Cy = <x'C, y - <x,y>x> + <x,y>x'Cx.  Rows are visited by bound,
-    largest first: _FIRST_ROWS of them, then chunks that fill the buffers,
-    each of the rows whose bound reaches the best score so far, and the scan
-    stops at the first row whose bound does not.  A winner is compared with
-    the best by (score, then row and column, lowest first), so the order of
-    the visit moves no result.  The products run against a C-contiguous copy
+    as x'Cy = <x'C, y - <x,y>x> + <x,y>x'Cx, so only the near rows, whose
+    bound reaches top, can hold a cell that does.  They lead the visit by
+    index, the other rows follow largest bound first, and a chunk that
+    starts among the near rows returns its first cell that reaches top.
+    Chunks are _FIRST_ROWS rows, then as many as fill the buffers, of rows
+    whose bound reaches the best score so far; the scan stops at the first
+    row whose bound does not.  A winner is compared with the best by (score,
+    then row and column, lowest first), so the order of the visit moves no
+    result.  The products run against a C-contiguous copy
     of ys.T: with it OpenBLAS gives a row the same bits in every chunk of two
     or more rows, whichever rows share it, where with a Fortran-ordered ys.T
     it rounds the last rows of a product apart; numpy sends a one-row product
@@ -276,6 +280,9 @@ def _sample_component(
     bound *= 1.0 + SCORE_SLACK
     order = np.argsort(-bound, kind="stable")
     falling = -bound[order]  # ascending, for searchsorted
+    top = bound[order[0]] / (1.0 + 2.0 * SCORE_SLACK)
+    near = int(np.searchsorted(falling, -top, "right"))
+    order[:near].sort()  # the rows that can reach top, by index
     # (score, -row, -column) of the best cell; a score of 0 never wins
     win, bu, bv = (0.0, 1, 0), np.eye(n)[0], np.eye(n)[min(1, n - 1)]
     step = max(2, _WEDGE_CELLS // b)
@@ -287,7 +294,7 @@ def _sample_component(
         idx = np.sort(order[s:e])
         if idx.size == 1 < a:
             idx = np.arange(2) + min(idx[0], a - 2)
-        s, size = e, step
+        inside, s, size = s < near, e, step
         den, scores = np.matmul(both[:, idx], yt, out=buf[:, : idx.size])
         # unit rows: area^2 = 1 - <x,y>^2, clamped at THIN_SQ, so a thin
         # pair's area reads THIN; fine here because thin pairs never win and
@@ -306,6 +313,12 @@ def _sample_component(
             if key <= win or den[i, j] > THIN:
                 break
             scores[i, j] = -1.0
+        # a chunk of near rows whose best cell reaches top: its first such cell wins
+        if inside and key[0] > 0.0 and key[0] >= top:
+            hit = (scores >= top) & (den > THIN)  # top > 0: no score exceeds its bound
+            i, j = divmod(int(np.argmax(hit)), b)
+            scale = 1.0 / np.sqrt(den[i, j]) if formula == "unit" else 1.0
+            return float(scores[i, j]), xs[idx[i]] * scale, ys[j] * scale
         if key > win:
             scale = 1.0 / np.sqrt(den[i, j]) if formula == "unit" else 1.0
             win, bu, bv = key, xs[idx[i]] * scale, ys[j] * scale
@@ -334,8 +347,9 @@ def norm_bruteforce(
     own substream `default_rng([seed, c, tag])`, tag 0 for "quotient" and 1
     for "unit", with a = ceil(sqrt(budget)) and b = ceil(budget / a); the
     scored pairs are the first `budget` cells of the grid of its first a
-    rows against its other b (`_sample_component`, which skips the rows that
-    cannot hold the best pair).  So a component's result never depends on
+    rows against its other b (`_sample_component`, which ends at the first
+    cell within 2 SCORE_SLACK of the largest row bound and skips the rows
+    that cannot hold the best pair).  So a component's result never depends on
     the other component's data.  Both components are sampled and polished
     one after the other on the calling thread.
     """

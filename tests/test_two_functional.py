@@ -288,11 +288,15 @@ def reference_grid_pairs(C, budget, rng, formula):
     return float(scores[cell]), cell, us[cell], vs[cell]
 
 
-def grid_by_pairs(C, budget, rng):
+def grid_by_pairs(C, budget, rng, formula="quotient"):
     """The sampler's grid scored from products of two consecutive rows at a
-    time (the last pair overlapping), against the C-contiguous y block, then
-    the first of largest score among the cells wider than THIN, as
-    (value, u, v)."""
+    time (the last pair overlapping), against the C-contiguous y block, and
+    its winner by the stated rule, as (value, u, v, qualified): the first
+    cell in row-major order, within the budget and wider than THIN, whose
+    score is above 0 and reaches top = B / (1 + 2 SCORE_SLACK), B the largest
+    row bound (|x'C| + |x'Cx| / THIN)(1 + SCORE_SLACK) of the rows; with no
+    such cell, the first of largest score; and (0, e1, e2) when no cell
+    scores above 0.  A "unit" pair is rescaled to unit area."""
     n = C.shape[0]
     a = math.isqrt(budget - 1) + 1
     b = -(-budget // a)
@@ -302,11 +306,19 @@ def grid_by_pairs(C, budget, rng):
     for s in range(0, a, 2):
         first = min(s, a - 2)
         dots[first : s + 2], fs[first : s + 2] = xs[first : s + 2] @ yt, xcs[first : s + 2] @ yt
-    den = np.sqrt(np.maximum(1.0 - dots * dots, THIN_SQ))
-    scores = np.where(den > THIN, np.abs(fs) / den, -1.0).reshape(-1)
+    den = np.sqrt(np.maximum(1.0 - dots * dots, THIN_SQ)).reshape(-1)
+    scores = np.where(den > THIN, np.abs(fs.reshape(-1)) / den, -1.0)
     scores[budget:] = -1.0
-    cell = int(np.argmax(scores))
-    return float(scores[cell]), xs[cell // b], ys[cell % b]
+    bound = np.sqrt(np.einsum("bi,bi->b", xcs, xcs))
+    bound += np.abs(np.einsum("bi,bi->b", xcs, xs)) / THIN
+    top = np.max(bound * (1.0 + SCORE_SLACK)) / (1.0 + 2.0 * SCORE_SLACK)
+    hit = (scores >= top) & (scores > 0.0)
+    qualified = bool(hit.any())
+    cell = int(np.argmax(hit if qualified else scores))
+    if scores[cell] <= 0.0:
+        return 0.0, np.eye(n)[0], np.eye(n)[min(1, n - 1)], False
+    scale = 1.0 / np.sqrt(den[cell]) if formula == "unit" else 1.0
+    return float(scores[cell]), xs[cell // b] * scale, ys[cell % b] * scale, qualified
 
 
 class TestBruteforceKernel:
@@ -409,7 +421,7 @@ class TestBruteforceKernel:
     def test_every_cell_has_the_bits_of_a_two_row_product(self, monkeypatch, n, seed):
         C = DBilinear2Functional.random(n, seed).C1
         C = np.ldexp(C, -int(np.frexp(np.max(np.abs(C)))[1]))
-        value, u, v = grid_by_pairs(C, 100_000, np.random.default_rng(seed))
+        value, u, v, _ = grid_by_pairs(C, 100_000, np.random.default_rng(seed))
         for first in (1, 8):
             monkeypatch.setattr(tf, "_FIRST_ROWS", first)
             got = tf._sample_component(C, 100_000, np.random.default_rng(seed), "quotient")
@@ -533,10 +545,10 @@ PRUNE_CASES = {
 
 class TestRowBound:
     """The sampler scores only rows whose bound |x'C| + |x'Cx| / THIN, times
-    1 + SCORE_SLACK, can still reach the best score, largest bound first;
-    neither pruning nor the order of the visit moves a bit.  SCORE_SLACK =
-    1e150 puts every bound above every score, which is the scan over every
-    row."""
+    1 + SCORE_SLACK, can still reach the best score, largest bound first, and
+    stops at the first cell that reaches top; neither pruning nor the order
+    of the visit moves a bit.  `grid_by_pairs`, which scores the whole grid,
+    is the reference."""
 
     @staticmethod
     def same(got, want):
@@ -575,8 +587,11 @@ class TestRowBound:
         for first in (1, 2):
             monkeypatch.setattr(tf, "_FIRST_ROWS", first)
             self.same(tf._sample_component(C, budget, np.random.default_rng(budget), formula), pruned)
-        monkeypatch.setattr(tf, "SCORE_SLACK", 1e150)
-        self.same(pruned, tf._sample_component(C, budget, np.random.default_rng(budget), formula))
+        want = grid_by_pairs(C, budget, np.random.default_rng(budget), formula)
+        self.same(pruned, want)
+        # at n >= 4 no cell reaches top, so the first of largest score wins,
+        # as it did before top was stated
+        assert want[3] == (case == "n2")
 
     @pytest.mark.parametrize("first", [1, 2, 8])
     @pytest.mark.parametrize("formula", ["quotient", "unit"])
@@ -597,7 +612,7 @@ class TestRowBound:
     @pytest.mark.parametrize("formula", ["quotient", "unit"])
     @pytest.mark.parametrize("budget", [17, 250, 20000, 100000])
     @pytest.mark.parametrize("last", ["kept", "pruned"])
-    def test_partial_last_row(self, monkeypatch, last, budget, formula):
+    def test_partial_last_row(self, last, budget, formula):
         # the last x row has fewer scored cells than the others; at n = 5, C
         # is sigma_1 on the plane (u1, v1) and 0 on the line of `kernel`
         n = 5
@@ -620,11 +635,95 @@ class TestRowBound:
             xc = x @ C
             assert math.sqrt(xc @ xc) + abs(xc @ x) / THIN < 0.5 * sigma[0]
         pruned = tf._sample_component(C, budget, FixedRows(rows), formula)
-        monkeypatch.setattr(tf, "SCORE_SLACK", 1e150)
-        self.same(pruned, tf._sample_component(C, budget, FixedRows(rows), formula))
+        self.same(pruned, grid_by_pairs(C, budget, FixedRows(rows), formula))
         x, y = unit_rows(rows[[a - 1, a]] if last == "kept" else rows[[0, a]])
         for got, want in zip(pruned[1:], (x, y)):
             np.testing.assert_allclose(got / np.linalg.norm(got), want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("first", [1, 2, 8])
+    @pytest.mark.parametrize("formula", ["quotient", "unit"])
+    def test_the_first_cell_to_reach_top_wins(self, monkeypatch, formula, first):
+        # x'Cy = x1 y2 - x2 y1; row e1 has bound 1 and row x0, a hair off e1,
+        # a bound 5e-9 short of it, so both are near; x0's cell scores 1 -
+        # 5e-9 >= top, and row e1, visited first, has the higher score 1
+        x0 = unit_rows([[1.0, 0.0, 1e-4]])[0]
+        e1, e2, e3 = np.eye(3)
+        monkeypatch.setattr(tf, "_FIRST_ROWS", first)
+        value, u, v = tf._sample_component(TestThinPairs.C, 4, FixedRows([x0, e1, e3, e2]), formula)
+        assert value == x0[0] < 1.0
+        assert np.array_equal(u, x0) and np.array_equal(v, e2)
+
+    @pytest.mark.parametrize("formula", ["quotient", "unit"])
+    @pytest.mark.parametrize("where", ["thin", "past_budget"])
+    def test_a_cell_that_cannot_win_does_not_reach_top(self, where, formula):
+        e1, e2, e3 = np.eye(3)
+        if where == "thin":
+            # cell (0, 0) is thin and scores 1 - 5e-7 >= top as |f| / THIN,
+            # under the best score, 1 / sqrt(1 + 1e-8) at cell (0, 1)
+            sine = THIN * (1.0 - 5e-7)
+            rows = [e1, e3, [math.sqrt(1.0 - sine * sine), sine, 0.0], [0.0, 1.0, 1e-4]]
+            budget, want = 4, (1.0 / math.sqrt(1.0 + 1e-8), e1, unit_rows(rows[3:])[0])
+        else:
+            # cell (1, 1) scores 1, the largest bound, but 3 pairs leave it
+            # unscored: no cell reaches top and the best, (1, 0), wins
+            rows = [e3, e1, 0.6 * e2 + 0.8 * e3, e2]
+            budget, want = 3, (0.6, e1, rows[2])
+        # the winner is an orthogonal pair, which "unit" leaves as it is
+        value, u, v = tf._sample_component(TestThinPairs.C, budget, FixedRows(rows), formula)
+        assert value == pytest.approx(want[0], rel=1e-15, abs=0.0)
+        for got, w in zip((u, v), want[1:]):
+            np.testing.assert_allclose(got, w, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("formula", ["quotient", "unit"])
+    def test_near_rows_over_several_chunks(self, monkeypatch, formula):
+        # n = 2: every row is near, and every cell that is not thin reaches
+        # top; rows 0..5 are e1 and every y is within THIN of e1, so the first
+        # cell to reach top is (6, 0), past chunks of one or two rows; row 6
+        # has the smallest bound, which rounding sets, so a visit by bound
+        # would reach it last
+        rng = np.random.default_rng(8)
+        ys = np.stack((np.ones(10), 8e-4 * rng.uniform(-1.0, 1.0, 10)), axis=1)
+        rows = np.concatenate(([[1.0, 0.0]] * 6, rng.standard_normal((4, 2)), ys))
+        C = DBilinear2Functional.random(2, 1).C1
+        xs = unit_rows(rows[:10])
+        xcs = xs @ C
+        bound = np.sqrt(np.einsum("bi,bi->b", xcs, xcs)) + np.abs(np.einsum("bi,bi->b", xcs, xs)) / THIN
+        assert np.argsort(-bound, kind="stable")[-1] == 6
+        want = grid_by_pairs(C, 100, FixedRows(rows), formula)
+        assert want[3]
+        for got, w in zip(want[1:3], (xs[6], unit_rows(ys)[0])):
+            np.testing.assert_allclose(got / np.linalg.norm(got), w, rtol=0.0, atol=1e-15)
+        for cells in (20, 30, tf._WEDGE_CELLS):  # chunks of 2, 3 and all 10 rows
+            monkeypatch.setattr(tf, "_WEDGE_CELLS", cells)
+            for first in (1, 2):
+                monkeypatch.setattr(tf, "_FIRST_ROWS", first)
+                self.same(tf._sample_component(C, 100, FixedRows(rows), formula), want)
+
+    @pytest.mark.parametrize("formula", ["quotient", "unit"])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_a_zero_component_keeps_its_witness(self, n, formula):
+        # every bound and score is 0, so top = 0, and a score of 0 never wins
+        value, u, v = tf._sample_component(np.zeros((n, n)), 100_000, np.random.default_rng(n), formula)
+        assert value == 0.0
+        assert np.array_equal(u, np.eye(n)[0]) and np.array_equal(v, np.eye(n)[1])
+
+    def test_n2_multiplies_the_first_chunk_only(self, monkeypatch):
+        # at n = 2 the first row holds a cell that reaches top, so one chunk
+        # of _FIRST_ROWS rows ends the search; counted through np.matmul
+        rows = []
+        matmul = np.matmul
+
+        def counted(x, *args, **kwargs):
+            rows.append(x.shape[-2])
+            return matmul(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        rng = np.random.default_rng(26)
+        for _ in range(20):
+            C = DBilinear2Functional.random(2, rng).C1
+            rows.clear()
+            tf._sample_component(C, 100_000, rng, "quotient")
+            assert 0 < sum(rows) <= tf._FIRST_ROWS
 
     def test_a_row_of_rounding_keeps_its_score(self, monkeypatch):
         # x on the axis of a cross-product form: x'C is rounding, which is
