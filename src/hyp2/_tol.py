@@ -1,9 +1,9 @@
 """The package's one tolerance policy; nothing here is exported.
 
 A quantity is negligible when |x| <= rel * scale, with scale taken from the
-operands of the comparison (README, "Tolerances", lists each one).  With no
-operand scale only 0.0, an underflowed square included, is zero.  So no
-verdict changes when the data are rescaled.
+operands of the comparison (README, "Tolerances", lists each one), per
+idempotent component.  With no operand scale only 0.0, an underflowed square
+included, is zero.  So no verdict changes when the data are rescaled.
 """
 
 import numpy as np
@@ -46,3 +46,15 @@ def within(x, scale, rel: float = ROUND) -> bool:
 def null(x):
     """x == 0: the verdict for a quantity with no operand scale."""
     return x == 0.0
+
+
+def order(x, y) -> tuple[bool, bool]:
+    """Whether x <= y and whether x >= y entrywise, but for a difference negligible
+    beside its component's larger |entry| in x or y; x, y: [[p], [q]] or rows [c1, c2]."""
+    le = ge = True
+    for a, b in zip(x, y):
+        slack = ROUND * max(map(abs, (*a, *b)), default=0.0)
+        for u, v in zip(a, b):
+            le = le and v - u >= -slack
+            ge = ge and v - u <= slack
+    return le, ge

@@ -9,10 +9,9 @@ DSubmodule stores one real spanning set per component (the two spans may
 differ in dimension).
 
 Dot products and lengths over the last axis go through `_dot`, a stacked
-`@` that gives the same bits as one `@` per row.
-
-Rank and span-membership tests compare an orthogonalization residual with
-the length of the vector tested.
+`@` that gives the same bits as one `@` per row.  A residual off a line is
+`_perp`.  Rank and span membership are the drop test of one Gram-Schmidt
+(`_orthonormal_rows`): a residual against the length of the row tested.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._tol import SPAN, negligible, null
+from ._tol import SPAN, negligible, null, order
 from .hyperbolic import Hyperbolic, _as_scalar, _coerce
 
 
@@ -40,6 +39,22 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of one `a_i @ b_i` per row, which einsum and sum-of-products are not.
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _perp(z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Part of v orthogonal to z, row-wise over the last axis (v itself
+    where z = 0)."""
+    nz2 = _dot(z, z)[..., None]
+    vanish = null(nz2)
+    return np.where(vanish, v, v - z * (_dot(z, v)[..., None] / np.where(vanish, 1.0, nz2)))
+
+
+def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 2^-e and e: per index of the leading axis, e is the exponent of the
+    largest |entry| over the trailing axes (0 if they are all 0), so that entry
+    lies in [1/2, 1).  Exact while no entry falls below 2^-1022."""
+    e = np.frexp(np.max(np.abs(a), axis=tuple(range(1, a.ndim)), initial=0.0))[1]
+    return np.ldexp(a, -e.reshape(e.shape + (1,) * (a.ndim - 1))), e
 
 
 def _flat(data, n: int | None = None) -> np.ndarray:
@@ -177,10 +192,7 @@ class DVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DVector):
             return NotImplemented
-        if other.n != self.n:
-            return False
-        size = max(np.max(np.abs(self.c), initial=0.0), np.max(np.abs(other.c), initial=0.0))
-        return bool(negligible(np.max(np.abs(self.c - other.c), initial=0.0), size))
+        return other.n == self.n and all(order(self.c.tolist(), other.c.tolist()))
 
     def __repr__(self) -> str:
         return f"DVector(c1={self.c1.tolist()}, c2={self.c2.tolist()})"
@@ -202,12 +214,9 @@ def _dependent_pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Row-wise over the last axis: a (m, n) pair of stacks gives m verdicts.
     """
-    nu = np.linalg.norm(u, axis=-1)
-    nv = np.linalg.norm(v, axis=-1)
-    short = null(nu) | null(nv)
-    coef = np.einsum("...i,...i->...", u, v) / np.where(short, 1.0, nu * nu)
-    resid = np.linalg.norm(v - u * coef[..., None], axis=-1)
-    return short | negligible(resid, nv, SPAN)
+    resid = _perp(u, v)
+    nv = np.sqrt(_dot(v, v))
+    return null(_dot(u, u)) | null(nv) | negligible(np.sqrt(_dot(resid, resid)), nv, SPAN)
 
 
 def linear_dependent(x: DVector, y: DVector) -> bool:
@@ -247,24 +256,20 @@ def _orthonormal_rows(
     return (np.array(rows) if rows else np.zeros((0, basis.shape[1]))), dropped
 
 
-def _in_span(q_rows: np.ndarray, v: np.ndarray) -> bool:
-    resid = v - q_rows.T @ (q_rows @ v)
-    return negligible(float(np.linalg.norm(resid)), float(np.linalg.norm(v)), SPAN)
-
-
 class DSubmodule:
     """Submodule of D^n given by one real spanning set per component.
 
     Represents e1*span(basis1) + e2*span(basis2).  Each basis is required
-    to be linearly independent over the reals; orthonormalized copies are
-    kept for membership tests.
+    to be linearly independent over the reals; orthonormalized copies, by
+    Gram-Schmidt on each row times its own power of two (`_unit_scaled`, which
+    commutes with every step: M's scale moves no bit), are kept for membership tests.
     """
 
     __slots__ = ("n", "basis1", "basis2", "q1", "q2")
 
     def __init__(self, n: int, basis1: Sequence, basis2: Sequence):
         bases = [_rows(b, int(n)) for b in (basis1, basis2)]
-        (q1, drop1), (q2, drop2) = (_orthonormal_rows(b) for b in bases)
+        (q1, drop1), (q2, drop2) = (_orthonormal_rows(_unit_scaled(b)[0]) for b in bases)
         if drop1 or drop2:
             raise ValueError(
                 "submodule basis is not linearly independent: "
@@ -303,7 +308,7 @@ class DSubmodule:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise DimensionMismatch(f"expected a vector of length {self.n}")
-        return _in_span(self.q1 if comp == 0 else self.q2, v)
+        return bool(_orthonormal_rows(v[None], start=self.q1 if comp == 0 else self.q2)[1])
 
     def contains(self, x: DVector) -> bool:
         if x.n != self.n:

@@ -47,7 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tol import ROUND, SPAN, THIN, negligible, null, within
-from .dmodule import DSubmodule, DVector, _dependent_pair, _dot, _orthonormal_rows
+from .dmodule import (
+    DSubmodule, DVector, _dependent_pair, _dot, _orthonormal_rows, _perp, _unit_scaled,
+)
 from .hyperbolic import Hyperbolic
 from .two_functional import DBilinear2Functional
 from .two_norm import D2Norm, wedge_area_batch
@@ -66,14 +68,6 @@ class DependentPair(ValueError):
 
 class ZeroDivisorInput(ValueError):
     """A construction vector is zero or a zero divisor."""
-
-
-def _perp(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Part of v orthogonal to z, row-wise over the last axis (v itself
-    where z = 0)."""
-    nz2 = _dot(z, z)[..., None]
-    vanish = null(nz2)
-    return np.where(vanish, v, v - z * (_dot(z, v)[..., None] / np.where(vanish, 1.0, nz2)))
 
 
 class RestrictedFunctional:
@@ -130,11 +124,11 @@ class RestrictedFunctional:
         if not self.domain.contains(x):
             raise ValueError("first argument lies outside the domain submodule")
         z, yc = self.z.c, y.c
+        resid = _perp(z, yc)
+        if not within(np.sqrt(_dot(resid, resid)), np.sqrt(_dot(yc, yc)), SPAN):
+            raise ValueError("second argument lies outside the cyclic domain [z]")
         nz2 = _dot(z, z)
         alpha = np.divide(_dot(yc, z), nz2, out=np.zeros(2), where=~null(nz2))
-        resid = np.linalg.norm(yc - alpha[:, None] * z, axis=-1)
-        if not within(resid, np.linalg.norm(yc, axis=-1), SPAN):
-            raise ValueError("second argument lies outside the cyclic domain [z]")
         return Hyperbolic(*(alpha * _dot(self.w, x.c)))
 
     def as_functional(self) -> DBilinear2Functional:
@@ -295,8 +289,9 @@ class ExtensionTrace:
         w_ref = np.zeros_like(z)
         for c, (zc, basis) in enumerate(zip(z, (prob.M.basis1, prob.M.basis2))):
             if not null(zc @ zc):
-                # rows scaled to unit length, so the rank cut is against 1
-                unit = basis / np.linalg.norm(basis, axis=1, keepdims=True)
+                # rows at unit length (each times its power of two first): the rank cut is at 1
+                unit = _unit_scaled(basis)[0]
+                unit /= np.linalg.norm(unit, axis=1, keepdims=True)
                 perp = unit - np.outer(unit @ zc, zc) / (zc @ zc)
                 _, sv, vt = np.linalg.svd(perp, full_matrices=False)
                 span = vt[~negligible(sv, 1.0)]

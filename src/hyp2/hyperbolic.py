@@ -14,7 +14,7 @@ import numbers
 from enum import Enum
 from typing import Iterable
 
-from ._tol import negligible, null
+from ._tol import negligible, null, order
 
 
 class NotInvertible(ZeroDivisionError):
@@ -60,7 +60,7 @@ class Hyperbolic:
 
     ``p`` multiplies e1 and ``q`` multiplies e2.  Values are immutable by
     convention; every operation returns a fresh instance.  A coordinate is
-    zero only at 0; equality and order are relative to the larger one.
+    zero only at 0; equality and order decide each coordinate on its own scale.
     """
 
     __slots__ = ("p", "q")
@@ -181,11 +181,9 @@ class Hyperbolic:
     # -- partial order ---------------------------------------------------
 
     def compare(self, other) -> OrderResult:
-        """Cone order: z <= u iff u - z >= 0, but for a part negligible beside both."""
+        """Cone order: z <= u iff u - z >= 0, but for a part negligible in its coordinate."""
         other = _coerce(other)
-        diff, scale = other - self, max(self.max_abs(), other.max_abs())
-        le = negligible(min(diff.p, diff.q, 0.0), scale)
-        ge = negligible(max(diff.p, diff.q, 0.0), scale)
+        le, ge = order([[self.p], [self.q]], [[other.p], [other.q]])
         if le and ge:
             return OrderResult.EQUAL
         if le:
@@ -203,11 +201,11 @@ class Hyperbolic:
     # -- misc --------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        """Coordinatewise equality within ROUND times the larger coordinate."""
+        """Coordinatewise equality within ROUND times that coordinate's larger |value|."""
         other = _as_scalar(other)
         if other is None:
             return NotImplemented
-        return negligible((self - other).max_abs(), max(self.max_abs(), other.max_abs()))
+        return all(order([[self.p], [self.q]], [[other.p], [other.q]]))
 
     def max_abs(self) -> float:
         return max(abs(self.p), abs(self.q))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tol import ROUND, SCORE_SLACK, SPAN, THIN, THIN_SQ, negligible, null, within
-from .dmodule import DimensionMismatch, DVector
+from .dmodule import DimensionMismatch, DVector, _unit_scaled
 from .hyperbolic import Hyperbolic, _as_scalar
 from .two_norm import _WEDGE_CELLS, D2Norm, _split_draws, _wedge_cols
 
@@ -173,28 +173,20 @@ def norm_spectral(f: DBilinear2Functional) -> NormCertificate:
 
 
 def _pair_ratio(C: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """|u'Cv| / area(u, v) of one pair near an orthonormal one, so the area is
-    about the sine: a pair with area at most THIN gets -1.  The area sums the
-    wedge cells as one row of `wedge_area_batch` does, with the same bits."""
+    """|u'Cv| / area(u, v) of one orthonormal pair.  The area sums the wedge
+    cells as one row of `wedge_area_batch` does, with the same bits."""
     iu, ju = _wedge_cols(u.shape[0])
     w = u[iu] * v[ju]
     w -= u[ju] * v[iu]
-    den = math.sqrt(np.einsum("k,k->", w, w))
-    return float(abs(np.einsum("j,j->", u @ C, v)) / den) if den > THIN else -1.0
+    return float(abs(np.einsum("j,j->", u @ C, v)) / math.sqrt(np.einsum("k,k->", w, w)))
 
 
 def _plane_representative(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal pair spanning the same plane (the ratio is plane-invariant)."""
-    nu = math.sqrt(u @ u)
-    if null(nu):
-        return u, v
-    uu = u / nu
-    along = float(uu @ v)
-    w = v - uu * along
-    nw = math.sqrt(w @ w)
-    if negligible(nw, abs(along)):  # v on the line of u
-        return uu, v
-    return uu, w / nw
+    """Orthonormal pair spanning the plane of u and v (the ratio is plane-invariant).
+    The pair is never thin: the sampler's winner or (e1, e2), or a climb step's."""
+    uu = u / math.sqrt(u @ u)
+    w = v - uu * float(uu @ v)
+    return uu, w / math.sqrt(w @ w)
 
 
 _CLIMB_STEPS = 1000  #: the polish's step cap
@@ -217,7 +209,7 @@ def _climb_component(
     plane: the printed value is a measured ratio at the printed witness.
     """
     u, v = _plane_representative(u, v)
-    best = value = _pair_ratio(C, u, v)
+    value = _pair_ratio(C, u, v)
     for _ in range(_CLIMB_STEPS):
         cv = C @ v
         size = math.sqrt(cv @ cv)
@@ -231,8 +223,7 @@ def _climb_component(
             break
         value = reached
     u, v = _plane_representative(u, v)
-    final = _pair_ratio(C, u, v)
-    return (final if final >= 0.0 else best), u, v
+    return _pair_ratio(C, u, v), u, v
 
 
 def _sample_component(
@@ -359,10 +350,8 @@ def norm_bruteforce(
         raise ValueError(f"unknown formula {formula!r}")
     tag = 0 if formula == "quotient" else 1
     results = []
-    for comp, C in enumerate(f.C):
+    for comp, (C, e) in enumerate(zip(*_unit_scaled(f.C))):
         rng = np.random.default_rng([seed, comp, tag])
-        e = int(np.frexp(np.max(np.abs(C), initial=0.0))[1])
-        C = np.ldexp(C, -e)
         _, bu, bv = _sample_component(C, budget, rng, formula)
         best, bu, bv = _climb_component(C, bu, bv)
         results.append((float(np.ldexp(best, e)), bu, bv))
@@ -421,8 +410,8 @@ def is_bounded_check(
         (spectral_y, np.stack((y, s[..., None] * x), axis=2).reshape(2, 2 * samples, n)), axis=1
     )
 
-    e = np.frexp(np.max(np.abs(f.C), axis=(1, 2)))[1]
-    lhs = np.abs(np.einsum("cmi,cmi->cm", xs @ np.ldexp(f.C, -e[:, None, None]), ys))
+    C, e = _unit_scaled(f.C)
+    lhs = np.abs(np.einsum("cmi,cmi->cm", xs @ C, ys))
     d = np.ldexp([[delta.p], [delta.q]], -e[:, None])
     excess = lhs - d * D2Norm().batch(xs, ys)
     size = d * np.linalg.norm(xs, axis=-1) * np.linalg.norm(ys, axis=-1)

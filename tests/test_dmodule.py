@@ -14,6 +14,8 @@ from hyp2 import (
     Hyperbolic,
     linear_dependent,
 )
+from hyp2._tol import SPAN
+from test_hyperbolic import coordinate_pairs
 
 vec_arrays = hnp.arrays(
     float, st.integers(1, 6), elements=st.floats(-10, 10, allow_nan=False)
@@ -45,6 +47,27 @@ class TestSplitJoin:
         x = dvec([1.0, 2.0], [3.0, 4.0])
         assert x[0] == Hyperbolic(1.0, 3.0)
         assert len(x.coords()) == 2
+
+
+class TestEquality:
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_each_component_on_its_own_scale(self, swap):
+        # a q component of 1e-13 against 0 is a difference, however long p is
+        x, y = ([1.0, 0.0], [1e-13, 0.0]), ([1.0, 0.0], [0.0, 0.0])
+        if swap:
+            x, y = x[::-1], y[::-1]
+        assert not dvec(*x) == dvec(*y) and not dvec(*y) == dvec(*x)
+
+    def test_within_a_component_the_larger_entry_sets_the_scale(self):
+        assert dvec([1.0, 1e-13], [2.0, 0.0]) == dvec([1.0, 0.0], [2.0, 0.0])
+        assert not dvec([1.0, 1e-11], [2.0, 0.0]) == dvec([1.0, 0.0], [2.0, 0.0])
+
+    @given(st.integers(1, 4), st.data())
+    def test_equality_splits_over_the_idempotents(self, n, data):
+        # entries from 0 and +-1e-300..1e300: one component may dwarf the other
+        p, q = (data.draw(st.lists(coordinate_pairs, min_size=n, max_size=n)) for _ in "pq")
+        x, y = (dvec([e[i] for e in p], [e[i] for e in q]) for i in (0, 1))
+        assert (x == y) == (x.e1_part() == y.e1_part() and x.e2_part() == y.e2_part())
 
 
 class TestScalarAction:
@@ -184,6 +207,29 @@ class TestSubmodule:
             assert m2.dims[0] - m.dims[0] in (0, 1)
             assert m2.dims[1] - m.dims[1] in (0, 1)
             m = m2
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (6, 3), (8, 7)])
+    @pytest.mark.parametrize("off,contained", [(1e-8, False), (1e-11, True), (None, False)])
+    def test_component_contains_matches_a_least_squares_residual(self, n, k, off, contained):
+        # v off the span by `off` times ||v|| (None: a random v, independent of
+        # the k < n rows); the reference residual comes from lstsq
+        rng = np.random.default_rng(10 * n + k)
+        basis = rng.standard_normal((k, n))
+        m = DSubmodule(n, basis, basis[::-1])
+        q, _ = np.linalg.qr(basis.T)
+        for _ in range(20):
+            if off is None:
+                v = rng.standard_normal(n)
+            else:
+                v = rng.standard_normal(k) @ basis
+                w = rng.standard_normal(n)
+                for _ in range(2):
+                    w -= q @ (q.T @ w)
+                v = v + off * np.linalg.norm(v) * w / np.linalg.norm(w)
+            coef = np.linalg.lstsq(basis.T, v, rcond=None)[0]
+            want = np.linalg.norm(v - basis.T @ coef) <= SPAN * np.linalg.norm(v)
+            assert want == contained
+            assert m.component_contains(0, v) == m.component_contains(1, v) == want
 
     def test_json_roundtrip(self):
         m = DSubmodule(2, [[1.0, 2.0]], [[0.0, 1.0]])

@@ -21,6 +21,20 @@ from hyp2 import (
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 scalars = st.builds(Hyperbolic, finite, finite)
 
+#: 0 and +-1e-300..1e300: one idempotent coordinate may dwarf the other
+wide = st.just(0.0) | st.builds(
+    lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), st.floats(1e-300, 1e300)
+)
+
+
+def beside(v: float):
+    """v itself, v apart by 1e-13 or 1e-11 relative, or an unrelated coordinate."""
+    nudged = st.sampled_from([1e-13, -1e-13, 1e-11, -1e-11]).map(lambda d: v * (1.0 + d))
+    return st.just(v) | nudged | wide
+
+
+coordinate_pairs = wide.flatmap(lambda v: st.tuples(st.just(v), beside(v)))
+
 
 def cartesian_mul(x: Hyperbolic, y: Hyperbolic) -> Hyperbolic:
     # independent oracle: (a1 + k b1)(a2 + k b2) with k^2 = 1
@@ -185,6 +199,36 @@ class TestOrder:
         z = Hyperbolic(1.0, 2.0)
         assert z.compare(Hyperbolic(1.0, 2.0)) == OrderResult.EQUAL
         assert z.leq(z) and z.geq(z)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_each_coordinate_on_its_own_scale(self, swap):
+        # 1e-20 against 0 is a difference in its own coordinate, however
+        # large the other coordinate is
+        def scalar(p, q):
+            return Hyperbolic(q, p) if swap else Hyperbolic(p, q)
+
+        x, y = scalar(1.0, 1e-20), scalar(1.0, 0.0)
+        assert not x == y and not y == x
+        assert x.compare(y) is OrderResult.GREATER_EQ
+        assert y.compare(x) is OrderResult.LESS_EQ
+        assert x.geq(y) and not x.leq(y)
+        assert y.leq(x) and not y.geq(x)
+
+    @given(coordinate_pairs, coordinate_pairs)
+    def test_equality_and_order_split_over_the_idempotents(self, p, q):
+        # the e1 and e2 parts decide equality and order, each on its own
+        x, y = Hyperbolic(p[0], q[0]), Hyperbolic(p[1], q[1])
+        (x1, y1), (x2, y2) = (Hyperbolic(a, 0.0) for a in p), (Hyperbolic(0.0, b) for b in q)
+        assert (x == y) == (x1 == y1 and x2 == y2)
+        le, ge = x1.leq(y1) and x2.leq(y2), x1.geq(y1) and x2.geq(y2)
+        assert (x.leq(y), x.geq(y)) == (le, ge)
+        want = {
+            (True, True): OrderResult.EQUAL,
+            (True, False): OrderResult.LESS_EQ,
+            (False, True): OrderResult.GREATER_EQ,
+            (False, False): OrderResult.INCOMPARABLE,
+        }
+        assert x.compare(y) is want[le, ge]
 
 
 class TestLattice:

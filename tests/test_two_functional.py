@@ -19,6 +19,8 @@ from hyp2 import (
     norm_spectral,
 )
 from hyp2._tol import SCORE_SLACK, THIN, THIN_SQ
+from hyp2.dmodule import _unit_scaled
+from hyp2.two_norm import wedge_area_batch
 
 
 def dvec(c1, c2) -> DVector:
@@ -787,6 +789,26 @@ class TestPolish:
         for C in f.C:
             u, v = np.eye(6)[0], np.eye(6)[1]
             assert tf._climb_component(C, u, v)[0] > 0.0
+
+
+class TestSamplerHandsOverAWidePair:
+    """The polish takes the sampler's pair as it is, so the sampler must hand
+    over nonzero u and v wider than THIN apart: a winner, or (e1, e2)."""
+
+    @pytest.mark.parametrize("formula", ["quotient", "unit"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_pair_is_nonzero_and_not_thin(self, n, formula):
+        f = DBilinear2Functional.random(n, 70 + n)
+        tag = 0 if formula == "quotient" else 1
+        # a random C, C = 0, and one zero component, as norm_bruteforce runs them
+        for f in (f, DBilinear2Functional.zero(n), DBilinear2Functional(f.C1, 0.0 * f.C1)):
+            for comp, scaled in enumerate(_unit_scaled(f.C)[0]):
+                for budget in (1, 2, 17, 250, 10**5):
+                    rng = np.random.default_rng([n, comp, tag])
+                    _, u, v = tf._sample_component(scaled, budget, rng, formula)
+                    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+                    assert nu > 0.0 and nv > 0.0
+                    assert wedge_area_batch(u[None], v[None])[0] > THIN * nu * nv
 
 
 class TestBoundedness:
