@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from ._tol import within
+from ._tol import SPAN, within
 from .dmodule import DSubmodule, DVector, _dimension
 from .hahn_banach import (
     NORM_REL_TOL, ExtensionProblem, _exact_norm, corollary_case_table, corollary_functional,
@@ -150,7 +150,7 @@ def cmd_gen(args) -> int:
 
 def cmd_check_axioms(args) -> int:
     inst = _parse_instance(_load_json(args.instance), need=())
-    tol = _tol_arg(args, 1e-9)
+    tol = _tol_arg(args, SPAN)
     report = axiom_check(D2Norm(), inst["n"], samples=args.samples, rng=args.seed)
     _emit(report.to_json(tol))
     return 0 if report.passed(tol) else 1
@@ -162,7 +162,7 @@ def cmd_check_axioms(args) -> int:
 def cmd_norm(args) -> int:
     inst = _parse_instance(_load_json(args.instance), need=("functional",))
     f = inst["functional"]
-    tol = _tol_arg(args, 1e-9)
+    tol = _tol_arg(args, SPAN)
     spectral = norm_spectral(f)
     quot = norm_bruteforce(f, budget=args.samples, seed=args.seed, formula="quotient")
     unit = norm_bruteforce(f, budget=args.samples, seed=args.seed, formula="unit")
@@ -226,7 +226,7 @@ def cmd_extend(args) -> int:
 def cmd_corollary(args) -> int:
     inst = _parse_instance(_load_json(args.instance), need=("x0", "y0"))
     x0, y0 = inst["x0"], inst["y0"]
-    tol = _tol_arg(args, 1e-9)
+    tol = _tol_arg(args, SPAN)
     try:
         f0, trace = corollary_functional(x0, y0)
     except ValueError as exc:

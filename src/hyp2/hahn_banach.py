@@ -271,7 +271,8 @@ class ExtensionTrace:
         prob, n = self.problem, self.problem.n
         F = self.final.as_functional()
         z = prob.z.c
-        cz = (prob.functional.C @ z[:, :, None])[..., 0]
+        cz, cFz = ((G.C @ z[:, :, None])[..., 0] for G in (prob.functional, F))
+        ncz = np.linalg.norm(cz, axis=-1)
 
         # restriction agreement against the original matrix data on M x [z]
         k1, k2 = prob.M.dims
@@ -280,9 +281,9 @@ class ExtensionTrace:
         xs = np.stack((draws[:, :k1] @ prob.M.q1, draws[:, k1:k] @ prob.M.q2))
         alpha = draws[:, k:].T
         f_vals = alpha * np.einsum("cmn,cn->cm", xs, cz)
-        F_vals = alpha * np.einsum("cmn,cn->cm", xs, (F.C @ z[:, :, None])[..., 0])
+        F_vals = alpha * np.einsum("cmn,cn->cm", xs, cFz)
         errs = np.max(np.abs(F_vals - f_vals), axis=1, initial=0.0)
-        scale = np.abs(alpha) * np.linalg.norm(xs, axis=-1) * np.linalg.norm(cz, axis=-1)[:, None]
+        scale = np.abs(alpha) * np.linalg.norm(xs, axis=-1) * ncz[:, None]
         restr_rel = _rel_err(errs, np.max(scale, axis=1, initial=0.0)).tolist()
 
         # the reference moment w' from the problem's raw data
@@ -296,7 +297,6 @@ class ExtensionTrace:
                 _, sv, vt = np.linalg.svd(perp, full_matrices=False)
                 span = vt[~negligible(sv, 1.0)]
                 w_ref[c] = span.T @ (span @ cz[c])
-        ncz = np.linalg.norm(cz, axis=-1)
 
         # brackets: r against the gap point <w', x'>
         brackets_ok = True
@@ -325,7 +325,6 @@ class ExtensionTrace:
             pointwise_ok &= within(np.maximum(lhs - rhs, 0.0), rhs, SPAN)
 
         # F's norm on X x [z]: exact value, first-order moment, sampled bound
-        cFz = (F.C @ z[:, :, None])[..., 0]
         moment, got = _exact_norm(cFz, z)
         want = np.abs([self.norm_F.p, self.norm_F.q])
         rel = _rel_err(np.abs(got - want), want).tolist()

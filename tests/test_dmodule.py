@@ -111,6 +111,18 @@ class TestScalarAction:
         with pytest.raises(DimensionMismatch):
             dvec([1.0], [1.0]) + dvec([1.0, 2.0], [1.0, 2.0])
 
+    @given(vec_arrays)
+    def test_len_is_the_dimension(self, arr):
+        assert len(dvec(arr, -arr)) == arr.shape[0] == dvec(arr, arr).n
+
+    def test_sum_with_a_non_vector_is_a_type_error(self):
+        x = dvec([1.0, 2.0], [3.0, 4.0])
+        for other in (Hyperbolic(1.0, 1.0), 1.0, np.ones((2, 2))):
+            with pytest.raises(TypeError, match="expected a DVector"):
+                x + other
+            with pytest.raises(TypeError, match="expected a DVector"):
+                x - other
+
 
 class TestZeroDivisorElements:
     def test_zero_vector_is_not(self):
@@ -164,12 +176,17 @@ class TestSubmodule:
         with pytest.raises(ValueError):
             DSubmodule(2, [[1.0, 0.0], [2.0, 0.0]], [])
 
-    def test_row_with_non_finite_squared_length_rejected(self):
-        # finite entries whose squared length overflows: too large, not dependent
+    def test_row_with_non_finite_squared_length_spans(self):
+        # finite entries whose squared length overflows: Gram-Schmidt runs on
+        # the row times its own power of two, so it spans like any other row
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="basis row 1 is too large"):
-                DSubmodule(3, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [1e308, 1e308, 0.0]])
+            m = DSubmodule(3, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [1e308, 1e308, 0.0]])
+            assert m.dims == (1, 2) and m.basis2[1].tolist() == [1e308, 1e308, 0.0]
+            assert m.contains(dvec([2.0, 0.0, 0.0], [1.0, -3.0, 0.0]))
+            assert not m.contains(dvec([0.0, 0.0, 0.0], [0.0, 0.0, 1.0]))
+            with pytest.raises(ValueError, match="basis row 1 is dependent"):
+                DSubmodule(3, [[1.0, 1.0, 0.0], [1e308, 1e308, 0.0]], [])
             assert DSubmodule(3, [[1e153, 1e153, 0.0]], []).dims == (1, 0)
 
     def test_dimension_mismatch(self):

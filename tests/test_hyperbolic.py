@@ -20,6 +20,7 @@ from hyp2 import (
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 scalars = st.builds(Hyperbolic, finite, finite)
+nonzero = finite.filter(lambda v: abs(v) >= 1e-3)
 
 #: 0 and +-1e-300..1e300: one idempotent coordinate may dwarf the other
 wide = st.just(0.0) | st.builds(
@@ -94,6 +95,32 @@ class TestRingOps:
 
     def test_k_squares_to_one(self):
         assert K * K == ONE
+
+    @given(scalars)
+    def test_negation_is_coordinatewise(self, x):
+        neg = -x
+        assert (neg.p, neg.q) == (-x.p, -x.q)
+        assert (x + neg).is_zero()
+
+    @given(finite, scalars)
+    def test_real_minus_scalar_is_coordinatewise(self, t, x):
+        # t - x runs x.__rsub__: t is t*e1 + t*e2
+        diff = t - x
+        assert (diff.p, diff.q) == (t - x.p, t - x.q)
+
+    @given(finite, st.builds(Hyperbolic, nonzero, nonzero))
+    def test_real_over_scalar_is_coordinatewise(self, t, x):
+        # t / x runs x.__rtruediv__: t times x's coordinatewise inverse
+        quot = t / x
+        assert (quot.p, quot.q) == (t * (1.0 / x.p), t * (1.0 / x.q))
+        assert quot == Hyperbolic(t / x.p, t / x.q)
+
+    def test_real_over_a_zero_divisor_raises(self):
+        with pytest.raises(NotInvertible):
+            1.0 / E1
+        with pytest.raises(NotInvertible):
+            2.0 / ZERO
+        assert E1.__rsub__("x") is NotImplemented and E1.__rtruediv__("x") is NotImplemented
 
 
 class TestConjugation:

@@ -10,8 +10,9 @@ while nothing over- or underflows.  So, driving `hyp2.cli.main` in process:
   parts for `corollary`.  Every numeric leaf of component c must equal
   ldexp(base, sum_i degree_i * k_i[c]) exactly, with the degrees below, and
   every exit code, verdict and string must be equal.  M only spans, so its
-  exponents also run over its whole downward normal range, down to where its
-  smallest nonzero entry is 2^-1022, and every leaf stays as it is.
+  exponents also run over its whole normal range, down to where its smallest
+  nonzero entry is 2^-1022 and up to where its largest is just under 2^1024,
+  and every leaf stays as it is.
 - Relation 2, component swap.  Swap C1 <-> C2, p <-> q and basis1 <->
   basis2.  Every deterministic leaf must swap exactly: F, the Riesz vectors,
   norm_f, norm_F, norm_F_audit, spectral and each step (x', r, grew).
@@ -204,6 +205,22 @@ class TestPowerOfTwoScaling:
             # x * 2^k stays normal while k >= -1021 - e, x in [2^(e-1), 2^e)
             lowest = -1021 - int(np.frexp(np.min(rows[rows > 0], initial=1.0))[1])
             km.append(data.draw(st.just(lowest) | st.integers(lowest, 40)))
+        scaled = scale_instance(blob, {"M": km})
+        for command in ("extend", "norm"):
+            assert run(command, scaled) == run(command, blob)
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**16), n=st.integers(2, 8), degenerate=st.booleans(), data=st.data()
+    )
+    def test_m_over_its_whole_upward_normal_range(self, seed, n, degenerate, data):
+        blob = gen(seed, n, degenerate)
+        km = []
+        for name in ("basis1", "basis2"):
+            rows = np.abs(np.array(blob["M"][name], dtype=float))
+            # x * 2^k stays finite while k <= 1024 - e, x in [2^(e-1), 2^e)
+            highest = 1024 - int(np.frexp(np.max(rows, initial=1.0))[1])
+            km.append(data.draw(st.just(highest) | st.integers(-40, highest)))
         scaled = scale_instance(blob, {"M": km})
         for command in ("extend", "norm"):
             assert run(command, scaled) == run(command, blob)

@@ -161,6 +161,48 @@ class TestDecompose:
         assert phi(x, y) == s * area(x.c1, y.c1) and psi(x, y) == s * area(x.c2, y.c2)
 
 
+def _not_a_norm(s):
+    # s * (|<x, (0, 1, 2)>| + area): neither symmetric nor zero on dependent pairs
+    return lambda xs, ys: s * (np.abs(xs @ np.array([0.0, 1.0, 2.0])) + wedge_area_batch(xs, ys))
+
+
+def _scaled_area(s):
+    return lambda xs, ys: s * wedge_area_batch(xs, ys)
+
+
+class TestDecomposePerComponent:
+    # each component is judged on its own scale, so a broken component is
+    # rejected however small it is beside a fixed unit or the other component
+    @pytest.mark.parametrize(
+        "norm1,norm2",
+        [
+            pytest.param(None, _not_a_norm(1e-10), id="slot2-1e-10"),
+            pytest.param(_not_a_norm(1e-10), None, id="slot1-1e-10"),
+            pytest.param(_not_a_norm(1e-10), _scaled_area(1e10), id="slot1-1e-10-beside-1e10"),
+            pytest.param(None, _not_a_norm(1e10), id="slot2-1e10"),
+        ],
+    )
+    def test_rejects_a_broken_component_at_any_scale(self, norm1, norm2):
+        with pytest.raises(AxiomViolation, match=r"\['i', 'ii'\]"):
+            decompose(D2Norm(norm1, norm2), 3)
+
+    def test_rejects_it_as_a_black_box(self):
+        broken = D2Norm(None, _not_a_norm(1e-10))
+        with pytest.raises(AxiomViolation, match=r"\['i', 'ii'\]"):
+            decompose(lambda x, y: broken(x, y), 3)
+
+    def test_accepts_two_area_norms_twenty_decades_apart(self):
+        norm = D2Norm(_scaled_area(1e-10), _scaled_area(1e10))
+        phi, psi = decompose(norm, 3)
+        x, y = rand_dvec(np.random.default_rng(11), 3), rand_dvec(np.random.default_rng(12), 3)
+        assert phi(x, y) == norm(x, y).p and psi(x, y) == norm(x, y).q
+
+    @pytest.mark.parametrize("p,q", [(0.0, 1.0), (1.0, -1.0), (float("nan"), 1.0)])
+    def test_rejects_a_value_at_e1_e2_that_is_not_positive(self, p, q):
+        with pytest.raises(AxiomViolation, match=r"axiom i: its value at \(e_1, e_2\)"):
+            decompose(lambda x, y: Hyperbolic(p, q), 2)
+
+
 class TestAxiomCheck:
     def test_gramdet_lift_passes(self):
         report = axiom_check(D2Norm(), 3, samples=300, rng=0)
