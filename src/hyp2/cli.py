@@ -209,10 +209,7 @@ def cmd_extend(args) -> int:
     if args.swap_domain:
         # present F back in the caller's [z] x M orientation
         F = report["final"]["F"]
-        report["final"]["F"] = {
-            "C1": np.array(F["C1"]).T.tolist(),
-            "C2": np.array(F["C2"]).T.tolist(),
-        }
+        report["final"]["F"] = {key: np.array(C).T.tolist() for key, C in F.items()}
     report["domain_order"] = "z_first" if args.swap_domain else "m_first"
     report["audit"] = audit
     report["passed"] = audit["passed"]

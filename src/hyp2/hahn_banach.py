@@ -271,7 +271,8 @@ class ExtensionTrace:
         prob, n = self.problem, self.problem.n
         F = self.final.as_functional()
         z = prob.z.c
-        cz, cFz = ((G.C @ z[:, :, None])[..., 0] for G in (prob.functional, F))
+        cz = (prob.functional.C @ z[:, :, None])[..., 0]
+        cFz = (F.C @ z[:, :, None])[..., 0]
         ncz = np.linalg.norm(cz, axis=-1)
 
         # restriction agreement against the original matrix data on M x [z]
@@ -443,16 +444,20 @@ def corollary_functional(x0: DVector, y0: DVector) -> tuple[RestrictedFunctional
 
     f0 on [x0] x [y0] maps (alpha x0, beta y0) to alpha*beta*gram(x0, y0);
     it has norm one and is extended norm-preservingly to all of X x [y0].
-    Requires x0 and y0 to be componentwise independent (so the attained norm
-    value is invertible) and neither to be zero or a zero divisor.
+    Requires x0, y0 componentwise independent (so the attained norm value is
+    invertible), neither a zero divisor, with finite squares and squared 2-norm.
     """
     n = x0.n
+    with np.errstate(over="ignore", invalid="ignore"):  # past the largest double: rejected below
+        sq = _dot(np.stack((x0.c, y0.c)), np.stack((x0.c, y0.c)))
+        target = D2Norm()(x0, y0)
+    if not np.all(np.isfinite([*sq.ravel(), target.p, target.q])):
+        raise ValueError("x0 or y0 is too large: a squared length or the squared 2-norm overflows")
     for v, name in ((x0, "x0"), (y0, "y0")):
         if v.is_degenerate():
             raise ZeroDivisorInput(f"{name} is zero or a zero divisor")
     if np.any(_dependent_pair(x0.c, y0.c)):
         raise DependentPair("x0 and y0 are dependent in some component")
-    target = D2Norm()(x0, y0)
     p0 = _perp(y0.c, x0.c)
     moments = p0 * (np.array([target.p, target.q]) / _dot(p0, p0))[:, None]
     M = DSubmodule(n, x0.c1[None, :], x0.c2[None, :])

@@ -516,6 +516,29 @@ class TestScaledInstances:
         code, out, _ = run_cli(capsys, "corollary", _write(tmp_path, blob))
         assert code == 0 and json.loads(out)["passed"]
 
+    @pytest.mark.parametrize(
+        "sx,sy",
+        [
+            pytest.param(1e200, 1.0, id="x0-1e200"),
+            pytest.param(1.0, 1e200, id="y0-1e200"),
+            # each squared length is finite, the squared 2-norm is not
+            pytest.param(1e100, 1e100, id="both-1e100"),
+            # a 2-norm near 1, but x0's squared length overflows
+            pytest.param(1e200, 1e-200, id="x0-1e200-y0-1e-200"),
+        ],
+    )
+    def test_corollary_rejects_a_pair_too_large_to_square(self, capsys, tmp_path, sx, sy):
+        blob = json.loads((GOLDEN / "pair_n3.json").read_text())
+        for key, s in (("x0", sx), ("y0", sy)):
+            blob[key] = [{"p": c["p"] * s, "q": c["q"] * s} for c in blob[key]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "corollary", _write(tmp_path, blob))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: x0 or y0 is too large: a squared length or the squared 2-norm overflows"
+        ]
+
     def test_small_symmetric_matrix_is_rejected(self, capsys, tmp_path, seed1_blob):
         seed1_blob["functional"]["C1"] = (1e-13 * np.eye(3)).tolist()
         code, _, err = run_cli(capsys, "norm", _write(tmp_path, seed1_blob))

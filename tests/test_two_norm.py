@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -197,10 +199,22 @@ class TestDecomposePerComponent:
         x, y = rand_dvec(np.random.default_rng(11), 3), rand_dvec(np.random.default_rng(12), 3)
         assert phi(x, y) == norm(x, y).p and psi(x, y) == norm(x, y).q
 
-    @pytest.mark.parametrize("p,q", [(0.0, 1.0), (1.0, -1.0), (float("nan"), 1.0)])
+    @pytest.mark.parametrize(
+        "p,q",
+        [(0.0, 1.0), (1.0, -1.0), (float("nan"), 1.0), (1.0, float("inf")),
+         # subnormal: no finite reciprocal, or too few bits to judge by
+         (1e-310, 1.0), (1.0, 1e-308)],
+    )
     def test_rejects_a_value_at_e1_e2_that_is_not_positive(self, p, q):
         with pytest.raises(AxiomViolation, match=r"axiom i: its value at \(e_1, e_2\)"):
             decompose(lambda x, y: Hyperbolic(p, q), 2)
+
+    @pytest.mark.parametrize("s", [1e-310, 1e-308])
+    def test_rejects_an_area_norm_at_a_subnormal_scale(self, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(AxiomViolation, match=r"axiom i: its value at \(e_1, e_2\)"):
+                decompose(D2Norm(None, _scaled_area(s)), 3)
 
 
 class TestAxiomCheck:
