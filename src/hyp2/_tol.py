@@ -2,8 +2,8 @@
 
 A quantity is negligible when |x| <= rel * scale, with scale taken from the
 operands of the comparison (README, "Tolerances", lists each one), per
-idempotent component.  With no operand scale only 0.0, an underflowed square
-included, is zero.  So no verdict changes when the data are rescaled.
+idempotent component.  With no operand scale only 0.0 is zero; extend and
+corollary square only unit-scale data.  So no verdict changes on rescaling.
 """
 
 import numpy as np

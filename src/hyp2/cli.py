@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from ._tol import SPAN, within
-from .dmodule import DSubmodule, DVector, _dimension
+from .dmodule import DSubmodule, DVector, _dimension, _unit_scaled
 from .hahn_banach import (
     NORM_REL_TOL, ExtensionProblem, _exact_norm, corollary_case_table, corollary_functional,
     full_extend,
@@ -198,13 +198,12 @@ def cmd_extend(args) -> int:
         # f on [z] x M evaluates as (alpha z, x) -> f(alpha z, x); transposing
         # the matrices turns it into the engine's M x [z] orientation
         functional = DBilinear2Functional(functional.C1.T, functional.C2.T)
-    try:
-        problem = ExtensionProblem(inst["n"], inst["M"], inst["z"], functional)
+    tol = _tol_arg(args, NORM_REL_TOL)
+    try:  # ValueError names an answer that is not a double at this scale
+        trace = full_extend(ExtensionProblem(inst["n"], inst["M"], inst["z"], functional))
+        audit = trace.audit(samples=args.samples, seed=args.seed, norm_rel_tol=tol)
     except (TypeError, ValueError) as exc:
         raise InstanceError(str(exc)) from exc
-    trace = full_extend(problem)
-    tol = _tol_arg(args, NORM_REL_TOL)
-    audit = trace.audit(samples=args.samples, seed=args.seed, norm_rel_tol=tol)
     report = trace.to_json()
     if args.swap_domain:
         # present F back in the caller's [z] x M orientation
@@ -228,13 +227,14 @@ def cmd_corollary(args) -> int:
         f0, trace = corollary_functional(x0, y0)
     except ValueError as exc:
         raise InstanceError(str(exc)) from exc
-    target = D2Norm()(x0, y0)
+    (xu, ex), (yu, ey) = _unit_scaled(x0.c), _unit_scaled(y0.c)  # gram has degree 1 in each
+    target = Hyperbolic(*np.ldexp(D2Norm().batch(xu[:, None], yu[:, None])[:, 0], ex + ey))
     value = trace.final.evaluate(x0, y0)
     rng = np.random.default_rng(args.seed)
     cases = corollary_case_table(f0, x0, y0, rng)
-    # the norm on X x [y0] of the matrices printed as "f"
+    # the norm on X x [y0] of the matrices printed as "f", of degree 0 in y0
     F = trace.final.as_functional()
-    _, norm_F = _exact_norm((F.C @ y0.c[:, :, None])[..., 0], y0.c)
+    _, norm_F = _exact_norm((F.C @ yu[:, :, None])[..., 0], yu)
     checks = {
         "f0_norm_one": within(_pq(f0.norm()) - 1.0, 1.0, tol),
         "f_norm_one": within(norm_F - 1.0, 1.0, tol),

@@ -57,6 +57,16 @@ def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(a, -e.reshape(e.shape + (1,) * (a.ndim - 1))), e
 
 
+def _scaled_back(a: np.ndarray, e: np.ndarray, name: str) -> np.ndarray:
+    """a * 2^e per index of the leading axis, undoing `_unit_scaled`; ValueError
+    names the answer unless each index's largest |entry| survives a round trip."""
+    top = np.max(np.abs(a.reshape(len(a), -1)), axis=1)
+    with np.errstate(over="ignore"):  # an overflow reads as inf, which fails the trip
+        if not np.array_equal(np.ldexp(np.ldexp(top, e), -e), top):
+            raise ValueError(f"{name} is not representable as a double at this scale")
+    return np.ldexp(a, e.reshape(e.shape + (1,) * (a.ndim - 1)))
+
+
 def _flat(data, n: int | None = None) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 1:
@@ -169,18 +179,16 @@ class DVector:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        """Both squared lengths are 0 (an underflowed one included)."""
-        return bool(np.all(null(_dot(self.c, self.c))))
+        """Every entry is 0."""
+        return not np.any(self.c)
 
     def is_zero_divisor(self) -> bool:
-        """Exactly one component's squared length is 0 (an underflowed one
-        included), the test the extension engine applies to z."""
-        z1, z2 = null(_dot(self.c, self.c))
-        return bool(z1 != z2)
+        """Exactly one component is 0 in every entry: the test the engine applies to z."""
+        return bool(np.any(self.c1) != np.any(self.c2))
 
     def is_degenerate(self) -> bool:
-        """Zero or a zero divisor: some component's squared length is 0."""
-        return bool(np.any(null(_dot(self.c, self.c))))
+        """Zero or a zero divisor: some component is 0 in every entry."""
+        return not np.all(np.any(self.c, axis=1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DVector):
@@ -217,10 +225,10 @@ def linear_dependent(x: DVector, y: DVector) -> bool:
 
     This is the reading forced by the 2-norm axiom that the norm vanishes
     exactly on dependent pairs: the lifted norm vanishes iff both component
-    pairs are dependent over the reals.
+    pairs are dependent over the reals, tested at unit scale.
     """
     x._check_same(y)
-    return bool(np.all(_dependent_pair(x.c, y.c)))
+    return bool(np.all(_dependent_pair(_unit_scaled(x.c)[0], _unit_scaled(y.c)[0])))
 
 
 def _orthonormal_rows(
@@ -255,7 +263,7 @@ class DSubmodule:
     Represents e1*span(basis1) + e2*span(basis2).  Each basis is required
     to be linearly independent over the reals; orthonormalized copies, by
     Gram-Schmidt on each row times its own power of two (`_unit_scaled`, which
-    commutes with every step: M's scale moves no bit), are kept for membership tests.
+    commutes with every step: M's scale moves no bit), test membership of v scaled alike.
     """
 
     __slots__ = ("n", "basis1", "basis2", "q1", "q2")
@@ -301,7 +309,7 @@ class DSubmodule:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise DimensionMismatch(f"expected a vector of length {self.n}")
-        return bool(_orthonormal_rows(v[None], start=self.q1 if comp == 0 else self.q2)[1])
+        return bool(_orthonormal_rows(_unit_scaled(v[None])[0], start=(self.q1, self.q2)[comp])[1])
 
     def contains(self, x: DVector) -> bool:
         if x.n != self.n:

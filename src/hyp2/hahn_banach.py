@@ -48,7 +48,8 @@ import numpy as np
 
 from ._tol import ROUND, SPAN, THIN, negligible, null, within
 from .dmodule import (
-    DSubmodule, DVector, _dependent_pair, _dot, _orthonormal_rows, _perp, _unit_scaled,
+    DSubmodule, DVector, _dependent_pair, _dot, _orthonormal_rows, _perp, _scaled_back,
+    _unit_scaled,
 )
 from .hyperbolic import Hyperbolic
 from .two_functional import DBilinear2Functional
@@ -76,19 +77,24 @@ class RestrictedFunctional:
     `w` is the read-only (2, n) stack of the two moments; `w1` and `w2` are
     its rows.  Each moment is expected to lie in proj_{z-perp} of the
     matching domain component; from_matrices produces them in that
-    canonical position.
+    canonical position.  Methods run on `_unit` = (zu, wu, ef, ez), with
+    z = zu 2^ez and w = wu 2^(ef + ez) per component, then scale back.
     """
 
-    __slots__ = ("domain", "z", "w", "w1", "w2")
+    __slots__ = ("domain", "z", "w", "w1", "w2", "_unit")
 
     def __init__(self, domain: DSubmodule, z: DVector, w1, w2):
         if z.n != domain.n:
             raise ValueError("generator dimension does not match the domain")
-        self.domain = domain
-        self.z = z
-        self.w = np.array((w1, w2), dtype=float).reshape(2, domain.n)
-        self.w.setflags(write=False)
-        self.w1, self.w2 = self.w
+        w = np.array((w1, w2), dtype=float).reshape(2, domain.n)
+        (zu, ez), (wu, ew) = _unit_scaled(z.c), _unit_scaled(w)
+        self._lock(domain, z, w, (zu, wu, ew - ez, ez))
+
+    def _lock(self, domain: DSubmodule, z: DVector, w: np.ndarray, unit: tuple):
+        w.setflags(write=False)
+        self.domain, self.z, self.w, self._unit = domain, z, w, unit
+        self.w1, self.w2 = w
+        return self
 
     @classmethod
     def from_matrices(
@@ -101,20 +107,23 @@ class RestrictedFunctional:
         C z is already orthogonal to z.  The rank of W drops by one when z
         lies in the component; the dependent row, a residual negligible
         beside q's unit rows, is dropped.  The domain's two bases may differ
-        in dimension, so the projection runs per component.
+        in dimension, so the projection runs per component, on C and z at unit
+        scale.  ValueError says when the moment, of degree 1 in both, is not.
         """
-        cz = (functional.C @ z.c[:, :, None])[..., 0]
-        moments = []
-        for q, zc, czc in zip((domain.q1, domain.q2), z.c, cz):
-            wb, _ = _orthonormal_rows(_perp(zc, q), ROUND, length=1.0)
-            moments.append(wb.T @ (wb @ czc))
-        return cls(domain, z, *moments)
+        (zu, ez), (cu, ef) = _unit_scaled(z.c), _unit_scaled(functional.C)
+        cz = (cu @ zu[:, :, None])[..., 0]
+        wbs = [_orthonormal_rows(_perp(zc, q), ROUND, length=1.0)[0]
+               for q, zc in zip((domain.q1, domain.q2), zu)]
+        wu = np.array([wb.T @ (wb @ czc) for wb, czc in zip(wbs, cz)])
+        w = _scaled_back(wu, ef + ez, "the moment (riesz1, riesz2 and each step's r)")
+        return object.__new__(cls)._lock(domain, z, w, (zu, wu, ef, ez))
 
     def norm(self) -> Hyperbolic:
         """Operator norm on M x [z]: ||w|| / ||z|| per component (0 for z = 0)."""
-        nz = np.sqrt(_dot(self.z.c, self.z.c))
-        nw = np.sqrt(_dot(self.w, self.w))
-        return Hyperbolic(*np.divide(nw, nz, out=np.zeros(2), where=~null(nz)))
+        zu, wu, ef, _ = self._unit
+        nz, nw = np.sqrt(_dot(zu, zu)), np.sqrt(_dot(wu, wu))
+        norm = np.divide(nw, nz, out=np.zeros(2), where=~null(nz))
+        return Hyperbolic(*_scaled_back(norm, ef, "the norm of f (norm_f, norm_F)"))
 
     def evaluate(self, x: DVector, y: DVector) -> Hyperbolic:
         """Value at (x, y) with x in M and y = alpha z in [z]; rejects x
@@ -123,13 +132,14 @@ class RestrictedFunctional:
         with alpha = 0."""
         if not self.domain.contains(x):
             raise ValueError("first argument lies outside the domain submodule")
-        z, yc = self.z.c, y.c
-        resid = _perp(z, yc)
-        if not within(np.sqrt(_dot(resid, resid)), np.sqrt(_dot(yc, yc)), SPAN):
+        zu, wu, ef, _ = self._unit
+        (xu, ex), (yu, ey) = _unit_scaled(x.c), _unit_scaled(y.c)
+        resid = _perp(zu, yu)
+        if not within(np.sqrt(_dot(resid, resid)), np.sqrt(_dot(yu, yu)), SPAN):
             raise ValueError("second argument lies outside the cyclic domain [z]")
-        nz2 = _dot(z, z)
-        alpha = np.divide(_dot(yc, z), nz2, out=np.zeros(2), where=~null(nz2))
-        return Hyperbolic(*(alpha * _dot(self.w, x.c)))
+        nz2 = _dot(zu, zu)
+        alpha = np.divide(_dot(yu, zu), nz2, out=np.zeros(2), where=~null(nz2))
+        return Hyperbolic(*np.ldexp(alpha * _dot(wu, xu), ef + ex + ey))
 
     def as_functional(self) -> DBilinear2Functional:
         """A global antisymmetric-matrix functional restricting to this one.
@@ -137,12 +147,11 @@ class RestrictedFunctional:
         C = (w z' - z w') / ||z||^2 satisfies C z = w because w is orthogonal
         to z; the vanishing-z component gets the zero matrix.
         """
-        w, z = self.w, self.z.c
+        z, w, ef, _ = self._unit
         nz2 = _dot(z, z)[:, None, None]
         outer = w[:, :, None] * z[:, None, :] - z[:, :, None] * w[:, None, :]
-        return DBilinear2Functional(
-            *np.divide(outer, nz2, out=np.zeros_like(outer), where=~null(nz2))
-        )
+        C = np.divide(outer, nz2, out=np.zeros_like(outer), where=~null(nz2))
+        return DBilinear2Functional(*_scaled_back(C, ef, "the matrices of F"))
 
     def __repr__(self) -> str:
         return f"RestrictedFunctional(domain={self.domain!r}, norm={self.norm()!r})"
@@ -152,8 +161,8 @@ class ExtensionProblem:
     """A bounded 2-functional on M x [z] inside D^n, ready for extension.
 
     The functional is given globally by antisymmetric component matrices and
-    restricted to the stated domain; the 2-norm is the area lift.  z and
-    C z must have finite squared lengths, so that no later step overflows.
+    restricted to the stated domain here; the 2-norm is the area lift.  Any
+    finite f, z and M are taken, but a moment that is not a double raises.
     """
 
     __slots__ = ("n", "M", "z", "functional", "_rf")
@@ -161,35 +170,15 @@ class ExtensionProblem:
     def __init__(self, n: int, M: DSubmodule, z: DVector, functional: DBilinear2Functional):
         if M.n != n or z.n != n or functional.n != n:
             raise ValueError("dimension mismatch between the problem parts")
-        with np.errstate(over="ignore", invalid="ignore"):
-            z_finite = np.isfinite(_dot(z.c, z.c)).all()
-            cz = (functional.C @ z.c[:, :, None])[..., 0]
-            cz_finite = np.isfinite(_dot(cz, cz)).all()
-        if not z_finite:
-            raise ValueError("z is too large: a component's squared length is non-finite")
-        if not cz_finite:
-            raise ValueError(
-                "the functional is too large: a component of C z has a non-finite squared length"
-            )
-        self.n = n
-        self.M = M
-        self.z = z
-        self.functional = functional
-        self._rf = None
+        self.n, self.M, self.z, self.functional = n, M, z, functional
+        self._rf = RestrictedFunctional.from_matrices(M, z, functional)
 
     def restriction(self) -> RestrictedFunctional:
-        if self._rf is None:
-            self._rf = RestrictedFunctional.from_matrices(self.M, self.z, self.functional)
         return self._rf
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "M": self.M.to_json(),
-            "z": self.z.to_json(),
-            "functional": self.functional.to_json(),
-            "norm": {"kind": "gramdet"},
-        }
+        return {"n": self.n, "M": self.M.to_json(), "z": self.z.to_json(),
+                "functional": self.functional.to_json(), "norm": {"kind": "gramdet"}}
 
 
 @dataclass
@@ -255,7 +244,8 @@ class ExtensionTrace:
         off M, so norm_ok also requires moment_rel_err = ||P C_F z - w'|| /
         ||C z|| <= RESTRICTION_TOL, and norm_F_sampled, the largest sampled
         |x' C_F z| / gram(x, z), at most norm_F_audit * (1 + norm_rel_tol).
-        Where z vanishes every one of these is 0.
+        Where z vanishes every one of these is 0.  It all runs at the problem's
+        unit scale (F with f's powers of two); each printed maximum is scaled back.
 
         Seed contract: one generator seeded by `seed` supplies, in order, a
         (samples, k1 + k2 + 2) standard-normal block for the restriction
@@ -270,9 +260,10 @@ class ExtensionTrace:
         rng = np.random.default_rng(seed)
         prob, n = self.problem, self.problem.n
         F = self.final.as_functional()
-        z = prob.z.c
-        cz = (prob.functional.C @ z[:, :, None])[..., 0]
-        cFz = (F.C @ z[:, :, None])[..., 0]
+        z, w, ef, ez = prob.restriction()._unit
+        efz = ef + ez  # the scale of the moment, r and each absolute error
+        cz, cFz = ((np.ldexp(C, -ef[:, None, None]) @ z[:, :, None])[..., 0]
+                   for C in (prob.functional.C, F.C))
         ncz = np.linalg.norm(cz, axis=-1)
 
         # restriction agreement against the original matrix data on M x [z]
@@ -299,10 +290,10 @@ class ExtensionTrace:
                 span = vt[~negligible(sv, 1.0)]
                 w_ref[c] = span.T @ (span @ cz[c])
 
-        # brackets: r against the gap point <w', x'>
+        # brackets: each printed r, at unit scale, against the gap point <w', x'>
+        rs = np.ldexp(np.reshape([(s.r.p, s.r.q) for s in self.steps], (-1, 2)).T, -efz[:, None])
         brackets_ok = True
         if self.steps:
-            rs = np.array([(s.r.p, s.r.q) for s in self.steps]).T
             xps = np.stack([s.x_prime.c for s in self.steps], axis=1)
             err = np.abs(rs - (xps @ w_ref[:, :, None])[..., 0])
             bound = RESTRICTION_TOL * ncz[:, None] * np.linalg.norm(xps, axis=-1)
@@ -310,24 +301,24 @@ class ExtensionTrace:
 
         # pointwise bound |f(x,z) + r|_k <=' |f| * norm(x + x', z) per step
         # (the step's domain: leading rows of the final orthonormal bases)
-        w, q1, q2 = prob.restriction().w, self.final.domain.q1, self.final.domain.q2
-        nf = self.norm_f
+        q1, q2 = self.final.domain.q1, self.final.domain.q2
+        nf = np.ldexp([[self.norm_f.p], [self.norm_f.q]], -ef[:, None])
         per_step = max(8, samples // max(1, len(self.steps) * 4))
         pointwise_excess, pointwise_ok = np.zeros(2), True
-        for step in self.steps:
+        for i, step in enumerate(self.steps):
             draws = rng.standard_normal((per_step, k1 + k2))
             xs = np.stack((draws[:, :k1] @ q1[:k1], draws[:, k1:] @ q2[:k2]))
             k1, k2 = k1 + step.grew[0], k2 + step.grew[1]
-            lhs = np.abs(np.einsum("cmn,cn->cm", xs, w) + [[step.r.p], [step.r.q]])
+            lhs = np.abs(np.einsum("cmn,cn->cm", xs, w) + rs[:, i, None])
             shifted = xs + step.x_prime.c[:, None, :]
             grams = wedge_area_batch(shifted.reshape(-1, n), np.repeat(z, per_step, axis=0))
-            rhs = [[nf.p], [nf.q]] * grams.reshape(2, per_step)
+            rhs = nf * grams.reshape(2, per_step)
             pointwise_excess = np.maximum(pointwise_excess, np.max(lhs - rhs, axis=1))
             pointwise_ok &= within(np.maximum(lhs - rhs, 0.0), rhs, SPAN)
 
         # F's norm on X x [z]: exact value, first-order moment, sampled bound
         moment, got = _exact_norm(cFz, z)
-        want = np.abs([self.norm_F.p, self.norm_F.q])
+        want = np.ldexp(np.abs([self.norm_F.p, self.norm_F.q]), -ef)
         rel = _rel_err(np.abs(got - want), want).tolist()
         moment_rel = _rel_err(np.linalg.norm(moment - w_ref, axis=-1), ncz).tolist()
         sampled = np.array([_ratio_sup(v, zc, n, rng) for v, zc in zip(cFz, z)])
@@ -338,18 +329,18 @@ class ExtensionTrace:
         )
 
         out = {
-            "restriction_max_err": errs.tolist(),
+            "restriction_max_err": np.ldexp(errs, efz).tolist(),
             "restriction_rel_err": restr_rel,
             "restriction_ok": max(restr_rel) <= RESTRICTION_TOL,
             "brackets_ok": brackets_ok,
-            "pointwise_bound_excess": pointwise_excess.tolist(),
+            "pointwise_bound_excess": np.ldexp(pointwise_excess, efz).tolist(),
             "pointwise_ok": pointwise_ok,
             "norm_f": self.norm_f.to_json(),
             "norm_F": self.norm_F.to_json(),
-            "norm_F_audit": Hyperbolic(*got).to_json(),
+            "norm_F_audit": Hyperbolic(*np.ldexp(got, ef)).to_json(),
             "norm_rel_err": rel,
             "moment_rel_err": moment_rel,
-            "norm_F_sampled": Hyperbolic(*sampled).to_json(),
+            "norm_F_sampled": Hyperbolic(*np.ldexp(sampled, ef)).to_json(),
             "norm_ok": norm_ok,
             "steps": len(self.steps),
             "repaired": self.repaired,
@@ -435,7 +426,7 @@ def full_extend(problem: ExtensionProblem) -> ExtensionTrace:
         steps.append(ExtensionStep(xp, _gap_point(rf, xp), (bool(need[0, i]), bool(need[1, i]))))
     bases = [np.vstack([b, eye[nd]]) for b, nd in zip((M.basis1, M.basis2), need)]
     domain = DSubmodule._of(n, bases, (q1, q2))
-    final = RestrictedFunctional(domain, rf.z, *rf.w)
+    final = object.__new__(RestrictedFunctional)._lock(domain, rf.z, rf.w, rf._unit)
     return ExtensionTrace(problem, steps, final=final, norm_f=rf.norm(), norm_F=final.norm())
 
 
@@ -445,24 +436,23 @@ def corollary_functional(x0: DVector, y0: DVector) -> tuple[RestrictedFunctional
     f0 on [x0] x [y0] maps (alpha x0, beta y0) to alpha*beta*gram(x0, y0);
     it has norm one and is extended norm-preservingly to all of X x [y0].
     Requires x0, y0 componentwise independent (so the attained norm value is
-    invertible), neither a zero divisor, with finite squares and squared 2-norm.
+    invertible) and neither a zero divisor.  It runs on x0 and y0 at unit
+    scale, y0 so scaled generating [y0]; ValueError says when gram(x0, y0),
+    of degree 1 in both, is not a double.
     """
     n = x0.n
-    with np.errstate(over="ignore", invalid="ignore"):  # past the largest double: rejected below
-        sq = _dot(np.stack((x0.c, y0.c)), np.stack((x0.c, y0.c)))
-        target = D2Norm()(x0, y0)
-    if not np.all(np.isfinite([*sq.ravel(), target.p, target.q])):
-        raise ValueError("x0 or y0 is too large: a squared length or the squared 2-norm overflows")
     for v, name in ((x0, "x0"), (y0, "y0")):
         if v.is_degenerate():
             raise ZeroDivisorInput(f"{name} is zero or a zero divisor")
-    if np.any(_dependent_pair(x0.c, y0.c)):
+    (xu, ex), (yu, ey) = _unit_scaled(x0.c), _unit_scaled(y0.c)
+    if np.any(_dependent_pair(xu, yu)):
         raise DependentPair("x0 and y0 are dependent in some component")
-    p0 = _perp(y0.c, x0.c)
-    moments = p0 * (np.array([target.p, target.q]) / _dot(p0, p0))[:, None]
-    M = DSubmodule(n, x0.c1[None, :], x0.c2[None, :])
-    f0 = RestrictedFunctional(M, y0, *moments)
-    problem = ExtensionProblem(n, M, y0, f0.as_functional())
+    target = D2Norm().batch(xu[:, None], yu[:, None])[:, 0]
+    _scaled_back(target, ex + ey, "the 2-norm of x0 and y0")
+    p0 = _perp(yu, xu)
+    M, z = DSubmodule(n, x0.c1[None, :], x0.c2[None, :]), DVector._of(yu)
+    f0 = RestrictedFunctional(M, z, *(p0 * (target / _dot(p0, p0))[:, None]))
+    problem = ExtensionProblem(n, M, z, f0.as_functional())
     trace = full_extend(problem)
     return f0, trace
 
@@ -474,9 +464,11 @@ def corollary_case_table(f0, x0: DVector, y0: DVector, rng) -> list[dict]:
     (e1 x e2, e1 x e1, full x full, e2 x e1) and reports the modulus of the
     value against the area of the scaled pair, the bound of a norm-one
     functional.  Per component, an excess or mismatch of at most 1e-9 times
-    that bound is negligible.
+    that bound is negligible.  Both run on x0 and y0 at unit scale.
     """
     a1, a2, b1, b2 = (float(abs(v) + 0.25) for v in rng.standard_normal(4))
+    (xu, ex), (yu, ey) = _unit_scaled(x0.c), _unit_scaled(y0.c)
+    x, y = DVector._of(xu), DVector._of(yu)
     patterns = [
         ("e1-alpha x e2-beta", Hyperbolic(a1, 0.0), Hyperbolic(0.0, b2), "zero"),
         ("e1-alpha x e1-beta", Hyperbolic(a1, 0.0), Hyperbolic(b1, 0.0), "equal"),
@@ -485,20 +477,18 @@ def corollary_case_table(f0, x0: DVector, y0: DVector, rng) -> list[dict]:
     ]
     rows = []
     for name, alpha, beta, expect in patterns:
-        lhs = f0.evaluate(alpha * x0, beta * y0).modulus()
-        rhs = D2Norm()(alpha * x0, beta * y0)
+        lhs = f0.evaluate(alpha * x, beta * y).modulus()
+        rhs = D2Norm()(alpha * x, beta * y)
         bound = np.array([rhs.p, rhs.q])
         gap = np.array([lhs.p, lhs.q]) - bound
-        rows.append(
-            {
-                "case": name,
-                "lhs": lhs.to_json(),
-                "rhs": rhs.to_json(),
-                "expect": expect,
-                "bounded": within(np.maximum(gap, 0.0), bound, SPAN),
-                "matched": within([lhs.p, lhs.q] if expect == "zero" else gap, bound, SPAN),
-            }
-        )
+        rows.append({
+            "case": name,
+            "lhs": Hyperbolic(*np.ldexp([lhs.p, lhs.q], ex + ey)).to_json(),
+            "rhs": Hyperbolic(*np.ldexp(bound, ex + ey)).to_json(),
+            "expect": expect,
+            "bounded": within(np.maximum(gap, 0.0), bound, SPAN),
+            "matched": within([lhs.p, lhs.q] if expect == "zero" else gap, bound, SPAN),
+        })
     return rows
 
 

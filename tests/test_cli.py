@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hyp2.cli import main
+from test_metamorphic import COROLLARY_DEGREES, EXTEND_DEGREES, assert_scaled, scale_instance
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -207,13 +208,13 @@ def _set_inf_basis(blob):
 
 
 def _set_huge_z(blob):
-    # every entry finite, but z @ z overflows
+    # every entry finite, but z @ z overflows: valid input
     for i, c in enumerate(blob["z"]):
         c["p"], c["q"] = (1e200, -1e200) if i % 2 else (-1e200, 1e200)
 
 
 def _set_huge_functional(blob):
-    # every entry finite, but C z and its squared length overflow
+    # every entry finite, but C z's squared length overflows: valid input
     blob["functional"]["C1"] = (np.array(blob["functional"]["C1"]) * 1e307).tolist()
 
 
@@ -272,8 +273,7 @@ def _unchanged(blob):
 
 _CORRUPTIONS = (
     [("norm", _set_nan_functional, "non-finite"), ("extend", _set_nan_z, "non-finite"),
-     ("extend", _set_inf_basis, "non-finite"), ("extend", _set_nan_functional, "non-finite"),
-     ("extend", _set_huge_z, "non-finite"), ("extend", _set_huge_functional, "non-finite")]
+     ("extend", _set_inf_basis, "non-finite"), ("extend", _set_nan_functional, "non-finite")]
     # a "norm" field that is not an object is malformed input, not a crash
     + [(command, corrupt, "norm field")
        for command in ("extend", "norm", "check-axioms")
@@ -527,16 +527,116 @@ class TestScaledInstances:
             pytest.param(1e200, 1e-200, id="x0-1e200-y0-1e-200"),
         ],
     )
-    def test_corollary_rejects_a_pair_too_large_to_square(self, capsys, tmp_path, sx, sy):
+    def test_corollary_passes_on_a_pair_too_large_to_square(self, capsys, tmp_path, sx, sy):
+        # corollary computes on x0 and y0 at unit scale: the report is that of
+        # the pair times 2^-k, k = round(log2 s), with every leaf scaled back
+        blob = json.loads((GOLDEN / "pair_n3.json").read_text())
+        for key, s in (("x0", sx), ("y0", sy)):
+            blob[key] = [{"p": c["p"] * s, "q": c["q"] * s} for c in blob[key]]
+        ks = {key: (round(np.log2(s)),) * 2 for key, s in (("x0", sx), ("y0", sy))}
+        twin = scale_instance(blob, {key: (-k, -k) for key, (k, _) in ks.items()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "corollary", _write(tmp_path, blob))
+            twin_code, twin_out, _ = run_cli(capsys, "corollary", _write(tmp_path, twin, "t.json"))
+        assert code == twin_code == 0 and err == "" and json.loads(out)["passed"] is True
+        degrees = (ks["x0"], ks["y0"])
+        assert_scaled(json.loads(twin_out), json.loads(out), COROLLARY_DEGREES, degrees)
+
+    @pytest.mark.parametrize(
+        "corrupt,ks",
+        [
+            pytest.param(_set_huge_z, {"z": (664, 664)}, id="huge-z"),
+            pytest.param(_set_huge_functional, {"f": (1020, 0)}, id="huge-functional"),
+        ],
+    )
+    def test_extend_passes_on_a_huge_z_or_functional(self, capsys, tmp_path, instance_path,
+                                                      corrupt, ks):
+        # z @ z or C z's squared length overflows, but extend computes on z and
+        # C at unit scale: the report is that of the input times 2^-k, with
+        # every leaf scaled back by its degree
+        blob = json.loads(instance_path.read_text())
+        corrupt(blob)
+        twin = scale_instance(blob, {key: (-kp, -kq) for key, (kp, kq) in ks.items()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "extend", _write(tmp_path, blob))
+            twin_code, twin_out, _ = run_cli(capsys, "extend", _write(tmp_path, twin, "twin.json"))
+        assert code == twin_code == 0 and err == "" and json.loads(out)["passed"] is True
+        degrees = [ks.get(key, (0, 0)) for key in ("f", "z", "M")]
+        assert_scaled(json.loads(twin_out), json.loads(out), EXTEND_DEGREES, degrees)
+
+    @pytest.mark.parametrize(
+        "key,s",
+        [(key, s) for key in ("z", "F") for s in (1e-300, 1e-170, 1e-160, 1e160, 1e170, 1e300)],
+    )
+    def test_extend_passes_at_extreme_scales(self, capsys, tmp_path, seed1_blob, key, s):
+        # the engine and the audit run on f and z at unit scale, so nothing
+        # over- or underflows, and norm_f has degree 1 in f and 0 in z
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            path = _write(tmp_path, _scaled(seed1_blob, key, s))
+            code, out, err = run_cli(capsys, "extend", path)
+        report = json.loads(out)
+        assert code == 0 and err == "" and report["passed"] is True
+        got = report["final"]["norm_f"]
+        want = np.array(SEED1_NORM_F) * (s if key == "F" else 1.0)
+        assert (got["p"], got["q"]) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_extend_rejects_a_moment_past_the_double_range(self, capsys, tmp_path, seed1_blob, k):
+        # the moment has degree 1 in both f and z: times 2^(2k) it flushes to
+        # 0 or overflows, so no F or norm is computed from it
+        blob = scale_instance(seed1_blob, {"f": (k, k), "z": (k, k)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "extend", _write(tmp_path, blob))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: the moment (riesz1, riesz2 and each step's r) is not representable as a double"
+            " at this scale"
+        ]
+
+    def test_extend_rejects_a_norm_past_the_double_range(self, capsys, tmp_path):
+        # |f| has degree 1 in f alone: with F's largest entry 1.7e308 at n = 8
+        # and z times 1e-10 the moment is a double but the norm is not
+        path = tmp_path / "i.json"
+        assert main(["gen", "--seed", "4", "--n", "8", "--out", str(path)]) == 0
+        blob = _scaled(_scaled(json.loads(path.read_text()), "F_max", 1.7e308), "z", 1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "extend", _write(tmp_path, blob))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: the norm of f (norm_f, norm_F) is not representable as a double at this scale"
+        ]
+
+    @pytest.mark.parametrize(
+        "sx,sy",
+        [(1e80, 1e80), (1e-80, 1e-80), (1e-175, 1.0), (1e-200, 1e200)],
+    )
+    def test_corollary_passes_at_extreme_scales(self, capsys, tmp_path, sx, sy):
         blob = json.loads((GOLDEN / "pair_n3.json").read_text())
         for key, s in (("x0", sx), ("y0", sy)):
             blob[key] = [{"p": c["p"] * s, "q": c["q"] * s} for c in blob[key]]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run_cli(capsys, "corollary", _write(tmp_path, blob))
+        assert code == 0 and err == "" and json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("s", [1e-200, 1e200])
+    def test_corollary_rejects_a_2_norm_past_the_double_range(self, capsys, tmp_path, s):
+        # gram(x0, y0) has degree 1 in both: at x0 and y0 times 1e+-200 it is
+        # not a double, and corollary says so by name
+        blob = json.loads((GOLDEN / "pair_n3.json").read_text())
+        for key in ("x0", "y0"):
+            blob[key] = [{"p": c["p"] * s, "q": c["q"] * s} for c in blob[key]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "corollary", _write(tmp_path, blob))
         assert code == 2 and out == ""
         assert err.splitlines() == [
-            "error: x0 or y0 is too large: a squared length or the squared 2-norm overflows"
+            "error: the 2-norm of x0 and y0 is not representable as a double at this scale"
         ]
 
     def test_small_symmetric_matrix_is_rejected(self, capsys, tmp_path, seed1_blob):

@@ -22,6 +22,10 @@ vec_arrays = hnp.arrays(
 )
 
 
+#: scales at which a square over- or underflows, and 1
+SCALES = [1.0, 1e-170, 1e170, 1e-200, 1e200]
+
+
 def dvec(c1, c2) -> DVector:
     return DVector.from_components(np.asarray(c1, float), np.asarray(c2, float))
 
@@ -161,6 +165,17 @@ class TestLinearDependent:
             y = dvec(rng.standard_normal(3), rng.standard_normal(3))
             assert linear_dependent(x, y) == linear_dependent(y, x)
 
+    @pytest.mark.parametrize("s", SCALES)
+    def test_verdict_at_any_scale(self, s):
+        # each vector is tested times its own power of two per component, so
+        # no square over- or underflows and numpy warns of nothing
+        x = dvec([1.0, 2.0, -0.5], [0.5, -1.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert not linear_dependent(dvec([s, 0, 0], [s, 0, 0]), dvec([0, s, 0], [0, s, 0]))
+            assert linear_dependent(s * x, s * (3.0 * x))
+            assert linear_dependent(x, s * x) and linear_dependent(s * x, x)
+
 
 class TestSubmodule:
     def test_basis_elements_contained(self):
@@ -171,6 +186,16 @@ class TestSubmodule:
     def test_orthogonal_vector_not_contained(self):
         m = DSubmodule(3, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
         assert not m.contains(dvec([0.0, 1.0, 0.0], [0.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_membership_at_any_scale(self, s):
+        # v is tested times its own power of two, as each basis row is
+        m = DSubmodule(3, [[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
+        e1, e2 = dvec([s, 0, 0], [s, 0, 0]), dvec([0, s, 0], [0, s, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert m.contains(e1) and not m.contains(e2)
+            assert not m.contains(dvec([s, 0, 0], [0, s, 0]))
 
     def test_dependent_basis_rejected(self):
         with pytest.raises(ValueError):

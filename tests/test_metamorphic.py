@@ -5,14 +5,17 @@ problems, and every kernel is exactly equivariant under power-of-two scaling
 while nothing over- or underflows.  So, driving `hyp2.cli.main` in process:
 
 - Relation 1, power-of-two scaling.  Multiply each component of each input
-  by its own 2^k, |k| <= 40: f's matrices C1 and C2, z's p and q parts and
-  M's basis1 and basis2 for `extend` and `norm`, and x0's and y0's p and q
-  parts for `corollary`.  Every numeric leaf of component c must equal
+  by its own 2^k: f's matrices C1 and C2, z's p and q parts and M's basis1
+  and basis2 for `extend` and `norm`, and x0's and y0's p and q parts for
+  `corollary`.  Every numeric leaf of component c must equal
   ldexp(base, sum_i degree_i * k_i[c]) exactly, with the degrees below, and
-  every exit code, verdict and string must be equal.  M only spans, so its
-  exponents also run over its whole normal range, down to where its smallest
-  nonzero entry is 2^-1022 and up to where its largest is just under 2^1024,
-  and every leaf stays as it is.
+  every exit code, verdict and string must be equal.  The exponents of f and
+  z, and of x0 and y0, run over the whole range where every input entry and
+  every leaf stays a normal double (the engine computes at unit scale and
+  scales each answer back).  M only spans, so its exponents also run over
+  its whole normal range, down to where its smallest nonzero entry is
+  2^-1022 and up to where its largest is just under 2^1024, and every leaf
+  stays as it is.
 - Relation 2, component swap.  Swap C1 <-> C2, p <-> q and basis1 <->
   basis2.  Every deterministic leaf must swap exactly: F, the Riesz vectors,
   norm_f, norm_F, norm_F_audit, spectral and each step (x', r, grew).
@@ -174,24 +177,71 @@ def assert_scaled(base, scaled, degrees, ks):
 EXPONENTS = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
 
 
+def normal_bounds(items) -> tuple[dict, dict]:
+    """Per component and per degree d in the scales of two inputs, the bounds
+    of d . k within which every nonzero value times 2^(d . k) stays a normal
+    double; items are (degree, component, value)."""
+    bounds = ({}, {})
+    for degree, comp, value in items:
+        if isinstance(value, float) and value != 0.0 and any(degree[:2]):
+            e = math.frexp(value)[1]  # |value| in [2^(e-1), 2^e)
+            lo, hi = bounds[comp].get(degree[:2], (-2000, 2000))
+            bounds[comp][degree[:2]] = (max(lo, -1021 - e), min(hi, 1024 - e))
+    return bounds
+
+
+def edges(lo: int, hi: int):
+    return st.sampled_from([lo, hi]) | st.integers(lo, hi)
+
+
+def draw_exponents(data, bounds) -> tuple[tuple, tuple]:
+    """Exponents (a, b) of two inputs per component, over the whole range
+    where every item of normal_bounds stays normal: degree (1, 0) bounds a,
+    (0, 1) bounds b and (1, 1) bounds a + b."""
+    ks = []
+    for comp in bounds:
+        (la, ha), (lb, hb), (ls, hs) = (comp.get(d, (-2000, 2000)) for d in ((1, 0), (0, 1), (1, 1)))
+        a = data.draw(edges(max(la, ls - hb), min(ha, hs - lb)))
+        ks.append((a, data.draw(edges(max(lb, ls - a), min(hb, hs - a)))))
+    return tuple(zip(*ks))
+
+
+def input_items(blob: dict, keys: dict) -> list:
+    """(degree, component, entry) of each entry of the inputs named in keys."""
+    items = []
+    for key, degree in keys.items():
+        if key == "f":
+            for comp, name in enumerate(("C1", "C2")):
+                items += [(degree, comp, v) for row in blob["functional"][name] for v in row]
+        else:
+            items += [(degree, comp, c[pq]) for c in blob[key] for comp, pq in enumerate("pq")]
+    return items
+
+
 class TestPowerOfTwoScaling:
     @SETTINGS
     @given(
         seed=st.integers(0, 2**16),
         n=st.integers(2, 8),
         degenerate=st.booleans(),
-        kf=EXPONENTS,
-        kz=EXPONENTS,
+        kn=EXPONENTS,
         km=EXPONENTS,
+        data=st.data(),
     )
-    def test_extend_and_norm(self, seed, n, degenerate, kf, kz, km):
+    def test_extend_and_norm(self, seed, n, degenerate, kn, km, data):
         blob = gen(seed, n, degenerate)
-        scaled = scale_instance(blob, {"f": kf, "z": kz, "M": km})
-        for command, degrees in (("extend", EXTEND_DEGREES), ("norm", NORM_DEGREES)):
-            code, base = run(command, blob)
-            scaled_code, report = run(command, scaled)
-            assert scaled_code == code
-            assert_scaled(base, report, degrees, (kf, kz, km))
+        code, base = run("extend", blob)
+        items = input_items(blob, {"f": (1, 0), "z": (0, 1)})
+        items += [(d, c, v) for _, v, d, c in leaves(base, EXTEND_DEGREES)]
+        kf, kz = draw_exponents(data, normal_bounds(items))
+        scaled_code, report = run("extend", scale_instance(blob, {"f": kf, "z": kz, "M": km}))
+        assert scaled_code == code
+        assert_scaled(base, report, EXTEND_DEGREES, (kf, kz, km))
+        # norm's SVD runs on C as given, so f's exponents stay modest there
+        code, base = run("norm", blob)
+        scaled_code, report = run("norm", scale_instance(blob, {"f": kn, "z": kz, "M": km}))
+        assert scaled_code == code
+        assert_scaled(base, report, NORM_DEGREES, (kn, kz, km))
 
     @SETTINGS
     @given(
@@ -226,10 +276,13 @@ class TestPowerOfTwoScaling:
             assert run(command, scaled) == run(command, blob)
 
     @SETTINGS
-    @given(seed=st.integers(0, 2**16), n=st.integers(2, 8), kx=EXPONENTS, ky=EXPONENTS)
-    def test_corollary(self, seed, n, kx, ky):
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 8), data=st.data())
+    def test_corollary(self, seed, n, data):
         blob = pair(seed, n)
         code, base = run("corollary", blob)
+        items = input_items(blob, {"x0": (1, 0), "y0": (0, 1)})
+        items += [(d, c, v) for _, v, d, c in leaves(base, COROLLARY_DEGREES)]
+        kx, ky = draw_exponents(data, normal_bounds(items))
         scaled_code, report = run("corollary", scale_instance(blob, {"x0": kx, "y0": ky}))
         assert scaled_code == code
         assert_scaled(base, report, COROLLARY_DEGREES, (kx, ky))

@@ -139,15 +139,16 @@ class TestStackedEqualsPerComponent:
             assert same(got.c, np.stack((want1, want2)))
             assert not got.c.flags.writeable and not got.c1.flags.writeable
         zd = DVector.from_components(x.c1, np.zeros(n))
-        # a component vanishes when its squared length is 0, an underflowed
-        # one included, whatever the other component's length
+        # a component vanishes only when every entry is 0, whatever the other
+        # component's length: one whose squared length underflows does not
         short, tiny = (DVector.from_components(x.c1, t * x.c2) for t in (REL, 1e-170))
         for v in (x, zd, DVector.zero(n), short, tiny):
-            z1, z2 = float(v.c1 @ v.c1) == 0.0, float(v.c2 @ v.c2) == 0.0
+            z1, z2 = not np.any(v.c1), not np.any(v.c2)
             assert v.is_zero() == (z1 and z2)
             assert v.is_zero_divisor() == (z1 != z2)
             assert v.is_degenerate() == (z1 or z2)
-        assert not short.is_degenerate() and tiny.is_zero_divisor()
+        assert float(tiny.c2 @ tiny.c2) == 0.0
+        assert not short.is_degenerate() and not tiny.is_degenerate()
         size = max(float(np.max(np.abs(x.c))), float(np.max(np.abs(y.c))))
         assert (x == y) == (float(np.max(np.abs(x.c - y.c))) <= REL * size)
         assert x == DVector.from_components(x.c1, x.c2)
