@@ -42,6 +42,7 @@ component that is merely short beside the other keeps its own moment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ from .dmodule import (
 )
 from .hyperbolic import Hyperbolic
 from .two_functional import DBilinear2Functional
-from .two_norm import D2Norm, wedge_area_batch
+from .two_norm import _WEDGE_CELLS, D2Norm, wedge_area_batch
 
 
 #: The audit's relative tolerance for F against f on M x [z], r and F's moment.
@@ -79,9 +80,10 @@ class RestrictedFunctional:
     matching domain component; from_matrices produces them in that
     canonical position.  Methods run on `_unit` = (zu, wu, ef, ez), with
     z = zu 2^ez and w = wu 2^(ef + ez) per component, then scale back.
+    `_F` holds as_functional's result once it is built.
     """
 
-    __slots__ = ("domain", "z", "w", "w1", "w2", "_unit")
+    __slots__ = ("domain", "z", "w", "w1", "w2", "_unit", "_F")
 
     def __init__(self, domain: DSubmodule, z: DVector, w1, w2):
         if z.n != domain.n:
@@ -92,7 +94,7 @@ class RestrictedFunctional:
 
     def _lock(self, domain: DSubmodule, z: DVector, w: np.ndarray, unit: tuple):
         w.setflags(write=False)
-        self.domain, self.z, self.w, self._unit = domain, z, w, unit
+        self.domain, self.z, self.w, self._unit, self._F = domain, z, w, unit, None
         self.w1, self.w2 = w
         return self
 
@@ -126,10 +128,10 @@ class RestrictedFunctional:
         return Hyperbolic(*_scaled_back(norm, ef, "the norm of f (norm_f, norm_F)"))
 
     def evaluate(self, x: DVector, y: DVector) -> Hyperbolic:
-        """Value at (x, y) with x in M and y = alpha z in [z]; rejects x
-        outside M, and y whose residual off the line of z is not negligible
-        beside ||y||.  A component where z vanishes admits only y = 0 there,
-        with alpha = 0."""
+        """Value alpha <w, perp(z, x)> at (x, y) with x in M and y = alpha z
+        in [z]; rejects x outside M, and y whose residual off the line of z
+        is not negligible beside ||y||.  A component where z vanishes admits
+        only y = 0 there, with alpha = 0."""
         if not self.domain.contains(x):
             raise ValueError("first argument lies outside the domain submodule")
         zu, wu, ef, _ = self._unit
@@ -139,19 +141,25 @@ class RestrictedFunctional:
             raise ValueError("second argument lies outside the cyclic domain [z]")
         nz2 = _dot(zu, zu)
         alpha = np.divide(_dot(yu, zu), nz2, out=np.zeros(2), where=~null(nz2))
-        return Hyperbolic(*np.ldexp(alpha * _dot(wu, xu), ef + ex + ey))
+        # w is orthogonal to z, so x's part along z adds only rounding
+        return Hyperbolic(*np.ldexp(alpha * _dot(wu, _perp(zu, xu)), ef + ex + ey))
 
     def as_functional(self) -> DBilinear2Functional:
-        """A global antisymmetric-matrix functional restricting to this one.
+        """A global antisymmetric-matrix functional restricting to this one,
+        built on the first call and returned as that one object after.
 
         C = (w z' - z w') / ||z||^2 satisfies C z = w because w is orthogonal
-        to z; the vanishing-z component gets the zero matrix.
+        to z; the vanishing-z component gets the zero matrix.  C is exactly
+        antisymmetric, entry (j, i) being fl(fl(w_j z_i) - fl(z_j w_i)), the
+        negated entry (i, j), so it is not checked again.
         """
-        z, w, ef, _ = self._unit
-        nz2 = _dot(z, z)[:, None, None]
-        outer = w[:, :, None] * z[:, None, :] - z[:, :, None] * w[:, None, :]
-        C = np.divide(outer, nz2, out=np.zeros_like(outer), where=~null(nz2))
-        return DBilinear2Functional(*_scaled_back(C, ef, "the matrices of F"))
+        if self._F is None:
+            z, w, ef, _ = self._unit
+            nz2 = _dot(z, z)[:, None, None]
+            outer = w[:, :, None] * z[:, None, :] - z[:, :, None] * w[:, None, :]
+            C = np.divide(outer, nz2, out=np.zeros_like(outer), where=~null(nz2))
+            self._F = DBilinear2Functional._of(_scaled_back(C, ef, "the matrices of F"))
+        return self._F
 
     def __repr__(self) -> str:
         return f"RestrictedFunctional(domain={self.domain!r}, norm={self.norm()!r})"
@@ -243,7 +251,8 @@ class ExtensionTrace:
         norm_F.  That value moves only to second order under a change of F
         off M, so norm_ok also requires moment_rel_err = ||P C_F z - w'|| /
         ||C z|| <= RESTRICTION_TOL, and norm_F_sampled, the largest sampled
-        |x' C_F z| / gram(x, z), at most norm_F_audit * (1 + norm_rel_tol).
+        |x' C_F z| / gram(x, z), at most norm_F_audit * (1 + norm_rel_tol);
+        its gram is ||x - <x, zh> zh|| * ||z|| (_ratio_sup).
         Where z vanishes every one of these is 0.  It all runs at the problem's
         unit scale (F with f's powers of two); each printed maximum is scaled back.
 
@@ -255,7 +264,9 @@ class ExtensionTrace:
         m = max(8, samples // max(1, 4 * steps)) and kk the step's domain
         dimensions, and then one (2000, n) block per component for
         norm_F_sampled.  The stream matches one scalar draw after another in
-        that order.
+        that order.  The pointwise blocks of consecutive steps are drawn and
+        checked together, one wedge_area_batch per component, in batches of
+        whole steps that keep (2, rows, n) within 128 KiB.
         """
         rng = np.random.default_rng(seed)
         prob, n = self.problem, self.problem.n
@@ -292,27 +303,30 @@ class ExtensionTrace:
 
         # brackets: each printed r, at unit scale, against the gap point <w', x'>
         rs = np.ldexp(np.reshape([(s.r.p, s.r.q) for s in self.steps], (-1, 2)).T, -efz[:, None])
-        brackets_ok = True
-        if self.steps:
-            xps = np.stack([s.x_prime.c for s in self.steps], axis=1)
-            err = np.abs(rs - (xps @ w_ref[:, :, None])[..., 0])
-            bound = RESTRICTION_TOL * ncz[:, None] * np.linalg.norm(xps, axis=-1)
-            brackets_ok = bool(np.all(err <= bound))
+        xps = (np.stack([s.x_prime.c for s in self.steps], axis=1) if self.steps
+               else np.zeros((2, 0, n)))
+        err = np.abs(rs - (xps @ w_ref[:, :, None])[..., 0])
+        bound = RESTRICTION_TOL * ncz[:, None] * np.linalg.norm(xps, axis=-1)
+        brackets_ok = bool(np.all(err <= bound))
 
         # pointwise bound |f(x,z) + r|_k <=' |f| * norm(x + x', z) per step
-        # (the step's domain: leading rows of the final orthonormal bases)
+        # (the step's domain: leading rows of the final orthonormal bases),
+        # in batches of whole steps
         q1, q2 = self.final.domain.q1, self.final.domain.q2
         nf = np.ldexp([[self.norm_f.p], [self.norm_f.q]], -ef[:, None])
         per_step = max(8, samples // max(1, len(self.steps) * 4))
+        dims = np.cumsum([(k1, k2)] + [s.grew for s in self.steps], axis=0)
+        group = max(1, _WEDGE_CELLS // (2 * n * per_step))
         pointwise_excess, pointwise_ok = np.zeros(2), True
-        for i, step in enumerate(self.steps):
-            draws = rng.standard_normal((per_step, k1 + k2))
-            xs = np.stack((draws[:, :k1] @ q1[:k1], draws[:, k1:] @ q2[:k2]))
-            k1, k2 = k1 + step.grew[0], k2 + step.grew[1]
-            lhs = np.abs(np.einsum("cmn,cn->cm", xs, w) + rs[:, i, None])
-            shifted = xs + step.x_prime.c[:, None, :]
-            grams = wedge_area_batch(shifted.reshape(-1, n), np.repeat(z, per_step, axis=0))
-            rhs = nf * grams.reshape(2, per_step)
+        for a in range(0, len(self.steps), group):
+            b = min(a + group, len(self.steps))
+            blocks = [(rng.standard_normal((per_step, k1 + k2)), k1, k2) for k1, k2 in dims[a:b]]
+            xs = np.concatenate([np.stack((d[:, :k1] @ q1[:k1], d[:, k1:] @ q2[:k2]))
+                                 for d, k1, k2 in blocks], axis=1)
+            lhs = np.abs(np.einsum("cmn,cn->cm", xs, w) + np.repeat(rs[:, a:b], per_step, axis=1))
+            xs += np.repeat(xps[:, a:b], per_step, axis=1)  # x + x'
+            rhs = nf * np.stack([wedge_area_batch(x, np.broadcast_to(zc, x.shape))
+                                 for x, zc in zip(xs, z)])
             pointwise_excess = np.maximum(pointwise_excess, np.max(lhs - rhs, axis=1))
             pointwise_ok &= within(np.maximum(lhs - rhs, 0.0), rhs, SPAN)
 
@@ -379,22 +393,35 @@ def _exact_norm(cz: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return moment, np.divide(np.sqrt(_dot(moment, moment)), nz, out=np.zeros(2), where=~null(nz))
 
 
+def _off_line(xs: np.ndarray, zh: np.ndarray) -> np.ndarray:
+    """||x - <x, zh> zh|| per row of xs, for a unit vector zh: x's distance
+    from the line of zh, in O(n) per row.  Its error is about n u ||x||, so
+    relative to the distance it grows like n u / sin(angle of x to zh)."""
+    p = np.multiply.outer(xs @ zh, zh)
+    np.subtract(xs, p, out=p)
+    return np.sqrt(np.einsum("ij,ij->i", p, p))
+
+
 def _ratio_sup(v: np.ndarray, z: np.ndarray, n: int, rng: np.random.Generator) -> float:
     """The largest |<v, x>| / gram(x, z) over 2000 standard-normal x.
 
-    x within about 1e-3 rad of the line of z, gram(x, z) <= THIN * ||x|| *
-    ||z||, is rejected: there the rounding residue of v along z would
-    dominate the quotient.  For v orthogonal to z this cannot lower the
-    supremum, which depends only on the direction of x's part orthogonal to
-    z.  The test is relative, so it does not depend on the scale of z.
-    Where z vanishes it rejects every x, and the value is 0.
+    gram(x, z) = ||x - <x, zh> zh|| * ||z|| with zh = z / ||z||, the same
+    parallelogram area as the wedge formula.  x within about 1e-3 rad of the
+    line of z, ||x - <x, zh> zh|| <= THIN * ||x||, is rejected: there the
+    rounding residue of v along z would dominate the quotient.  For v
+    orthogonal to z this cannot lower the supremum, which depends only on
+    the direction of x's part orthogonal to z.  The test is relative, so it
+    does not depend on the scale of z.  Where z vanishes it rejects every x,
+    and the value is 0.
     """
-    nz = float(np.linalg.norm(z))
     xs = rng.standard_normal((2000, n))
+    nz = math.sqrt(z @ z)
+    if null(nz):
+        return 0.0
     num = np.abs(xs @ v)
-    den = wedge_area_batch(xs, np.broadcast_to(z, xs.shape))
-    ok = ~negligible(den, nz * np.sqrt(np.einsum("ij,ij->i", xs, xs)), THIN)
-    return float(np.max(num[ok] / den[ok], initial=0.0))
+    off = _off_line(xs, z / nz)
+    ok = ~negligible(off, np.sqrt(np.einsum("ij,ij->i", xs, xs)), THIN)
+    return float(np.max(num[ok] / (off[ok] * nz), initial=0.0))
 
 
 def full_extend(problem: ExtensionProblem) -> ExtensionTrace:

@@ -70,9 +70,20 @@ class DBilinear2Functional:
 
     def __init__(self, C1, C2):
         C1 = _as_antisymmetric(C1)
-        self.C = np.stack((C1, _as_antisymmetric(C2, n=C1.shape[0])))
-        self.C.setflags(write=False)
-        self.C1, self.C2 = self.C
+        self._lock(np.stack((C1, _as_antisymmetric(C2, n=C1.shape[0]))))
+
+    def _lock(self, C: np.ndarray) -> None:
+        C.setflags(write=False)
+        self.C = C
+        self.C1, self.C2 = C
+
+    @classmethod
+    def _of(cls, C: np.ndarray) -> "DBilinear2Functional":
+        """Wrap a fresh (2, n, n) stack of finite, exactly antisymmetric
+        matrices that nothing else holds."""
+        self = object.__new__(cls)
+        self._lock(C)
+        return self
 
     @classmethod
     def zero(cls, n: int) -> "DBilinear2Functional":
@@ -159,16 +170,19 @@ def norm_spectral(f: DBilinear2Functional) -> NormCertificate:
     For antisymmetric C, |x' C y| <= sigma_max(C) * area(x, y) with equality
     at the top singular pair (project y orthogonal to x; x' C x = 0), so the
     supremum of the modulus over unit-area pairs is exactly sigma_max.  One
-    SVD of the (2, n, n) stack; a component with sigma_max = 0 gets the
-    first two standard basis vectors as its witness.
+    SVD of the (2, n, n) stack times 2^-e, e the exponent of each
+    component's largest entry, and sigma_max scaled back by 2^e, so the value
+    is exactly equivariant at every scale of f; a component with sigma_max =
+    0 gets the first two standard basis vectors as its witness.
     """
-    u_mat, s, vh = np.linalg.svd(f.C)
+    C, e = _unit_scaled(f.C)
+    u_mat, s, vh = np.linalg.svd(C)
     sigma = s[:, 0]
     zero = null(sigma)
     eye = np.eye(f.n)
     u = np.where(zero[:, None], eye[0], u_mat[:, :, 0])
     v = np.where(zero[:, None], eye[min(1, f.n - 1)], vh[:, 0, :])
-    value = Hyperbolic(*np.where(zero, 0.0, sigma))
+    value = Hyperbolic(*np.where(zero, 0.0, np.ldexp(sigma, e)))
     return NormCertificate(value, (DVector._of(u), DVector._of(v)), "spectral")
 
 

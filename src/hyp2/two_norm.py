@@ -51,8 +51,10 @@ def wedge_area_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     at (2000, 8) maps 448 KiB ones and faults them in on every call.  No
     block is a lone row of many, which einsum would sum in another order, so
     every value is bit for bit that of one pass.  Silently, an area above
-    about 1.34e154 reads inf, and a wedge cell below 1.5e-154 loses bits (all
-    below 1.6e-162); extend and corollary pass it only data at unit scale.
+    about 1.34e154 reads inf and one below about 1.6e-162 reads 0, as the sum
+    of squared cells over- or underflows; between, a cell below 1.5e-154
+    loses bits to its subnormal square.  extend's pointwise bound, corollary
+    and norm's boundedness probes pass it only data at unit scale.
     """
     iu, ju = _wedge_cols(xs.shape[1])
     m, s = xs.shape[0], 0

@@ -375,6 +375,25 @@ class TestCorollary:
         assert abs(report["norm_f"]["q"] - 1.0) <= 1e-9
         assert len(report["cases"]) == 4
 
+    @pytest.mark.parametrize("t", [1e-3, 1e-5])
+    def test_pair_at_a_small_angle_passes(self, capsys, tmp_path, t):
+        # x0 and y0 at angle t in each component: the value must read x0's
+        # part off y0, as <w, x0> on x0 itself errs by about u / t^2
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            n = int(rng.integers(2, 9))
+            x0, y0 = [], []
+            for _ in range(2):
+                x, v = rng.standard_normal((2, n))
+                v -= x * (x @ v) / (x @ x)
+                x0.append(x)
+                y0.append(np.cos(t) * x / np.linalg.norm(x) + np.sin(t) * v / np.linalg.norm(v))
+            enc = lambda c: [{"p": float(p), "q": float(q)} for p, q in zip(*c)]
+            path = tmp_path / "angle.json"
+            path.write_text(json.dumps({"n": n, "x0": enc(x0), "y0": enc(y0)}))
+            code, out, _ = run_cli(capsys, "corollary", str(path))
+            assert code == 0, json.loads(out)["checks"]
+
     def test_dependent_pair_exit_2(self, capsys, tmp_path):
         enc = [{"p": 1.0, "q": 2.0}, {"p": 0.0, "q": 1.0}]
         enc2 = [{"p": 2.0, "q": 4.0}, {"p": 0.0, "q": 2.0}]

@@ -20,6 +20,7 @@ from hyp2 import (
 import hyp2.hahn_banach as hb
 from hyp2.hahn_banach import gap_interval_grid
 from hyp2._tol import THIN
+from hyp2.two_norm import wedge_area_batch
 from subgradient_oracle import gap_interval_subgradient
 
 NORM = D2Norm()
@@ -885,6 +886,56 @@ class TestRatioSupRejection:
         want = 1.0 / float(np.linalg.norm(z))
         got = hb._ratio_sup(w, z, 2, np.random.default_rng(0))
         assert 0.0 <= got / want - 1.0 <= 1.01e-8 / THIN
+
+
+U = 2.0**-53
+
+
+def near_line_rows(seed: int, n: int, ez: int):
+    """z times 2^ez, and rows x: standard normal ones, ones at sine THIN + k u
+    from the line of z, |k| <= 40, and ones at sines from 6e-9 to 20 THIN,
+    each row times 10^U(-3, 3)."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n) * 2.0**ez
+    zh = z / np.linalg.norm(z)
+    nu = rng.standard_normal((200, n))
+    nu -= np.outer(nu @ zh, zh)
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    sine = np.concatenate((THIN + rng.integers(-40, 41, 100) * U,
+                           THIN * np.exp(rng.uniform(-12.0, 3.0, 100))))
+    near = np.sqrt(1.0 - sine**2)[:, None] * zh + sine[:, None] * nu
+    xs = np.vstack((rng.standard_normal((100, n)), near))
+    return z, xs * 10.0 ** rng.uniform(-3.0, 3.0, (len(xs), 1))
+
+
+class TestOffLineArea:
+    """`_ratio_sup` takes gram(x, z) as ||x - <x, zh> zh|| * ||z||, O(n) per
+    row, where wedge_area_batch sums n(n - 1)/2 cells.  Both err by about
+    n u ||x|| ||z||, so they agree within c n u / sin(angle) relative."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 8), ez=st.integers(-20, 20))
+    def test_agrees_with_the_wedge_area(self, seed, n, ez):
+        z, xs = near_line_rows(seed, n, ez)
+        nz = np.linalg.norm(z)
+        got = hb._off_line(xs, z / nz) * nz
+        want = wedge_area_batch(xs, np.broadcast_to(z, xs.shape))
+        assert np.all(np.abs(got - want) <= 4 * n * U * np.linalg.norm(xs, axis=1) * nz)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 8), ez=st.integers(-20, 20))
+    def test_thin_decisions_agree_but_at_the_cut(self, seed, n, ez):
+        # a row is rejected when its sine from the line of z is at most THIN;
+        # the two routes may decide apart only within rounding of that cut
+        z, xs = near_line_rows(seed, n, ez)
+        nz, nx = np.linalg.norm(z), np.linalg.norm(xs, axis=1)
+        off = hb._off_line(xs, z / nz)
+        thin = off <= THIN * nx
+        wedge_thin = wedge_area_batch(xs, np.broadcast_to(z, xs.shape)) <= THIN * nz * nx
+        apart = thin != wedge_thin
+        assert np.all(np.abs(off - THIN * nx)[apart] <= 4 * n * U * nx[apart])
+        at_cut = thin[100:200]  # the rows at sine THIN + k u fall on both sides
+        assert at_cut.any() and not at_cut.all()
 
 
 class TestNormCheckMutations:

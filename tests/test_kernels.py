@@ -1,12 +1,13 @@
-"""The two kernels of an extension op against their one-pass references, bit for bit.
+"""The kernels of an extension op against their earlier references, bit for bit.
 
-`wedge_area_batch` streams its rows in blocks and `_orthonormal_rows` can
-continue from rows it kept earlier.  Neither may move a bit: each property
-below compares with the code they replace, kept here verbatim, using exact
-equality (NaN equal to NaN), so a block that pairs the wrong rows or a
-Gram-Schmidt that skips its second pass fails.  Data are drawn from numpy
-generators keyed by hypothesis, at scales out to 10^+-150, where squares
-overflow and underflow.
+`wedge_area_batch` streams its rows in blocks, `_orthonormal_rows` can
+continue from rows it kept earlier, and the audit's pointwise bound takes
+its steps in batches.  None may move a bit: each property below compares
+with the code they replace, kept here verbatim, using exact equality (NaN
+equal to NaN), so a block that pairs the wrong rows, a Gram-Schmidt that
+skips its second pass or a batch that draws out of order fails.  Data are
+drawn from numpy generators keyed by hypothesis, at scales out to
+10^+-150, where squares overflow and underflow.
 """
 
 import tracemalloc
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyp2 import DSubmodule
-from hyp2._tol import ROUND, SPAN, negligible
+from hyp2 import DBilinear2Functional, DSubmodule, full_extend
+from hyp2._tol import ROUND, SPAN, negligible, within
 from hyp2.dmodule import _orthonormal_rows
 from hyp2.two_norm import _WEDGE_CELLS, _wedge_cols, wedge_area_batch
+from test_hahn_banach import fixed_problem
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -184,3 +186,79 @@ class TestOrthonormalRows:
         for basis, q in ((domain.basis1, domain.q1), (domain.basis2, domain.q2)):
             assert same(q, reference_orthonormal_rows(basis)[0])
             assert not q.flags.writeable and not basis.flags.writeable
+
+
+def reference_pointwise(trace, samples: int, seed: int) -> tuple[list, bool]:
+    """The audit's pointwise bound as one loop over the steps, before the
+    steps were batched: the seeded stream's restriction block is drawn
+    first, as the audit draws it, then one block per step."""
+    rng = np.random.default_rng(seed)
+    prob, n = trace.problem, trace.problem.n
+    z, w, ef, ez = prob.restriction()._unit
+    efz = ef + ez
+    k1, k2 = prob.M.dims
+    rng.standard_normal((samples, k1 + k2 + 2))
+    rs = np.ldexp(np.reshape([(s.r.p, s.r.q) for s in trace.steps], (-1, 2)).T, -efz[:, None])
+    q1, q2 = trace.final.domain.q1, trace.final.domain.q2
+    nf = np.ldexp([[trace.norm_f.p], [trace.norm_f.q]], -ef[:, None])
+    per_step = max(8, samples // max(1, len(trace.steps) * 4))
+    pointwise_excess, pointwise_ok = np.zeros(2), True
+    for i, step in enumerate(trace.steps):
+        draws = rng.standard_normal((per_step, k1 + k2))
+        xs = np.stack((draws[:, :k1] @ q1[:k1], draws[:, k1:] @ q2[:k2]))
+        k1, k2 = k1 + step.grew[0], k2 + step.grew[1]
+        lhs = np.abs(np.einsum("cmn,cn->cm", xs, w) + rs[:, i, None])
+        shifted = xs + step.x_prime.c[:, None, :]
+        grams = wedge_area_batch(shifted.reshape(-1, n), np.repeat(z, per_step, axis=0))
+        rhs = nf * grams.reshape(2, per_step)
+        pointwise_excess = np.maximum(pointwise_excess, np.max(lhs - rhs, axis=1))
+        pointwise_ok &= within(np.maximum(lhs - rhs, 0.0), rhs, SPAN)
+    return np.ldexp(pointwise_excess, efz).tolist(), pointwise_ok
+
+
+class TestAuditPointwise:
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 8),
+        data=st.data(),
+        z_kind=st.sampled_from(["full", "vanish1", "vanish2", "zero"]),
+        samples=st.sampled_from([37, 1000, 9600]),
+        scale=st.tuples(*[st.sampled_from([1e-150, 1e-5, 1.0, 1e5, 1e150])] * 3),
+        low_norm=st.booleans(),
+    )
+    def test_batched_steps_equal_the_step_loop(self, seed, n, data, z_kind, samples, scale,
+                                               low_norm):
+        # 1 to 8 steps, in one batch or, at 9600 samples, in several, each
+        # holding whole steps; a norm_f lowered by 1e-3 makes the bound fail
+        dims = tuple(data.draw(st.integers(0, n - 1)) for _ in range(2))
+        trace = full_extend(fixed_problem(seed, n, dims, z_kind, scale))
+        assert 1 <= len(trace.steps) <= 8
+        if low_norm:
+            trace.norm_f = trace.norm_f * 0.999
+        audit = trace.audit(samples=samples, seed=seed)
+        excess, ok = reference_pointwise(trace, samples, seed)
+        assert audit["pointwise_bound_excess"] == excess and audit["pointwise_ok"] == ok
+
+
+class TestFunctionalOfTrace:
+    def test_built_once_and_read_only(self, monkeypatch):
+        of = DBilinear2Functional._of.__func__
+        built = []
+
+        def counted(cls, C):
+            built.append(C)
+            return of(cls, C)
+
+        monkeypatch.setattr(DBilinear2Functional, "_of", classmethod(counted))
+        for seed, z_kind in ((3, "full"), (4, "vanish2")):
+            built.clear()
+            trace = full_extend(fixed_problem(seed, 5, (2, 1), z_kind))
+            F = trace.final.as_functional()
+            trace.audit(samples=100)
+            report = trace.to_json()
+            # one object for the caller, the audit and the printed matrices
+            assert trace.final.as_functional() is F and len(built) == 1
+            assert report["final"]["F"] == F.to_json()
+            assert not F.C.flags.writeable and not F.C1.flags.writeable
+            assert np.array_equal(F.C, -F.C.transpose(0, 2, 1))

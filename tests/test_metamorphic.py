@@ -12,7 +12,7 @@ while nothing over- or underflows.  So, driving `hyp2.cli.main` in process:
   every exit code, verdict and string must be equal.  The exponents of f and
   z, and of x0 and y0, run over the whole range where every input entry and
   every leaf stays a normal double (the engine computes at unit scale and
-  scales each answer back).  M only spans, so its exponents also run over
+  scales each answer back), for `norm` as for `extend`.  M only spans, so its exponents also run over
   its whole normal range, down to where its smallest nonzero entry is
   2^-1022 and up to where its largest is just under 2^1024, and every leaf
   stays as it is.
@@ -224,11 +224,10 @@ class TestPowerOfTwoScaling:
         seed=st.integers(0, 2**16),
         n=st.integers(2, 8),
         degenerate=st.booleans(),
-        kn=EXPONENTS,
         km=EXPONENTS,
         data=st.data(),
     )
-    def test_extend_and_norm(self, seed, n, degenerate, kn, km, data):
+    def test_extend_and_norm(self, seed, n, degenerate, km, data):
         blob = gen(seed, n, degenerate)
         code, base = run("extend", blob)
         items = input_items(blob, {"f": (1, 0), "z": (0, 1)})
@@ -237,8 +236,12 @@ class TestPowerOfTwoScaling:
         scaled_code, report = run("extend", scale_instance(blob, {"f": kf, "z": kz, "M": km}))
         assert scaled_code == code
         assert_scaled(base, report, EXTEND_DEGREES, (kf, kz, km))
-        # norm's SVD runs on C as given, so f's exponents stay modest there
+        # norm's SVD, like every norm route, runs on C times its own power of
+        # two, so f's exponents run over their whole normal range there too
         code, base = run("norm", blob)
+        items = input_items(blob, {"f": (1, 0)})
+        items += [(d, c, v) for _, v, d, c in leaves(base, NORM_DEGREES)]
+        kn, _ = draw_exponents(data, normal_bounds(items))
         scaled_code, report = run("norm", scale_instance(blob, {"f": kn, "z": kz, "M": km}))
         assert scaled_code == code
         assert_scaled(base, report, NORM_DEGREES, (kn, kz, km))

@@ -201,8 +201,9 @@ class TestStackedEqualsPerComponent:
             beta = Hyperbolic(*rng.standard_normal(2))
             y = beta * zz
             val = rf.evaluate(x, y)
-            assert val.p == ref_alpha(zz.c1, y.c1) * float(w1 @ x.c1)
-            assert val.q == ref_alpha(zz.c2, y.c2) * float(w2 @ x.c2)
+            # w is orthogonal to z, so the value reads x's part off z
+            assert val.p == ref_alpha(zz.c1, y.c1) * float(w1 @ ref_perp(zz.c1, x.c1))
+            assert val.q == ref_alpha(zz.c2, y.c2) * float(w2 @ ref_perp(zz.c2, x.c2))
             F = rf.as_functional()
             assert same(F.C1, ref_as_matrix(w1, zz.c1, n))
             assert same(F.C2, ref_as_matrix(w2, zz.c2, n))
