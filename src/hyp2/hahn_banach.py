@@ -54,7 +54,7 @@ from .dmodule import (
 )
 from .hyperbolic import Hyperbolic
 from .two_functional import DBilinear2Functional
-from .two_norm import _WEDGE_CELLS, D2Norm, wedge_area_batch
+from .two_norm import D2Norm, wedge_area_batch
 
 
 #: The audit's relative tolerance for F against f on M x [z], r and F's moment.
@@ -80,10 +80,9 @@ class RestrictedFunctional:
     matching domain component; from_matrices produces them in that
     canonical position.  Methods run on `_unit` = (zu, wu, ef, ez), with
     z = zu 2^ez and w = wu 2^(ef + ez) per component, then scale back.
-    `_F` holds as_functional's result once it is built.
     """
 
-    __slots__ = ("domain", "z", "w", "w1", "w2", "_unit", "_F")
+    __slots__ = ("domain", "z", "w", "w1", "w2", "_unit")
 
     def __init__(self, domain: DSubmodule, z: DVector, w1, w2):
         if z.n != domain.n:
@@ -94,7 +93,7 @@ class RestrictedFunctional:
 
     def _lock(self, domain: DSubmodule, z: DVector, w: np.ndarray, unit: tuple):
         w.setflags(write=False)
-        self.domain, self.z, self.w, self._unit, self._F = domain, z, w, unit, None
+        self.domain, self.z, self.w, self._unit = domain, z, w, unit
         self.w1, self.w2 = w
         return self
 
@@ -145,21 +144,18 @@ class RestrictedFunctional:
         return Hyperbolic(*np.ldexp(alpha * _dot(wu, _perp(zu, xu)), ef + ex + ey))
 
     def as_functional(self) -> DBilinear2Functional:
-        """A global antisymmetric-matrix functional restricting to this one,
-        built on the first call and returned as that one object after.
+        """A global antisymmetric-matrix functional restricting to this one.
 
         C = (w z' - z w') / ||z||^2 satisfies C z = w because w is orthogonal
         to z; the vanishing-z component gets the zero matrix.  C is exactly
         antisymmetric, entry (j, i) being fl(fl(w_j z_i) - fl(z_j w_i)), the
         negated entry (i, j), so it is not checked again.
         """
-        if self._F is None:
-            z, w, ef, _ = self._unit
-            nz2 = _dot(z, z)[:, None, None]
-            outer = w[:, :, None] * z[:, None, :] - z[:, :, None] * w[:, None, :]
-            C = np.divide(outer, nz2, out=np.zeros_like(outer), where=~null(nz2))
-            self._F = DBilinear2Functional._of(_scaled_back(C, ef, "the matrices of F"))
-        return self._F
+        z, w, ef, _ = self._unit
+        nz2 = _dot(z, z)[:, None, None]
+        outer = w[:, :, None] * z[:, None, :] - z[:, :, None] * w[:, None, :]
+        C = np.divide(outer, nz2, out=np.zeros_like(outer), where=~null(nz2))
+        return DBilinear2Functional._of(_scaled_back(C, ef, "the matrices of F"))
 
     def __repr__(self) -> str:
         return f"RestrictedFunctional(domain={self.domain!r}, norm={self.norm()!r})"
@@ -264,9 +260,8 @@ class ExtensionTrace:
         m = max(8, samples // max(1, 4 * steps)) and kk the step's domain
         dimensions, and then one (2000, n) block per component for
         norm_F_sampled.  The stream matches one scalar draw after another in
-        that order.  The pointwise blocks of consecutive steps are drawn and
-        checked together, one wedge_area_batch per component, in batches of
-        whole steps that keep (2, rows, n) within 128 KiB.
+        that order.  Every step's pointwise block is drawn first, and all are
+        checked together, one wedge_area_batch per component.
         """
         rng = np.random.default_rng(seed)
         prob, n = self.problem, self.problem.n
@@ -311,24 +306,21 @@ class ExtensionTrace:
 
         # pointwise bound |f(x,z) + r|_k <=' |f| * norm(x + x', z) per step
         # (the step's domain: leading rows of the final orthonormal bases),
-        # in batches of whole steps
+        # all steps in one batch
         q1, q2 = self.final.domain.q1, self.final.domain.q2
         nf = np.ldexp([[self.norm_f.p], [self.norm_f.q]], -ef[:, None])
         per_step = max(8, samples // max(1, len(self.steps) * 4))
         dims = np.cumsum([(k1, k2)] + [s.grew for s in self.steps], axis=0)
-        group = max(1, _WEDGE_CELLS // (2 * n * per_step))
-        pointwise_excess, pointwise_ok = np.zeros(2), True
-        for a in range(0, len(self.steps), group):
-            b = min(a + group, len(self.steps))
-            blocks = [(rng.standard_normal((per_step, k1 + k2)), k1, k2) for k1, k2 in dims[a:b]]
-            xs = np.concatenate([np.stack((d[:, :k1] @ q1[:k1], d[:, k1:] @ q2[:k2]))
-                                 for d, k1, k2 in blocks], axis=1)
-            lhs = np.abs(np.einsum("cmn,cn->cm", xs, w) + np.repeat(rs[:, a:b], per_step, axis=1))
-            xs += np.repeat(xps[:, a:b], per_step, axis=1)  # x + x'
-            rhs = nf * np.stack([wedge_area_batch(x, np.broadcast_to(zc, x.shape))
-                                 for x, zc in zip(xs, z)])
-            pointwise_excess = np.maximum(pointwise_excess, np.max(lhs - rhs, axis=1))
-            pointwise_ok &= within(np.maximum(lhs - rhs, 0.0), rhs, SPAN)
+        blocks = [(rng.standard_normal((per_step, k1 + k2)), k1, k2) for k1, k2 in dims[:-1]]
+        xs = (np.concatenate([np.stack((d[:, :k1] @ q1[:k1], d[:, k1:] @ q2[:k2]))
+                              for d, k1, k2 in blocks], axis=1) if blocks
+              else np.zeros((2, 0, n)))
+        lhs = np.abs(np.einsum("cmn,cn->cm", xs, w) + np.repeat(rs, per_step, axis=1))
+        xs += np.repeat(xps, per_step, axis=1)  # x + x'
+        rhs = nf * np.stack([wedge_area_batch(x, np.broadcast_to(zc, x.shape))
+                             for x, zc in zip(xs, z)])
+        pointwise_excess = np.max(lhs - rhs, axis=1, initial=0.0)
+        pointwise_ok = within(np.maximum(lhs - rhs, 0.0), rhs, SPAN)
 
         # F's norm on X x [z]: exact value, first-order moment, sampled bound
         moment, got = _exact_norm(cFz, z)

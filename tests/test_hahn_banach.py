@@ -132,6 +132,16 @@ class TestRestrictedFunctional:
             alpha = Hyperbolic(*rng.standard_normal(2))
             assert (g(x, alpha * problem.z) - rf.evaluate(x, alpha * problem.z)).max_abs() <= 1e-10
 
+    @pytest.mark.parametrize("z_kind", ["full", "vanish1", "zero"])
+    @pytest.mark.parametrize("scale", [(1.0, 1.0, 1.0), (1e-150, 1e150, 1e-5)])
+    def test_as_functional_is_exactly_antisymmetric(self, z_kind, scale):
+        # as_functional skips the public constructor's antisymmetry check,
+        # so its matrices must be what that constructor would keep, bit for bit
+        F = full_extend(fixed_problem(3, 5, (2, 1), z_kind, scale)).final.as_functional()
+        assert np.array_equal(F.C, -F.C.transpose(0, 2, 1))
+        assert np.array_equal(F.C, DBilinear2Functional(F.C1, F.C2).C)
+        assert not F.C.flags.writeable
+
 
 class TestGapInterval:
     def test_zero_submodule_formula(self):
