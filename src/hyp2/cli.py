@@ -172,7 +172,7 @@ def cmd_norm(args) -> int:
     checks = {
         "brute_not_above_spectral": within(np.minimum(sigma - brute, 0.0), sigma, tol),
         "brute_within_2pct": within(np.maximum(0.98 * sigma - brute, 0.0), sigma, tol),
-        "sup_formulas_agree": within(brute - _pq(unit.value), sigma, 1e-4),
+        "brute_force_runs_agree": within(brute - _pq(unit.value), sigma, 1e-4),
         "bounded_at_spectral": bool(bounded),
     }
     report = {

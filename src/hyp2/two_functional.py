@@ -22,8 +22,10 @@ scores above |x'C|, as x'C is orthogonal to x, so rows are visited largest
 bound first and the scan stops at the first whose bound falls short of the
 best score.  The first cell in row-major order within 2 SCORE_SLACK of the
 largest bound wins, else the first of largest score, whatever the order of
-the visit.  The polish measures its one pair without the batch kernel.
-Both components are sampled and polished on the calling thread.
+the visit.  The polish climbs from that pair and reports |x'Cy| at an
+orthonormal pair spanning its last plane: a pair of unit area, so the value
+is the paper's supremum over unit-area pairs, with no area to measure.  Both
+components are sampled and polished on the calling thread.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from ._tol import ROUND, SCORE_SLACK, SPAN, THIN, THIN_SQ, negligible, null, within
 from .dmodule import DimensionMismatch, DVector, _unit_scaled
 from .hyperbolic import Hyperbolic, _as_scalar
-from .two_norm import _WEDGE_CELLS, D2Norm, _split_draws, _wedge_cols
+from .two_norm import _WEDGE_CELLS, D2Norm, _split_draws
 
 
 def _as_antisymmetric(mat, n: int | None = None) -> np.ndarray:
@@ -186,15 +188,6 @@ def norm_spectral(f: DBilinear2Functional) -> NormCertificate:
     return NormCertificate(value, (DVector._of(u), DVector._of(v)), "spectral")
 
 
-def _pair_ratio(C: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """|u'Cv| / area(u, v) of one orthonormal pair.  The area sums the wedge
-    cells as one row of `wedge_area_batch` does, with the same bits."""
-    iu, ju = _wedge_cols(u.shape[0])
-    w = u[iu] * v[ju]
-    w -= u[ju] * v[iu]
-    return float(abs(np.einsum("j,j->", u @ C, v)) / math.sqrt(np.einsum("k,k->", w, w)))
-
-
 def _plane_representative(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal pair spanning the plane of u and v (the ratio is plane-invariant).
     The pair is never thin: the sampler's winner or (e1, e2), or a climb step's."""
@@ -219,11 +212,12 @@ def _climb_component(
     an SVD or eig, so the polish stays independent of `norm_spectral`.  A
     length is sqrt(v @ v): the ddot of `np.linalg.norm` without its call
     overhead, and the same bits, as both square roots are correctly rounded.
-    The value is re-measured at the orthonormal representative of the last
-    plane: the printed value is a measured ratio at the printed witness.
+    The value is |u'Cv| at the orthonormal representative of the last plane,
+    whose area is 1 by construction (the supremum over unit-area pairs), so
+    the printed value is measured at the printed witness.
     """
     u, v = _plane_representative(u, v)
-    value = _pair_ratio(C, u, v)
+    value = float(abs(np.einsum("j,j->", u @ C, v)))
     for _ in range(_CLIMB_STEPS):
         cv = C @ v
         size = math.sqrt(cv @ cv)
@@ -237,11 +231,11 @@ def _climb_component(
             break
         value = reached
     u, v = _plane_representative(u, v)
-    return _pair_ratio(C, u, v), u, v
+    return float(abs(np.einsum("j,j->", u @ C, v))), u, v
 
 
 def _sample_component(
-    C: np.ndarray, budget: int, rng: np.random.Generator, formula: str
+    C: np.ndarray, budget: int, rng: np.random.Generator
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Best of `budget` sampled pairs of one component, before the climb.
 
@@ -252,7 +246,7 @@ def _sample_component(
     `(xs @ C) @ ys.T` on chunks of gathered rows of at most _WEDGE_CELLS
     cells, into two buffers allocated once per call (at most 128 KiB each
     below budget 2^26): `den` = sqrt(max(1 - <x,y>^2, THIN_SQ)) and `scores`
-    = |f| / den.  The winner, for "unit" rescaled to unit area, is the first
+    = |f| / den.  The winner, a pair of unit rows as drawn, is the first
     cell in row-major order wider than THIN whose score is above 0 and
     reaches top = B / (1 + 2 SCORE_SLACK), B the largest row bound, else the
     first of largest score wider than THIN (a thin cell's den reads THIN).
@@ -322,11 +316,9 @@ def _sample_component(
         if inside and key[0] > 0.0 and key[0] >= top:
             hit = (scores >= top) & (den > THIN)  # top > 0: no score exceeds its bound
             i, j = divmod(int(np.argmax(hit)), b)
-            scale = 1.0 / np.sqrt(den[i, j]) if formula == "unit" else 1.0
-            return float(scores[i, j]), xs[idx[i]] * scale, ys[j] * scale
+            return float(scores[i, j]), xs[idx[i]], ys[j]
         if key > win:
-            scale = 1.0 / np.sqrt(den[i, j]) if formula == "unit" else 1.0
-            win, bu, bv = key, xs[idx[i]] * scale, ys[j] * scale
+            win, bu, bv = key, xs[idx[i]], ys[j]
     return win[0], bu, bv
 
 
@@ -342,11 +334,13 @@ def norm_bruteforce(
     pairs whose 2-norm component is zero or a zero divisor, then polishes
     the best pair by alternating ascent: u <- Cv/|Cv|, v <- C'u/|C'u| until
     a step gains at most ROUND relative, or for at most _CLIMB_STEPS steps,
-    with no SVD or eig of C.  The result is a lower estimate of the true
-    norm.  `formula`, "quotient" or "unit" (the supremum over unit-area
-    pairs, equal by homogeneity), picks the substream, and "unit" rescales
-    the sampled pair to unit area.  A component runs on C * 2^-e, e the
-    exponent of its largest entry, and its value is scaled back by 2^e.
+    with no SVD or eig of C.  The value is |u'Cv| at an orthonormal witness,
+    whose area is 1, and a lower estimate of the true norm.  `formula`,
+    "quotient" or "unit", only picks the substream: the paper's two
+    formulas, the supremum of |f| / area and of |f| over unit-area pairs,
+    are equal by homogeneity, and this is one estimator of both.  A
+    component runs on C * 2^-e, e the exponent of its largest entry, and its
+    value is scaled back by 2^e.
 
     Draws: component c fills one `(a + b, n)` standard-normal block from its
     own substream `default_rng([seed, c, tag])`, tag 0 for "quotient" and 1
@@ -366,7 +360,7 @@ def norm_bruteforce(
     results = []
     for comp, (C, e) in enumerate(zip(*_unit_scaled(f.C))):
         rng = np.random.default_rng([seed, comp, tag])
-        _, bu, bv = _sample_component(C, budget, rng, formula)
+        _, bu, bv = _sample_component(C, budget, rng)
         best, bu, bv = _climb_component(C, bu, bv)
         results.append((float(np.ldexp(best, e)), bu, bv))
     (b1, u1, v1), (b2, u2, v2) = results
@@ -395,10 +389,12 @@ def is_bounded_check(
 ) -> BoundednessReport:
     """Check the area 2-norm's bound on random pairs plus the spectral witness.
 
-    delta must lie in the nonnegative cone.  The spectral witness (and scaled
-    copies of it) is always included among the probes, so an insufficient
-    bound is caught deterministically.  A probe passes when each component's
-    excess |f(x,y)| - delta * norm(x,y) is at most tol * delta * ||x|| * ||y||.
+    delta must lie in the nonnegative cone.  The spectral witness is always
+    the first probe, so an insufficient bound is caught deterministically (a
+    copy of it at a power-of-two scale would give the same verdict: the left
+    side, the area and the slack all scale by that power).  A probe passes
+    when each component's excess |f(x,y)| - delta * norm(x,y) is at most
+    tol * delta * ||x|| * ||y||.
 
     All probes are evaluated at once on (2, m, n) component stacks.  Draws:
     one (samples, 4n + 2) standard-normal block, per row x1 x2 y1 y2 and the
@@ -406,8 +402,8 @@ def is_bounded_check(
     sample after sample.  Each component runs on C and delta times 2^-e, e
     the exponent of its C's largest entry (exact), and max_excess[c] is its
     largest excess scaled back; the witness takes component c from the first
-    probe of largest excess there, in the order: spectral witness at scales
-    1, 1/2, 2, then per sample (x, y) and (x, s x).
+    probe of largest excess there, in the order: the spectral witness, then
+    per sample (x, y) and (x, s x).
     """
     if not delta.is_nonneg():
         raise ValueError("delta must lie in the nonnegative cone")
@@ -415,13 +411,12 @@ def is_bounded_check(
     n = f.n
     x, y, s = _split_draws(rng.standard_normal((samples, 4 * n + 2)), n, 2)
     wx, wy = norm_spectral(f).witness
-    spectral_x = np.array([1.0, 0.5, 2.0])[:, None] * wx.c[:, None, :]
-    spectral_y = np.broadcast_to(wy.c[:, None, :], spectral_x.shape)
     # per sample (x, y), then the dependent corner (x, s x), where the bound
     # degenerates to |f| <= 0
-    xs = np.concatenate((spectral_x, np.repeat(x, 2, axis=1)), axis=1)
+    xs = np.concatenate((wx.c[:, None, :], np.repeat(x, 2, axis=1)), axis=1)
     ys = np.concatenate(
-        (spectral_y, np.stack((y, s[..., None] * x), axis=2).reshape(2, 2 * samples, n)), axis=1
+        (wy.c[:, None, :], np.stack((y, s[..., None] * x), axis=2).reshape(2, 2 * samples, n)),
+        axis=1,
     )
 
     C, e = _unit_scaled(f.C)

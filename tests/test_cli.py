@@ -93,12 +93,12 @@ class TestNorm:
         assert report["checks"]["bounded_at_spectral"] is True
 
     @pytest.mark.parametrize("seed", [4, 67])
-    def test_formulas_agree_at_n8(self, capsys, tmp_path, seed):
-        # a polish that stops 1e-4 short of sigma fails sup_formulas_agree here
+    def test_runs_agree_at_n8(self, capsys, tmp_path, seed):
+        # a polish that stops 1e-4 short of sigma fails brute_force_runs_agree here
         path = tmp_path / "f8.json"
         assert main(["gen", "--seed", str(seed), "--n", "8", "--out", str(path)]) == 0
         code, out, _ = run_cli(capsys, "norm", str(path))
-        assert code == 0 and json.loads(out)["checks"]["sup_formulas_agree"] is True
+        assert code == 0 and json.loads(out)["checks"]["brute_force_runs_agree"] is True
 
     @pytest.mark.parametrize("name", ["seed1_n3.json", "seed1_n8.json"])
     def test_spectral_value_0_1pct_low_is_caught(self, capsys, monkeypatch, name):
