@@ -31,6 +31,15 @@ def rand_dvec(rng, n) -> DVector:
     return dvec(rng.standard_normal(n), rng.standard_normal(n))
 
 
+# norm_bruteforce's two runs: one estimator, on substream tag 0 or 1
+FORMULAS = ["quotient", "unit"]
+
+
+def substream(seed: int, comp: int, formula: str) -> np.random.Generator:
+    """The generator norm_bruteforce gives component `comp` of its `formula` run."""
+    return np.random.default_rng([seed, comp, FORMULAS.index(formula)])
+
+
 def cross_form(axis) -> np.ndarray:
     # x' C y = <axis, x cross y> in R^3
     a1, a2, a3 = axis
@@ -177,13 +186,14 @@ class TestNormSpectral:
         assert cert.value == Hyperbolic(0.0, 0.0)
         assert cert.method == "spectral"
 
-    def test_cross_product_axis_norm(self):
+    @pytest.mark.parametrize("formula", FORMULAS)
+    def test_cross_product_axis_norm(self, formula):
         f = DBilinear2Functional(cross_form([3.0, 4.0, 0.0]), np.zeros((3, 3)))
         cert = norm_spectral(f)
         assert abs(cert.value.p - 5.0) <= 1e-12
         assert cert.value.q == 0.0
-        # confirmed by brute force
-        brute = norm_bruteforce(f, budget=20000, seed=0)
+        # confirmed by either brute-force run
+        brute = norm_bruteforce(f, budget=20000, seed=0, formula=formula)
         assert abs(brute.value.p - 5.0) <= 1e-6
 
     def test_homogeneous_under_nonneg_scaling(self):
@@ -215,17 +225,19 @@ class TestNormSpectral:
 
 
 class TestNormBruteforce:
-    def test_zero_functional(self):
-        cert = norm_bruteforce(DBilinear2Functional.zero(3), budget=500, seed=0)
+    @pytest.mark.parametrize("formula", FORMULAS)
+    def test_zero_functional(self, formula):
+        cert = norm_bruteforce(DBilinear2Functional.zero(3), budget=500, seed=0, formula=formula)
         assert cert.value == Hyperbolic(0.0, 0.0)
 
-    def test_lower_estimate_and_close(self):
+    @pytest.mark.parametrize("formula", FORMULAS)
+    def test_lower_estimate_and_close(self, formula):
         rng = np.random.default_rng(14)
         for i in range(10):
             n = int(rng.integers(2, 5))
             f = DBilinear2Functional.random(n, 200 + i)
             spectral = norm_spectral(f).value
-            brute = norm_bruteforce(f, budget=20000, seed=i).value
+            brute = norm_bruteforce(f, budget=20000, seed=i, formula=formula).value
             assert brute.p <= spectral.p + 1e-9 and brute.q <= spectral.q + 1e-9
             assert brute.p >= 0.98 * spectral.p and brute.q >= 0.98 * spectral.q
 
@@ -237,9 +249,11 @@ class TestNormBruteforce:
         unit = norm_bruteforce(f, budget=20000, seed=1, formula="unit").value
         assert (quot - unit).max_abs() <= 1e-6 * (1.0 + spectral.max_abs())
 
-    def test_certificate_gap_nonnegative(self):
+    @pytest.mark.parametrize("formula", FORMULAS)
+    def test_certificate_gap_nonnegative(self, formula):
         f = DBilinear2Functional.random(3, 16)
-        spectral, brute = norm_spectral(f), norm_bruteforce(f, budget=5000, seed=2)
+        spectral = norm_spectral(f)
+        brute = norm_bruteforce(f, budget=5000, seed=2, formula=formula)
         gap = spectral.value - brute.value
         assert min(gap.p, gap.q) >= -1e-9
 
@@ -253,9 +267,8 @@ class TestNormBruteforce:
 def unpolished(f, budget: int, seed: int, formula: str = "quotient") -> NormCertificate:
     """norm_bruteforce's sampled pairs before the polish, from each
     component's own substream, as a certificate."""
-    tag = 0 if formula == "quotient" else 1
     (b1, u1, v1), (b2, u2, v2) = (
-        tf._sample_component(C, budget, np.random.default_rng([seed, comp, tag]))
+        tf._sample_component(C, budget, substream(seed, comp, formula))
         for comp, C in enumerate(f.C)
     )
     witness = (DVector.from_components(u1, u2), DVector.from_components(v1, v2))
@@ -325,10 +338,11 @@ class TestBruteforceKernel:
     # 5 x 4, 250 of 16 x 16, 20000 of 142 x 141) and two row blocks
     @pytest.mark.parametrize("budget", [1, 2, 3, 16, 17, 250, 20000])
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_matches_per_pair_reference(self, n, budget):
+    @pytest.mark.parametrize("formula", FORMULAS)
+    def test_matches_per_pair_reference(self, formula, n, budget):
         f = DBilinear2Functional.random(n, 300 + n)
-        cert = unpolished(f, budget, 7)
-        polished = norm_bruteforce(f, budget=budget, seed=7)
+        cert = unpolished(f, budget, 7, formula)
+        polished = norm_bruteforce(f, budget=budget, seed=7, formula=formula)
         values = (cert.value.p, cert.value.q)
         for comp, C in enumerate(f.C):
             # the polish starts from the sampled pair
@@ -336,8 +350,7 @@ class TestBruteforceKernel:
             assert (polished.value.p, polished.value.q)[comp] == want[0]
             assert np.array_equal(polished.witness[0].c[comp], want[1])
             assert np.array_equal(polished.witness[1].c[comp], want[2])
-            rng = np.random.default_rng([7, comp, 0])
-            value, cell, u, v = reference_grid_pairs(C, budget, rng)
+            value, cell, u, v = reference_grid_pairs(C, budget, substream(7, comp, formula))
             if n == 2:
                 # every pair spans R^2 and scores |c| but for the rounding of
                 # its area, which a thin pair amplifies up to eps / THIN^2; so
@@ -360,12 +373,13 @@ class TestBruteforceKernel:
         assert cert.value.p == pytest.approx(scored[0], rel=1e-13, abs=0.0)
         assert cert.value.p < everything[0]
 
+    @pytest.mark.parametrize("formula", FORMULAS)
     @pytest.mark.parametrize(
         "budget,cells",
         # 317 rows in chunks of 51; 448 in chunks of 36; 142 in chunks of 7
         [(100_000, tf._WEDGE_CELLS), (200_000, tf._WEDGE_CELLS), (20_000, 1000)],
     )
-    def test_row_blocks_score_as_one_pass(self, monkeypatch, budget, cells):
+    def test_row_blocks_score_as_one_pass(self, monkeypatch, formula, budget, cells):
         # the same winning cell, bit for bit, as products of two rows each
         # (_WEDGE_CELLS = 1) and, at budget 10^5, as one product over all the
         # rows after the first chunk; at n = 2 every cell scores |c| but for
@@ -373,10 +387,10 @@ class TestBruteforceKernel:
         for n in (2, 3, 8):
             C = DBilinear2Functional.random(n, 600 + n).C2
             monkeypatch.setattr(tf, "_WEDGE_CELLS", cells)
-            blocked = tf._sample_component(C, budget, np.random.default_rng(n))
+            blocked = tf._sample_component(C, budget, substream(n, 1, formula))
             for other in (1, 2 * budget) if budget <= 100_000 else (1,):
                 monkeypatch.setattr(tf, "_WEDGE_CELLS", other)
-                got = tf._sample_component(C, budget, np.random.default_rng(n))
+                got = tf._sample_component(C, budget, substream(n, 1, formula))
                 assert got[0] == blocked[0]
                 assert np.array_equal(got[1], blocked[1]) and np.array_equal(got[2], blocked[2])
 
@@ -490,19 +504,24 @@ class TestThinPairs:
     C = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     e1, e2, e3 = np.eye(3)
 
-    def test_a_thin_pair_alone_scores_nothing(self):
+    # a first chunk of one x row, or of both
+    @pytest.mark.parametrize("first", [1, 8])
+    def test_a_thin_pair_alone_scores_nothing(self, monkeypatch, first):
         # (e1, e1 + 9e-4 e2) has sine 9e-4 < THIN, and every other cell is 0
+        monkeypatch.setattr(tf, "_FIRST_ROWS", first)
         rows = FixedRows([self.e1, self.e3, self.e1 + 9e-4 * self.e2, self.e1 + self.e3])
         value, u, v = tf._sample_component(self.C, 4, rows)
         assert value == 0.0
         assert np.array_equal(u, self.e1) and np.array_equal(v, self.e2)
 
-    def test_a_thin_pair_never_beats_a_scored_one(self):
+    @pytest.mark.parametrize("first", [1, 8])
+    def test_a_thin_pair_never_beats_a_scored_one(self, monkeypatch, first):
         # the thin cell (e1, e1 + 9.9e-4 e2) comes first and would score
         # about 0.99 as |f| / THIN; the first pair that is not thin scores
         # 1 / sqrt(10) at area 1
         y = (self.e2 + 3.0 * self.e3) / np.sqrt(10.0)
         rows = FixedRows([self.e1, self.e3, self.e1 + 9.9e-4 * self.e2, self.e2 + 3.0 * self.e3])
+        monkeypatch.setattr(tf, "_FIRST_ROWS", first)
         value, u, v = tf._sample_component(self.C, 4, rows)
         assert value == pytest.approx(1.0 / np.sqrt(10.0), rel=1e-15)
         assert np.array_equal(u, self.e1)
@@ -574,17 +593,18 @@ class TestRowBound:
             scored += value > 0.0
         assert scored >= 290  # a pair the rounding makes thin scores nothing
 
+    @pytest.mark.parametrize("formula", FORMULAS)
     @pytest.mark.parametrize("budget", [1, 17, 250, 20000, 100000])
     @pytest.mark.parametrize("case", sorted(PRUNE_CASES))
-    def test_pruning_changes_no_bit(self, monkeypatch, case, budget):
+    def test_pruning_changes_no_bit(self, monkeypatch, case, budget, formula):
         # and neither does a first chunk of one row (scored with a neighbour)
         # or two in place of eight
         C = PRUNE_CASES[case]()
-        pruned = tf._sample_component(C, budget, np.random.default_rng(budget))
+        pruned = tf._sample_component(C, budget, substream(budget, 0, formula))
         for first in (1, 2):
             monkeypatch.setattr(tf, "_FIRST_ROWS", first)
-            self.same(tf._sample_component(C, budget, np.random.default_rng(budget)), pruned)
-        want = grid_by_pairs(C, budget, np.random.default_rng(budget))
+            self.same(tf._sample_component(C, budget, substream(budget, 0, formula)), pruned)
+        want = grid_by_pairs(C, budget, substream(budget, 0, formula))
         self.same(pruned, want)
         # at n >= 4 no cell reaches top, so the first of largest score wins,
         # as it did before top was stated
@@ -607,7 +627,8 @@ class TestRowBound:
 
     @pytest.mark.parametrize("budget", [17, 250, 20000, 100000])
     @pytest.mark.parametrize("last", ["kept", "pruned"])
-    def test_partial_last_row(self, last, budget):
+    @pytest.mark.parametrize("first", [1, 8])
+    def test_partial_last_row(self, monkeypatch, first, last, budget):
         # the last x row has fewer scored cells than the others; at n = 5, C
         # is sigma_1 on the plane (u1, v1) and 0 on the line of `kernel`
         n = 5
@@ -629,6 +650,7 @@ class TestRowBound:
             x = unit_rows(rows[a - 1 : a])[0]
             xc = x @ C
             assert math.sqrt(xc @ xc) + abs(xc @ x) / THIN < 0.5 * sigma[0]
+        monkeypatch.setattr(tf, "_FIRST_ROWS", first)
         pruned = tf._sample_component(C, budget, FixedRows(rows))
         self.same(pruned, grid_by_pairs(C, budget, FixedRows(rows)))
         x, y = unit_rows(rows[[a - 1, a]] if last == "kept" else rows[[0, a]])
@@ -648,7 +670,8 @@ class TestRowBound:
         assert np.array_equal(u, x0) and np.array_equal(v, e2)
 
     @pytest.mark.parametrize("where", ["thin", "past_budget"])
-    def test_a_cell_that_cannot_win_does_not_reach_top(self, where):
+    @pytest.mark.parametrize("first", [1, 8])
+    def test_a_cell_that_cannot_win_does_not_reach_top(self, monkeypatch, first, where):
         e1, e2, e3 = np.eye(3)
         if where == "thin":
             # cell (0, 0) is thin and scores 1 - 5e-7 >= top as |f| / THIN,
@@ -661,6 +684,7 @@ class TestRowBound:
             # unscored: no cell reaches top and the best, (1, 0), wins
             rows = [e3, e1, 0.6 * e2 + 0.8 * e3, e2]
             budget, want = 3, (0.6, e1, rows[2])
+        monkeypatch.setattr(tf, "_FIRST_ROWS", first)
         value, u, v = tf._sample_component(TestThinPairs.C, budget, FixedRows(rows))
         assert value == pytest.approx(want[0], rel=1e-15, abs=0.0)
         for got, w in zip((u, v), want[1:]):
@@ -690,9 +714,11 @@ class TestRowBound:
                 monkeypatch.setattr(tf, "_FIRST_ROWS", first)
                 self.same(tf._sample_component(C, 100, FixedRows(rows)), want)
 
+    @pytest.mark.parametrize("first", [1, 2, 8])
     @pytest.mark.parametrize("n", [2, 5])
-    def test_a_zero_component_keeps_its_witness(self, n):
+    def test_a_zero_component_keeps_its_witness(self, monkeypatch, n, first):
         # every bound and score is 0, so top = 0, and a score of 0 never wins
+        monkeypatch.setattr(tf, "_FIRST_ROWS", first)
         value, u, v = tf._sample_component(np.zeros((n, n)), 100_000, np.random.default_rng(n))
         assert value == 0.0
         assert np.array_equal(u, np.eye(n)[0]) and np.array_equal(v, np.eye(n)[1])
@@ -765,9 +791,10 @@ class TestPolish:
                 assert value == pytest.approx(sigma, rel=1e-10, abs=0.0)
                 assert value <= sigma * (1.0 + 1e-12)
 
-    def test_uses_no_svd_or_eig(self, monkeypatch):
-        # C enters the polish through products only, so its route stays
-        # independent of norm_spectral's SVD
+    @pytest.mark.parametrize("formula", FORMULAS)
+    def test_uses_no_svd_or_eig(self, monkeypatch, formula):
+        # C enters the sampler and the polish through products only, so the
+        # brute-force route stays independent of norm_spectral's SVD
         def banned(*args, **kwargs):
             raise AssertionError("the polish factored C")
 
@@ -777,21 +804,23 @@ class TestPolish:
         for C in f.C:
             u, v = np.eye(6)[0], np.eye(6)[1]
             assert tf._climb_component(C, u, v)[0] > 0.0
+        cert = norm_bruteforce(f, budget=2000, seed=0, formula=formula)
+        assert min(cert.value.p, cert.value.q) > 0.0
 
 
 class TestSamplerHandsOverAWidePair:
     """The polish takes the sampler's pair as it is, so the sampler must hand
     over nonzero u and v wider than THIN apart: a winner, or (e1, e2)."""
 
+    @pytest.mark.parametrize("formula", FORMULAS)
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_every_pair_is_nonzero_and_not_thin(self, n):
+    def test_every_pair_is_nonzero_and_not_thin(self, n, formula):
         f = DBilinear2Functional.random(n, 70 + n)
         # a random C, C = 0, and one zero component, as norm_bruteforce runs them
         for f in (f, DBilinear2Functional.zero(n), DBilinear2Functional(f.C1, 0.0 * f.C1)):
             for comp, scaled in enumerate(_unit_scaled(f.C)[0]):
                 for budget in (1, 2, 17, 250, 10**5):
-                    rng = np.random.default_rng([n, comp, 0])
-                    _, u, v = tf._sample_component(scaled, budget, rng)
+                    _, u, v = tf._sample_component(scaled, budget, substream(n, comp, formula))
                     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
                     assert nu > 0.0 and nv > 0.0
                     assert wedge_area_batch(u[None], v[None])[0] > THIN * nu * nv
