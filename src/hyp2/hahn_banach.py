@@ -42,12 +42,11 @@ component that is merely short beside the other keeps its own moment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._tol import ROUND, SPAN, THIN, negligible, null, within
+from ._tol import ROUND, SPAN, negligible, null, within
 from .dmodule import (
     DSubmodule, DVector, _dependent_pair, _dot, _orthonormal_rows, _perp, _scaled_back,
     _unit_scaled,
@@ -246,20 +245,20 @@ class ExtensionTrace:
         ||P C_F z|| / ||z|| exactly, and norm_rel_err is its relative gap to
         norm_F.  That value moves only to second order under a change of F
         off M, so norm_ok also requires moment_rel_err = ||P C_F z - w'|| /
-        ||C z|| <= RESTRICTION_TOL, and norm_F_sampled, the largest sampled
-        |x' C_F z| / gram(x, z), at most norm_F_audit * (1 + norm_rel_tol);
-        its gram is ||x - <x, zh> zh|| * ||z|| (_ratio_sup).
+        ||C z|| <= RESTRICTION_TOL, and norm_F_witness within ROUND *
+        norm_F_audit of norm_F_audit.  norm_F_witness is the quotient
+        |<C_F z, m>| / gram(m, z) at m = P C_F z, where the supremum over x
+        is attained, with the wedge formula's gram (0 where it is 0).
         Where z vanishes every one of these is 0.  It all runs at the problem's
         unit scale (F with f's powers of two); each printed maximum is scaled back.
 
         Seed contract: one generator seeded by `seed` supplies, in order, a
         (samples, k1 + k2 + 2) standard-normal block for the restriction
         check (per row the coordinates of x in M's orthonormal component
-        bases, then alpha's two idempotent coordinates), one (m, kk1 + kk2)
-        block per extension step for the pointwise bound, with
+        bases, then alpha's two idempotent coordinates), and one
+        (m, kk1 + kk2) block per extension step for the pointwise bound, with
         m = max(8, samples // max(1, 4 * steps)) and kk the step's domain
-        dimensions, and then one (2000, n) block per component for
-        norm_F_sampled.  The stream matches one scalar draw after another in
+        dimensions.  The stream matches one scalar draw after another in
         that order.  Every step's pointwise block is drawn first, and all are
         checked together, one wedge_area_batch per component.
         """
@@ -322,16 +321,17 @@ class ExtensionTrace:
         pointwise_excess = np.max(lhs - rhs, axis=1, initial=0.0)
         pointwise_ok = within(np.maximum(lhs - rhs, 0.0), rhs, SPAN)
 
-        # F's norm on X x [z]: exact value, first-order moment, sampled bound
+        # F's norm on X x [z]: exact value, first-order moment, witness
         moment, got = _exact_norm(cFz, z)
         want = np.ldexp(np.abs([self.norm_F.p, self.norm_F.q]), -ef)
         rel = _rel_err(np.abs(got - want), want).tolist()
         moment_rel = _rel_err(np.linalg.norm(moment - w_ref, axis=-1), ncz).tolist()
-        sampled = np.array([_ratio_sup(v, zc, n, rng) for v, zc in zip(cFz, z)])
+        area = wedge_area_batch(moment, z)
+        witness = np.divide(np.abs(_dot(cFz, moment)), area, out=np.zeros(2), where=~null(area))
         norm_ok = bool(
             max(rel) <= norm_rel_tol
             and max(moment_rel) <= RESTRICTION_TOL
-            and np.all(sampled <= got * (1.0 + norm_rel_tol))
+            and within(witness - got, got)
         )
 
         out = {
@@ -346,7 +346,7 @@ class ExtensionTrace:
             "norm_F_audit": Hyperbolic(*np.ldexp(got, ef)).to_json(),
             "norm_rel_err": rel,
             "moment_rel_err": moment_rel,
-            "norm_F_sampled": Hyperbolic(*np.ldexp(sampled, ef)).to_json(),
+            "norm_F_witness": Hyperbolic(*np.ldexp(witness, ef)).to_json(),
             "norm_ok": norm_ok,
             "steps": len(self.steps),
             "repaired": self.repaired,
@@ -383,37 +383,6 @@ def _exact_norm(cz: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     moment = _perp(z, cz)
     nz = np.sqrt(_dot(z, z))
     return moment, np.divide(np.sqrt(_dot(moment, moment)), nz, out=np.zeros(2), where=~null(nz))
-
-
-def _off_line(xs: np.ndarray, zh: np.ndarray) -> np.ndarray:
-    """||x - <x, zh> zh|| per row of xs, for a unit vector zh: x's distance
-    from the line of zh, in O(n) per row.  Its error is about n u ||x||, so
-    relative to the distance it grows like n u / sin(angle of x to zh)."""
-    p = np.multiply.outer(xs @ zh, zh)
-    np.subtract(xs, p, out=p)
-    return np.sqrt(np.einsum("ij,ij->i", p, p))
-
-
-def _ratio_sup(v: np.ndarray, z: np.ndarray, n: int, rng: np.random.Generator) -> float:
-    """The largest |<v, x>| / gram(x, z) over 2000 standard-normal x.
-
-    gram(x, z) = ||x - <x, zh> zh|| * ||z|| with zh = z / ||z||, the same
-    parallelogram area as the wedge formula.  x within about 1e-3 rad of the
-    line of z, ||x - <x, zh> zh|| <= THIN * ||x||, is rejected: there the
-    rounding residue of v along z would dominate the quotient.  For v
-    orthogonal to z this cannot lower the supremum, which depends only on
-    the direction of x's part orthogonal to z.  The test is relative, so it
-    does not depend on the scale of z.  Where z vanishes it rejects every x,
-    and the value is 0.
-    """
-    xs = rng.standard_normal((2000, n))
-    nz = math.sqrt(z @ z)
-    if null(nz):
-        return 0.0
-    num = np.abs(xs @ v)
-    off = _off_line(xs, z / nz)
-    ok = ~negligible(off, np.sqrt(np.einsum("ij,ij->i", xs, xs)), THIN)
-    return float(np.max(num[ok] / (off[ok] * nz), initial=0.0))
 
 
 def full_extend(problem: ExtensionProblem) -> ExtensionTrace:

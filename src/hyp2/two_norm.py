@@ -53,8 +53,9 @@ def wedge_area_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     every value is bit for bit that of one pass.  Silently, an area above
     about 1.34e154 reads inf and one below about 1.6e-162 reads 0, as the sum
     of squared cells over- or underflows; between, a cell below 1.5e-154
-    loses bits to its subnormal square.  extend's pointwise bound, corollary
-    and norm's boundedness probes pass it only data at unit scale.
+    loses bits to its subnormal square.  extend's pointwise bound and norm
+    witness, corollary and norm's boundedness probes pass it only data at
+    unit scale.
     """
     iu, ju = _wedge_cols(xs.shape[1])
     m, s = xs.shape[0], 0

@@ -11,13 +11,24 @@ the package are then measured against it in units of u = 2^-53:
 polished to convergence) at most 4u above and at most 1e-11 below.  The
 matrices are those of tests/test_bruteforce_pins.py: the two components of
 `DBilinear2Functional.random(n, 800 + n)` for n = 2..8.
+
+The audit of an extension is bracketed the same way.  On X x [z] the norm of
+the printed functional F is ||P C_F z|| / ||z||, P the projection onto
+z-perp; its square is formed exactly from the float entries of C_F and z,
+and both `norm_F_audit` (that formula in floating point) and
+`norm_F_witness` (the quotient at x = P C_F z) must lie within 8 n u of it.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from hyp2 import DBilinear2Functional, norm_bruteforce, norm_spectral
+import numpy as np
+
+from hyp2 import (
+    DBilinear2Functional, DSubmodule, DVector, ExtensionProblem, full_extend, norm_bruteforce,
+    norm_spectral,
+)
 
 U = Fraction(1, 2**53)
 REL = Fraction(1, 2**60)
@@ -111,3 +122,54 @@ def test_bruteforce_is_a_lower_estimate_to_1e_11(pinned, formula):
         cert = norm_bruteforce(f, budget=100_000, seed=n, formula=formula)
         err = rel_error((cert.value.p, cert.value.q)[comp], bracket)
         assert -Fraction(1, 10**11) <= err <= 4 * U, (n, comp, float(err / U))
+
+
+#: (n, dims of M, the component of z set to 0 or None, scales of (f, z, M)):
+#: n = 2..8, one zero-divisor z, and one draw at f x 1e-92, z x 1e-62 and
+#: M x 1e-62, where ||P C_F z||^2 of the raw data is within a factor 100 of
+#: the smallest normal double
+EXTENSIONS = [
+    (2, (1, 1), None, (1.0, 1.0, 1.0)),
+    (3, (1, 2), None, (1.0, 1.0, 1.0)),
+    (4, (2, 1), 1, (1.0, 1.0, 1.0)),
+    (5, (2, 3), None, (1e-92, 1e-62, 1e-62)),
+    (6, (3, 5), None, (1e3, 1e-3, 1.0)),
+    (7, (1, 6), None, (1.0, 1.0, 1.0)),
+    (8, (4, 7), None, (1.0, 1.0, 1.0)),
+]
+
+
+def exact_norm_sq(C, z) -> Fraction:
+    """||P C z||^2 / ||z||^2 in exact arithmetic (0 for z = 0)."""
+    c = [[Fraction(v) for v in row] for row in C.tolist()]
+    zf = [Fraction(v) for v in z.tolist()]
+    v = [sum(a * b for a, b in zip(row, zf)) for row in c]
+    nz2 = sum(a * a for a in zf)
+    if nz2 == 0:
+        return Fraction(0)
+    along = sum(a * b for a, b in zip(zf, v)) / nz2
+    m = [a - along * b for a, b in zip(v, zf)]
+    return sum(a * a for a in m) / nz2
+
+
+@pytest.mark.parametrize("n,dims,vanish,scales", EXTENSIONS, ids=[f"n{e[0]}" for e in EXTENSIONS])
+def test_audit_norm_and_witness_are_within_8nu(n, dims, vanish, scales):
+    rng = np.random.default_rng(900 + n)
+    sf, sz, sm = scales
+    M = DSubmodule(n, *(sm * rng.standard_normal((k, n)) for k in dims))
+    z = sz * rng.standard_normal((2, n))
+    if vanish is not None:
+        z[vanish] = 0.0
+    f = sf * DBilinear2Functional.random(n, 900 + n)
+    trace = full_extend(ExtensionProblem(n, M, DVector.from_components(*z), f))
+    audit = trace.audit(samples=50)
+    F = trace.final.as_functional()
+    for comp, c in enumerate("pq"):
+        want = exact_norm_sq(F.C[comp], z[comp])
+        for key in ("norm_F_audit", "norm_F_witness"):
+            got = audit[key][c]
+            if want == 0:
+                assert got == 0.0, (key, c)
+            else:
+                err = (Fraction(got) ** 2 / want - 1) / 2
+                assert abs(err) <= 8 * n * U, (key, c, float(err / U))

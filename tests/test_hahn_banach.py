@@ -19,8 +19,7 @@ from hyp2 import (
 )
 import hyp2.hahn_banach as hb
 from hyp2.hahn_banach import gap_interval_grid
-from hyp2._tol import THIN
-from hyp2.two_norm import wedge_area_batch
+from hyp2._tol import ROUND
 from subgradient_oracle import gap_interval_subgradient
 
 NORM = D2Norm()
@@ -562,33 +561,26 @@ def reference_audit(trace, samples: int, seed: int) -> dict:
             # each excess against 1e-9 * |f| * gram
             pointwise_ok = pointwise_ok and lhs.p - rhs.p <= 1e-9 * rhs.p
             pointwise_ok = pointwise_ok and lhs.q - rhs.q <= 1e-9 * rhs.q
-    # F's norm on X x [z]: C_F z read off column by column
+    # F's norm on X x [z]: C_F z read off column by column, and the witness
+    # |<C_F z, m>| / gram(m, z) at m = P C_F z, with Lagrange's area
+    # sqrt(|m|^2 |z|^2 - <m, z>^2) (0 where it is 0)
     cols = [F(DVector.from_components(e, e), z) for e in np.eye(n)]
     cfz = np.array([[v.p for v in cols], [v.q for v in cols]])
-    exact, moment_rel = [], []
+    exact, moment_rel, witness = [], [], []
     for zc, v, w, C in zip(z.c, cfz, prob.restriction().w, prob.functional.C):
         nz2 = zc @ zc
         m = v - zc * ((zc @ v) / nz2) if nz2 > 0.0 else v
         exact.append(float(np.sqrt(m @ m) / np.sqrt(nz2)) if nz2 > 0.0 else 0.0)
         diff, scale = np.linalg.norm(m - w), np.linalg.norm(C @ zc)
         moment_rel.append(0.0 if diff == 0.0 else diff / scale if scale > 0.0 else np.inf)
-    # sampled maximum of |F(x, z)| / gram(x, z) over one block per component
-    # (where z vanishes every gram is 0, so every x is rejected)
-    sampled = [0.0, 0.0]
-    rows = [[rng.standard_normal(n) for _ in range(2000)] for _ in range(2)]
-    for x1, x2 in zip(*rows):
-        x = DVector.from_components(x1, x2)
-        val, gram = F(x, z).modulus(), NORM(x, z)
-        parts = zip((val.p, val.q), (gram.p, gram.q), (x1, x2), z.c)
-        for c, (v, g, xc, zc) in enumerate(parts):
-            if g > THIN * np.linalg.norm(zc) * np.linalg.norm(xc):
-                sampled[c] = max(sampled[c], v / g)
+        area = np.sqrt(max((m @ m) * nz2 - (m @ zc) ** 2, 0.0))
+        witness.append(float(abs(v @ m) / area) if area > 0.0 else 0.0)
     rel = []
     for got, want in zip(exact, (trace.norm_F.p, trace.norm_F.q)):
         diff = abs(got - want)
         rel.append(0.0 if diff == 0.0 else diff / abs(want) if want != 0.0 else np.inf)
     norm_ok = max(rel) <= 1e-5 and max(moment_rel) <= 1e-10
-    norm_ok = norm_ok and all(sv <= ex * (1.0 + 1e-5) for sv, ex in zip(sampled, exact))
+    norm_ok = norm_ok and all(abs(wv - ex) <= 1e-12 * ex for wv, ex in zip(witness, exact))
     out = {
         "restriction_max_err": errs,
         "restriction_rel_err": restr_rel,
@@ -597,7 +589,7 @@ def reference_audit(trace, samples: int, seed: int) -> dict:
         "pointwise_ok": pointwise_ok,
         "norm_F_audit": {"p": exact[0], "q": exact[1]},
         "moment_rel_err": moment_rel,
-        "norm_F_sampled": {"p": sampled[0], "q": sampled[1]},
+        "norm_F_witness": {"p": witness[0], "q": witness[1]},
         "norm_ok": norm_ok,
         "steps": len(trace.steps),
     }
@@ -650,8 +642,8 @@ class TestAuditBatched:
             for g, w in zip(got["moment_rel_err"], want["moment_rel_err"]):
                 assert abs(g - w) <= 1e-12
             for c in "pq":
-                want_c = want["norm_F_sampled"][c]
-                assert got["norm_F_sampled"][c] == pytest.approx(want_c, rel=1e-12)
+                want_c = want["norm_F_witness"][c]
+                assert got["norm_F_witness"][c] == pytest.approx(want_c, rel=1e-12, abs=0.0)
             # every maximum per component
             for c in range(2):
                 for key, tol in (("restriction_max_err", 1e-12), ("pointwise_bound_excess", 1e-12),
@@ -861,7 +853,7 @@ def seed618_problem() -> ExtensionProblem:
     return ExtensionProblem(5, M, dvec(z1 * sz, z2 * sz), DBilinear2Functional(*(C * sf)))
 
 
-class TestRatioSupRejection:
+class TestNormCheckRegressions:
     def test_large_z_regression(self):
         # with an absolute 1e-9 rejection a climbed estimate reached x almost
         # parallel to z, where the rounding residue of the moment along z
@@ -886,66 +878,27 @@ class TestRatioSupRejection:
         assert max(audit["norm_rel_err"]) <= 1e-12
 
     @pytest.mark.parametrize("z_scale", [1e-3, 1.0, 1e3, 1e6])
-    def test_residue_along_z_is_bounded_at_every_scale(self, z_scale):
-        # a moment with a relative 1e-8 part along z: near the line of z the
-        # quotient grows without bound, and the relative rejection caps the
-        # sampled maximum's overshoot at about 1e-8 / THIN
-        # whatever the scale of z
-        z = np.array([3.0, 4.0]) * z_scale
-        w = np.array([-4.0, 3.0]) / 5.0 + 1e-8 * np.array([3.0, 4.0]) / 5.0
-        want = 1.0 / float(np.linalg.norm(z))
-        got = hb._ratio_sup(w, z, 2, np.random.default_rng(0))
-        assert 0.0 <= got / want - 1.0 <= 1.01e-8 / THIN
+    def test_witness_ignores_a_residue_along_z_at_every_scale(self, z_scale, monkeypatch):
+        # F plus a symmetric term that gives C_F z a relative 1e-8 part along
+        # z: the moment P C_F z drops it, and the witness at that moment
+        # stays within rounding of the exact norm, whatever the scale of z
+        trace = full_extend(large_z_problem(z_scale))
+        exact = RestrictedFunctional.as_functional
 
+        def mutant(rf):
+            F = exact(rf)
+            zh = rf.z.c / np.linalg.norm(rf.z.c, axis=1, keepdims=True)
+            along = np.linalg.norm(F.C, axis=(1, 2))[:, None, None] * zh[:, :, None] * zh[:, None, :]
+            return DBilinear2Functional._of(F.C + 1e-8 * along)
 
-U = 2.0**-53
-
-
-def near_line_rows(seed: int, n: int, ez: int):
-    """z times 2^ez, and rows x: standard normal ones, ones at sine THIN + k u
-    from the line of z, |k| <= 40, and ones at sines from 6e-9 to 20 THIN,
-    each row times 10^U(-3, 3)."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n) * 2.0**ez
-    zh = z / np.linalg.norm(z)
-    nu = rng.standard_normal((200, n))
-    nu -= np.outer(nu @ zh, zh)
-    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-    sine = np.concatenate((THIN + rng.integers(-40, 41, 100) * U,
-                           THIN * np.exp(rng.uniform(-12.0, 3.0, 100))))
-    near = np.sqrt(1.0 - sine**2)[:, None] * zh + sine[:, None] * nu
-    xs = np.vstack((rng.standard_normal((100, n)), near))
-    return z, xs * 10.0 ** rng.uniform(-3.0, 3.0, (len(xs), 1))
-
-
-class TestOffLineArea:
-    """`_ratio_sup` takes gram(x, z) as ||x - <x, zh> zh|| * ||z||, O(n) per
-    row, where wedge_area_batch sums n(n - 1)/2 cells.  Both err by about
-    n u ||x|| ||z||, so they agree within c n u / sin(angle) relative."""
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**16), n=st.integers(2, 8), ez=st.integers(-20, 20))
-    def test_agrees_with_the_wedge_area(self, seed, n, ez):
-        z, xs = near_line_rows(seed, n, ez)
-        nz = np.linalg.norm(z)
-        got = hb._off_line(xs, z / nz) * nz
-        want = wedge_area_batch(xs, np.broadcast_to(z, xs.shape))
-        assert np.all(np.abs(got - want) <= 4 * n * U * np.linalg.norm(xs, axis=1) * nz)
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**16), n=st.integers(2, 8), ez=st.integers(-20, 20))
-    def test_thin_decisions_agree_but_at_the_cut(self, seed, n, ez):
-        # a row is rejected when its sine from the line of z is at most THIN;
-        # the two routes may decide apart only within rounding of that cut
-        z, xs = near_line_rows(seed, n, ez)
-        nz, nx = np.linalg.norm(z), np.linalg.norm(xs, axis=1)
-        off = hb._off_line(xs, z / nz)
-        thin = off <= THIN * nx
-        wedge_thin = wedge_area_batch(xs, np.broadcast_to(z, xs.shape)) <= THIN * nz * nx
-        apart = thin != wedge_thin
-        assert np.all(np.abs(off - THIN * nx)[apart] <= 4 * n * U * nx[apart])
-        at_cut = thin[100:200]  # the rows at sine THIN + k u fall on both sides
-        assert at_cut.any() and not at_cut.all()
+        monkeypatch.setattr(RestrictedFunctional, "as_functional", mutant)
+        audit = trace.audit(samples=1000)
+        assert audit["norm_ok"]
+        # M's first component is 0, and so is F's there
+        assert audit["norm_F_audit"]["p"] == 0.0 < audit["norm_F_audit"]["q"]
+        for c in "pq":
+            got, want = audit["norm_F_witness"][c], audit["norm_F_audit"][c]
+            assert abs(got - want) <= ROUND * want
 
 
 class TestNormCheckMutations:
@@ -988,7 +941,7 @@ class TestNormCheckMutations:
             # an absolute tolerance cannot see the violation at small scale
             assert max(audit["pointwise_bound_excess"]) <= 1e-9
 
-    def test_low_exact_norm_fails_through_the_sampled_bound(self, monkeypatch):
+    def test_low_exact_norm_fails_through_the_witness(self, monkeypatch):
         trace = full_extend(fixed_problem(11, 3, (1, 1), "full"))
         assert trace.audit(samples=200)["passed"]
         exact = hb._exact_norm
@@ -1004,4 +957,15 @@ class TestNormCheckMutations:
         assert audit["restriction_ok"] and audit["brackets_ok"] and audit["pointwise_ok"]
         assert not audit["norm_ok"] and not audit["passed"]
         for c in "pq":
-            assert audit["norm_F_sampled"][c] > audit["norm_F_audit"][c] * (1.0 + 1e-5)
+            assert audit["norm_F_witness"][c] > audit["norm_F_audit"][c] * (1.0 + 1e-5)
+
+    def test_moment_off_by_1e_9_fails_the_norm_check(self):
+        # M is all of X: the moment is C z's part orthogonal to z, so F's
+        # moment off by a relative 1e-9 is off by 1e-9 of ||C z||
+        trace = full_extend(fixed_problem(11, 3, (3, 3), "full"))
+        assert trace.audit(samples=200)["passed"]
+        final = trace.final
+        off = RestrictedFunctional(final.domain, final.z, final.w1 * (1.0 + 1e-9), final.w2)
+        audit = dataclasses.replace(trace, final=off).audit(samples=200)
+        assert not audit["norm_ok"] and not audit["passed"]
+        assert 1e-10 < audit["moment_rel_err"][0] < 1e-8 and audit["moment_rel_err"][1] <= 1e-10

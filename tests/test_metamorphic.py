@@ -48,7 +48,7 @@ EXTEND_DEGREES = {
     "norm_f": (1, 0, 0),
     "norm_F": (1, 0, 0),
     "norm_F_audit": (1, 0, 0),
-    "norm_F_sampled": (1, 0, 0),
+    "norm_F_witness": (1, 0, 0),
     "restriction_max_err": (1, 1, 0),
     "pointwise_bound_excess": (1, 1, 0),
     "restriction_rel_err": (0, 0, 0),
