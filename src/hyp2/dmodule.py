@@ -11,7 +11,8 @@ differ in dimension).
 Dot products and lengths over the last axis go through `_dot`, a stacked
 `@` that gives the same bits as one `@` per row.  A residual off a line is
 `_perp`.  Rank and span membership are the drop test of one Gram-Schmidt
-(`_orthonormal_rows`): a residual against the length of the row tested.
+(`_orthonormal_rows`, classical Gram-Schmidt with a second pass, two
+products per pass): a residual against the length of the row tested.
 """
 
 from __future__ import annotations
@@ -238,23 +239,29 @@ def _orthonormal_rows(
 
     Returns the orthonormal rows kept and the indices of the input rows
     dropped because their residual is at most rel * ||row||, or rel *
-    length when the rows are projections of rows of that length.  It is
-    prefix-stable, so continuing from `start`, the rows kept from earlier
-    input, gives bit for bit the result of the whole input.
+    length when the rows are projections of rows of that length.  Each row
+    is projected off all the rows kept so far in two products, (q @ w) @ q,
+    and then once more: classical Gram-Schmidt run twice, which keeps the
+    rows orthogonal to rounding ("twice is enough").  It is prefix-stable,
+    so continuing from `start`, the rows kept from earlier input, gives bit
+    for bit the result of the whole input.
     """
-    rows: list[np.ndarray] = list(start)
+    k = len(start)
+    q = np.empty((k + len(basis), basis.shape[1]))
+    if k:
+        q[:k] = start
     dropped: list[int] = []
     for i, v in enumerate(basis):
-        w = np.array(v, dtype=float)
-        # the second pass keeps the rows numerically orthogonal
-        for r in rows + rows:
-            w -= r * r.dot(w)
+        kept = q[:k]
+        w = v - (kept @ v) @ kept
+        w -= (kept @ w) @ kept  # the second pass keeps the rows numerically orthogonal
         norm = np.sqrt(w.dot(w))
         if negligible(norm, np.sqrt(v.dot(v)) if length is None else length, rel):
             dropped.append(i)
         else:
-            rows.append(w / norm)
-    return (np.array(rows) if rows else np.zeros((0, basis.shape[1]))), dropped
+            q[k] = w / norm
+            k += 1
+    return q[:k], dropped
 
 
 class DSubmodule:

@@ -79,9 +79,10 @@ class RestrictedFunctional:
     matching domain component; from_matrices produces them in that
     canonical position.  Methods run on `_unit` = (zu, wu, ef, ez), with
     z = zu 2^ez and w = wu 2^(ef + ez) per component, then scale back.
+    `_F` keeps the matrices as_functional builds.
     """
 
-    __slots__ = ("domain", "z", "w", "w1", "w2", "_unit")
+    __slots__ = ("domain", "z", "w", "w1", "w2", "_unit", "_F")
 
     def __init__(self, domain: DSubmodule, z: DVector, w1, w2):
         if z.n != domain.n:
@@ -92,7 +93,7 @@ class RestrictedFunctional:
 
     def _lock(self, domain: DSubmodule, z: DVector, w: np.ndarray, unit: tuple):
         w.setflags(write=False)
-        self.domain, self.z, self.w, self._unit = domain, z, w, unit
+        self.domain, self.z, self.w, self._unit, self._F = domain, z, w, unit, None
         self.w1, self.w2 = w
         return self
 
@@ -148,13 +149,16 @@ class RestrictedFunctional:
         C = (w z' - z w') / ||z||^2 satisfies C z = w because w is orthogonal
         to z; the vanishing-z component gets the zero matrix.  C is exactly
         antisymmetric, entry (j, i) being fl(fl(w_j z_i) - fl(z_j w_i)), the
-        negated entry (i, j), so it is not checked again.
+        negated entry (i, j), so it is not checked again.  It is built on the
+        first call and kept, so the audit and the printed report read one F.
         """
-        z, w, ef, _ = self._unit
-        nz2 = _dot(z, z)[:, None, None]
-        outer = w[:, :, None] * z[:, None, :] - z[:, :, None] * w[:, None, :]
-        C = np.divide(outer, nz2, out=np.zeros_like(outer), where=~null(nz2))
-        return DBilinear2Functional._of(_scaled_back(C, ef, "the matrices of F"))
+        if self._F is None:
+            z, w, ef, _ = self._unit
+            nz2 = _dot(z, z)[:, None, None]
+            outer = w[:, :, None] * z[:, None, :] - z[:, :, None] * w[:, None, :]
+            C = np.divide(outer, nz2, out=np.zeros_like(outer), where=~null(nz2))
+            self._F = DBilinear2Functional._of(_scaled_back(C, ef, "the matrices of F"))
+        return self._F
 
     def __repr__(self) -> str:
         return f"RestrictedFunctional(domain={self.domain!r}, norm={self.norm()!r})"
@@ -223,8 +227,10 @@ class ExtensionTrace:
         that extend prints.
 
         Restriction: alpha * x' C_F z against alpha * x' C z on `samples`
-        random pairs of M x [z].  restriction_max_err is, per component, the
-        largest absolute difference, and restriction_rel_err that difference
+        random pairs of M x [z], in M's coordinates (x = d q with q M's
+        orthonormal rows, so x' v = d (q v) and ||x|| = ||d||).
+        restriction_max_err is, per component, the largest absolute
+        difference, and restriction_rel_err that difference
         over the largest |alpha| * ||x|| * ||C z|| of the samples (0 for no
         difference, inf for a difference at zero scale); restriction_ok
         compares each with RESTRICTION_TOL.  So the verdict depends neither on
@@ -238,8 +244,9 @@ class ExtensionTrace:
         RESTRICTION_TOL * ||C z|| * ||x'||.  pointwise_ok: every sampled
         |f(x, z) + r| exceeds |f| * gram(x + x', z) by at most 1e-9 times it,
         with x in the step's domain, spanned by leading rows of the final
-        domain's orthonormal bases; pointwise_bound_excess is each
-        component's largest excess, and at least 0.
+        domain's orthonormal bases, and gram(y, z) = ||P y|| * ||z||, O(n)
+        per row (P the projection onto z-perp, below); pointwise_bound_excess
+        is each component's largest excess, and at least 0.
 
         Norm on X x [z] (P the projection onto z-perp): norm_F_audit =
         ||P C_F z|| / ||z|| exactly, and norm_rel_err is its relative gap to
@@ -259,8 +266,8 @@ class ExtensionTrace:
         (m, kk1 + kk2) block per extension step for the pointwise bound, with
         m = max(8, samples // max(1, 4 * steps)) and kk the step's domain
         dimensions.  The stream matches one scalar draw after another in
-        that order.  Every step's pointwise block is drawn first, and all are
-        checked together, one wedge_area_batch per component.
+        that order, so every step's pointwise block comes from one draw, and
+        all steps are checked together.
         """
         rng = np.random.default_rng(seed)
         prob, n = self.problem, self.problem.n
@@ -269,63 +276,68 @@ class ExtensionTrace:
         efz = ef + ez  # the scale of the moment, r and each absolute error
         cz, cFz = ((np.ldexp(C, -ef[:, None, None]) @ z[:, :, None])[..., 0]
                    for C in (prob.functional.C, F.C))
-        ncz = np.linalg.norm(cz, axis=-1)
+        ncz = np.sqrt(_dot(cz, cz))
 
-        # restriction agreement against the original matrix data on M x [z]
+        # restriction agreement against the original matrix data on M x [z],
+        # in M's coordinates: x = d q with q orthonormal, so x' v = d (q v)
+        # and ||x|| = ||d||
         k1, k2 = prob.M.dims
         k = k1 + k2
         draws = rng.standard_normal((samples, k + 2))
-        xs = np.stack((draws[:, :k1] @ prob.M.q1, draws[:, k1:k] @ prob.M.q2))
+        ds, qs = (draws[:, :k1], draws[:, k1:k]), (prob.M.q1, prob.M.q2)
         alpha = draws[:, k:].T
-        f_vals = alpha * np.einsum("cmn,cn->cm", xs, cz)
-        F_vals = alpha * np.einsum("cmn,cn->cm", xs, cFz)
-        errs = np.max(np.abs(F_vals - f_vals), axis=1, initial=0.0)
-        scale = np.abs(alpha) * np.linalg.norm(xs, axis=-1) * ncz[:, None]
-        restr_rel = _rel_err(errs, np.max(scale, axis=1, initial=0.0)).tolist()
+        f_vals = alpha * np.array([d @ (q @ v) for d, q, v in zip(ds, qs, cz)])
+        F_vals = alpha * np.array([d @ (q @ v) for d, q, v in zip(ds, qs, cFz)])
+        errs = np.abs(F_vals - f_vals).max(axis=1, initial=0.0)
+        scale = np.abs(alpha) * np.sqrt(np.array([_dot(d, d) for d in ds])) * ncz[:, None]
+        restr_rel = _rel_err(errs, scale.max(axis=1, initial=0.0)).tolist()
 
-        # the reference moment w' from the problem's raw data
-        w_ref = np.zeros_like(z)
-        for c, (zc, basis) in enumerate(zip(z, (prob.M.basis1, prob.M.basis2))):
-            if not null(zc @ zc):
-                # rows at unit length (each times its power of two first): the rank cut is at 1
-                unit = _unit_scaled(basis)[0]
-                unit /= np.linalg.norm(unit, axis=1, keepdims=True)
-                perp = unit - np.outer(unit @ zc, zc) / (zc @ zc)
-                _, sv, vt = np.linalg.svd(perp, full_matrices=False)
-                span = vt[~negligible(sv, 1.0)]
-                w_ref[c] = span.T @ (span @ cz[c])
+        # the reference moment w' from the problem's raw data: M's rows at unit
+        # length (each times its power of two first), so the rank cut is at 1,
+        # in one (2, max(k1, k2), n) stack; its zero rows add zero singular
+        # values, which the cut drops with the dependent ones.  Where z
+        # vanishes, C z and so w' are 0.
+        unit = _unit_scaled(np.concatenate((prob.M.basis1, prob.M.basis2)))[0]
+        unit /= np.sqrt(_dot(unit, unit))[:, None]
+        rows = np.zeros((2, max(k1, k2), n))
+        rows[0, :k1], rows[1, :k2] = unit[:k1], unit[k1:]
+        _, sv, vt = np.linalg.svd(_perp(z[:, None], rows), full_matrices=False)
+        span = vt * ~negligible(sv, 1.0)[..., None]
+        w_ref = (span.transpose(0, 2, 1) @ (span @ cz[..., None]))[..., 0]
 
         # brackets: each printed r, at unit scale, against the gap point <w', x'>
-        rs = np.ldexp(np.reshape([(s.r.p, s.r.q) for s in self.steps], (-1, 2)).T, -efz[:, None])
-        xps = (np.stack([s.x_prime.c for s in self.steps], axis=1) if self.steps
-               else np.zeros((2, 0, n)))
+        rs = np.ldexp(np.array([(s.r.p, s.r.q) for s in self.steps]).reshape(-1, 2).T,
+                      -efz[:, None])
+        xps = np.array([s.x_prime.c for s in self.steps]).reshape(-1, 2, n).transpose(1, 0, 2)
         err = np.abs(rs - (xps @ w_ref[:, :, None])[..., 0])
-        bound = RESTRICTION_TOL * ncz[:, None] * np.linalg.norm(xps, axis=-1)
-        brackets_ok = bool(np.all(err <= bound))
+        bound = RESTRICTION_TOL * ncz[:, None] * np.sqrt(_dot(xps, xps))
+        brackets_ok = bool((err <= bound).all())
 
-        # pointwise bound |f(x,z) + r|_k <=' |f| * norm(x + x', z) per step
-        # (the step's domain: leading rows of the final orthonormal bases),
-        # all steps in one batch
+        # pointwise bound |f(x,z) + r|_k <=' |f| * gram(x + x', z) per step,
+        # all steps in one batch.  x's coefficients on the leading rows of the
+        # final orthonormal bases (the step's domain) are laid out (row,
+        # component, coordinate) in the order they are drawn, and are 0 past
+        # the step's dimensions, so one product per component gives every x
         q1, q2 = self.final.domain.q1, self.final.domain.q2
         nf = np.ldexp([[self.norm_f.p], [self.norm_f.q]], -ef[:, None])
         per_step = max(8, samples // max(1, len(self.steps) * 4))
-        dims = np.cumsum([(k1, k2)] + [s.grew for s in self.steps], axis=0)
-        blocks = [(rng.standard_normal((per_step, k1 + k2)), k1, k2) for k1, k2 in dims[:-1]]
-        xs = (np.concatenate([np.stack((d[:, :k1] @ q1[:k1], d[:, k1:] @ q2[:k2]))
-                              for d, k1, k2 in blocks], axis=1) if blocks
-              else np.zeros((2, 0, n)))
-        lhs = np.abs(np.einsum("cmn,cn->cm", xs, w) + np.repeat(rs, per_step, axis=1))
-        xs += np.repeat(xps, per_step, axis=1)  # x + x'
-        rhs = nf * np.stack([wedge_area_batch(x, np.broadcast_to(zc, x.shape))
-                             for x, zc in zip(xs, z)])
-        pointwise_excess = np.max(lhs - rhs, axis=1, initial=0.0)
+        dims = np.cumsum([(k1, k2)] + [s.grew for s in self.steps], axis=0)[:-1]
+        drawn = np.arange(n) < dims.repeat(per_step, axis=0)[:, :, None]
+        coef = np.zeros(drawn.shape)
+        coef[drawn] = rng.standard_normal(per_step * int(dims.sum()))
+        xs = np.array((coef[:, 0] @ q1, coef[:, 1] @ q2))
+        lhs = np.abs(_dot(xs, w[:, None]) + rs.repeat(per_step, axis=1))
+        xs += xps.repeat(per_step, axis=1)  # x + x'
+        rhs = nf * _gram_with_line(xs, z)
+        pointwise_excess = (lhs - rhs).max(axis=1, initial=0.0)
         pointwise_ok = within(np.maximum(lhs - rhs, 0.0), rhs, SPAN)
 
         # F's norm on X x [z]: exact value, first-order moment, witness
         moment, got = _exact_norm(cFz, z)
         want = np.ldexp(np.abs([self.norm_F.p, self.norm_F.q]), -ef)
         rel = _rel_err(np.abs(got - want), want).tolist()
-        moment_rel = _rel_err(np.linalg.norm(moment - w_ref, axis=-1), ncz).tolist()
+        off = moment - w_ref
+        moment_rel = _rel_err(np.sqrt(_dot(off, off)), ncz).tolist()
         area = wedge_area_batch(moment, z)
         witness = np.divide(np.abs(_dot(cFz, moment)), area, out=np.zeros(2), where=~null(area))
         norm_ok = bool(
@@ -369,9 +381,16 @@ class ExtensionTrace:
         }
 
 
-def _rel_err(err, scale):
+def _gram_with_line(ys: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """gram(y, z) = ||P y|| ||z|| for each row y of the (2, m, n) stack ys,
+    P the projection onto z-perp per component (0 where z vanishes): O(n)
+    per row, where the wedge sums n(n - 1)/2 cells."""
+    off = _perp(z[:, None], ys)
+    return np.sqrt(_dot(off, off)) * np.sqrt(_dot(z, z))[:, None]
+
+
+def _rel_err(err: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """err / scale, with 0 for no error and inf for an error at zero scale."""
-    err, scale = np.asarray(err, dtype=float), np.asarray(scale, dtype=float)
     out = np.where(err == 0.0, 0.0, np.inf)
     return np.divide(err, scale, out=out, where=(err != 0.0) & (scale > 0.0))
 
@@ -415,7 +434,8 @@ def full_extend(problem: ExtensionProblem) -> ExtensionTrace:
     bases = [np.vstack([b, eye[nd]]) for b, nd in zip((M.basis1, M.basis2), need)]
     domain = DSubmodule._of(n, bases, (q1, q2))
     final = object.__new__(RestrictedFunctional)._lock(domain, rf.z, rf.w, rf._unit)
-    return ExtensionTrace(problem, steps, final=final, norm_f=rf.norm(), norm_F=final.norm())
+    norm = rf.norm()  # final shares rf's unit data, so final.norm() is this, bit for bit
+    return ExtensionTrace(problem, steps, final=final, norm_f=norm, norm_F=norm)
 
 
 def corollary_functional(x0: DVector, y0: DVector) -> tuple[RestrictedFunctional, ExtensionTrace]:

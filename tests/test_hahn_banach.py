@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ import hyp2.hahn_banach as hb
 from hyp2.hahn_banach import gap_interval_grid
 from hyp2._tol import ROUND
 from subgradient_oracle import gap_interval_subgradient
+from test_exact_reference import U, exact_norm_sq
 
 NORM = D2Norm()
 
@@ -598,6 +600,29 @@ def reference_audit(trace, samples: int, seed: int) -> dict:
     return out
 
 
+def restriction_in_space(trace, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The audit's restriction check before it moved to M's coordinates:
+    x = d q as a (2, samples, n) stack and x' C z by einsum.  Returns, per
+    component at unit scale, the largest |alpha x' (C_F - C) z| and the
+    largest |alpha| ||x|| ||C z||."""
+    rng = np.random.default_rng(seed)
+    prob = trace.problem
+    F = trace.final.as_functional()
+    z, _, ef, _ = prob.restriction()._unit
+    cz, cFz = ((np.ldexp(C, -ef[:, None, None]) @ z[:, :, None])[..., 0]
+               for C in (prob.functional.C, F.C))
+    k1, k2 = prob.M.dims
+    k = k1 + k2
+    draws = rng.standard_normal((samples, k + 2))
+    xs = np.stack((draws[:, :k1] @ prob.M.q1, draws[:, k1:k] @ prob.M.q2))
+    alpha = draws[:, k:].T
+    f_vals = alpha * np.einsum("cmn,cn->cm", xs, cz)
+    F_vals = alpha * np.einsum("cmn,cn->cm", xs, cFz)
+    errs = np.max(np.abs(F_vals - f_vals), axis=1, initial=0.0)
+    scale = np.abs(alpha) * np.linalg.norm(xs, axis=-1) * np.linalg.norm(cz, axis=-1)[:, None]
+    return errs, np.max(scale, axis=1, initial=0.0)
+
+
 def fixed_problem(seed: int, n: int, dims, z_kind: str, scale=(1.0, 1.0, 1.0)) -> ExtensionProblem:
     """A seeded problem with z full, zero, or vanishing in component 1 or 2;
     scale multiplies (f, z, M's basis)."""
@@ -638,7 +663,16 @@ class TestAuditBatched:
             want = reference_audit(trace, samples=samples, seed=seed)
             for key in ("passed", "restriction_ok", "pointwise_ok", "norm_ok", "steps"):
                 assert got[key] == want[key], key
-            assert got["norm_F_audit"] == want["norm_F_audit"]
+            # two summation routes of C_F z, one stacked product and column by
+            # column: each norm within 8 n u of the exact ||P C_F z|| / ||z||
+            F = trace.final.as_functional()
+            for comp, c in enumerate("pq"):
+                exact = exact_norm_sq(F.C[comp], trace.problem.z.c[comp])
+                for value in (got["norm_F_audit"][c], want["norm_F_audit"][c]):
+                    if exact == 0:
+                        assert value == 0.0
+                    else:
+                        assert abs((Fraction(value) ** 2 / exact - 1) / 2) <= 8 * n * U
             for g, w in zip(got["moment_rel_err"], want["moment_rel_err"]):
                 assert abs(g - w) <= 1e-12
             for c in "pq":
@@ -670,6 +704,34 @@ class TestAuditBatched:
         for key in ("restriction_max_err", "restriction_rel_err", "pointwise_bound_excess"):
             for c in range(2):
                 assert got[key][c] == pytest.approx(want[key][c], rel=1e-12, abs=1e-12), key
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("seed,n,dims,z_kind", AUDIT_CASES)
+    def test_restriction_in_coordinates_matches_the_stacked_form(self, seed, n, dims, z_kind,
+                                                                 corrupt):
+        # x' C z as d (q C z) against x = d q built as a (2, samples, n)
+        # stack: the relative errors agree within 4 n u, also where F is off
+        # on M and they are far from rounding
+        trace = full_extend(fixed_problem(seed, n, dims, z_kind))
+        if corrupt:
+            final = trace.final
+            trace = dataclasses.replace(trace, final=RestrictedFunctional(
+                final.domain, final.z, 1.001 * final.w1, final.w2 - 0.01))
+        got = trace.audit(samples=300, seed=seed)["restriction_rel_err"]
+        want = hb._rel_err(*restriction_in_space(trace, samples=300, seed=seed))
+        for g, w in zip(got, want):
+            assert g == w if np.isinf(w) else abs(g - w) <= 4 * n * U
+
+    @pytest.mark.parametrize("seed,n,dims", [(11, 3, (2, 2)), (20, 5, (3, 1)), (21, 8, (7, 4)),
+                                             (22, 4, (1, 3)), (23, 6, (5, 5))])
+    def test_moment_bumped_by_1e_9_fails_restriction(self, seed, n, dims):
+        trace = full_extend(fixed_problem(seed, n, dims, "full"))
+        assert trace.audit()["passed"]
+        final = trace.final
+        bumped = RestrictedFunctional(final.domain, final.z, final.w1 * (1 + 1e-9), final.w2)
+        audit = dataclasses.replace(trace, final=bumped).audit()
+        assert not audit["restriction_ok"] and not audit["passed"]
+        assert audit["restriction_rel_err"][0] > 1e-10 >= audit["restriction_rel_err"][1]
 
     def test_repaired_z_rotated_fails_restriction(self):
         trace = full_extend(fixed_problem(2, 3, (1, 1), "vanish1"))
@@ -940,6 +1002,19 @@ class TestNormCheckMutations:
         if s < 1.0:
             # an absolute tolerance cannot see the violation at small scale
             assert max(audit["pointwise_bound_excess"]) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(15, 19))
+    @pytest.mark.parametrize("z_kind", ["full", "vanish1", "vanish2"])
+    def test_low_norm_f_fails_pointwise(self, seed, z_kind):
+        # at n = 2 the bound is tight on every sample, so |f| times 0.999
+        # fails it in every component where z does not vanish
+        trace = full_extend(fixed_problem(seed, 2, (1, 1), z_kind, (1e-5, 1e3, 1.0)))
+        assert trace.audit()["pointwise_ok"]
+        low = dataclasses.replace(trace, norm_f=Hyperbolic(0.999, 0.999) * trace.norm_f)
+        audit = low.audit()
+        assert not audit["pointwise_ok"] and not audit["passed"]
+        for c, live in enumerate((z_kind != "vanish1", z_kind != "vanish2")):
+            assert (audit["pointwise_bound_excess"][c] > 0.0) == live
 
     def test_low_exact_norm_fails_through_the_witness(self, monkeypatch):
         trace = full_extend(fixed_problem(11, 3, (1, 1), "full"))

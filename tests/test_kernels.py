@@ -1,12 +1,18 @@
-"""The kernels of an extension op against their earlier references, bit for bit.
+"""The kernels of an extension op against their earlier references.
 
-`wedge_area_batch` streams its rows in blocks, `_orthonormal_rows` can
-continue from rows it kept earlier, and the audit's pointwise bound checks
-all its steps in one batch.  None may move a bit: each property below compares
-with the code they replace, kept here verbatim, using exact equality (NaN
-equal to NaN), so a block that pairs the wrong rows, a Gram-Schmidt that
-skips its second pass or a batch that draws out of order fails.  Data are
-drawn from numpy generators keyed by hypothesis, at scales out to
+`wedge_area_batch` streams its rows in blocks, and the audit's pointwise
+bound checks all its steps in one batch, with its coefficients zero-padded
+into one product per component.  Neither may move a bit: each is compared
+with the code it replaces, kept here, using exact equality (NaN equal to
+NaN), so a block that pairs the wrong rows or a batch that draws out of order
+fails.  `_orthonormal_rows` is classical Gram-Schmidt run twice (CGS2), two
+products per pass, where it was modified Gram-Schmidt run twice (MGS2), one
+axpy per kept row.  The two sum in another order, so it is held to what the
+change may do: the MGS2 loop's drop list, its rows within a few n u times
+each row's conditioning, rows orthonormal within a few n u (which a
+Gram-Schmidt that skips its second pass fails), and prefix stability bit for
+bit.  The audit's O(n) area is held within a few n u of `wedge_area_batch`.
+Data are drawn from numpy generators keyed by hypothesis, at scales out to
 10^+-150, where squares overflow and underflow.
 """
 
@@ -16,11 +22,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyp2 import DSubmodule, full_extend
+from hyp2 import DBilinear2Functional, DSubmodule, RestrictedFunctional, full_extend
 from hyp2._tol import ROUND, SPAN, negligible, within
-from hyp2.dmodule import _orthonormal_rows
+from hyp2.dmodule import _dot, _orthonormal_rows, _unit_scaled
+from hyp2.hahn_banach import _gram_with_line
 from hyp2.two_norm import _WEDGE_CELLS, _wedge_cols, wedge_area_batch
 from test_hahn_banach import fixed_problem
+
+U = 2.0**-53
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -35,8 +44,10 @@ def reference_wedge_area_batch(xs, ys):
 
 
 def reference_orthonormal_rows(basis, rel=SPAN, length=None):
-    """The per-row Gram-Schmidt loop, before continuation."""
-    rows, dropped = [], []
+    """The per-row MGS2 loop that CGS2 replaced (one axpy per kept row, two
+    passes), before continuation.  Also returns each input row's residual
+    norm and the cut it was tested against."""
+    rows, dropped, resids, cuts = [], [], [], []
     for i, v in enumerate(basis):
         w = v.astype(float).copy()
         for r in rows:
@@ -44,11 +55,30 @@ def reference_orthonormal_rows(basis, rel=SPAN, length=None):
         for r in rows:
             w -= r * float(r @ w)
         norm = float(np.linalg.norm(w))
-        if negligible(norm, float(np.linalg.norm(v)) if length is None else length, rel):
+        scale = float(np.linalg.norm(v)) if length is None else length
+        resids.append(norm)
+        cuts.append(rel * scale)
+        if negligible(norm, scale, rel):
             dropped.append(i)
         else:
             rows.append(w / norm)
-    return (np.array(rows) if rows else np.zeros((0, basis.shape[1]))), dropped
+    return (np.array(rows) if rows else np.zeros((0, basis.shape[1]))), dropped, resids, cuts
+
+
+def one_pass_cgs(basis, rel=SPAN):
+    """Classical Gram-Schmidt without the second pass."""
+    q = np.zeros((0, basis.shape[1]))
+    for v in basis:
+        w = v - (q @ v) @ q
+        norm = np.sqrt(w @ w)
+        if not negligible(norm, np.sqrt(v @ v), rel):
+            q = np.vstack([q, w / norm])
+    return q
+
+
+def orthonormality_error(q) -> float:
+    """max |Q Q' - I| over the entries."""
+    return float(np.max(np.abs(q @ q.T - np.eye(len(q))), initial=0.0))
 
 
 def same(a, b) -> bool:
@@ -137,13 +167,44 @@ BASES = dict(
 class TestOrthonormalRows:
     @SETTINGS
     @given(**BASES)
-    def test_equals_the_reference_loop(self, seed, n, k, eyes, near, scale):
+    def test_agrees_with_the_mgs2_loop(self, seed, n, k, eyes, near, scale):
+        # the same drop list, but for a row whose residual lies within 1e-6
+        # relative of its cut; each kept row within 4 n u times the largest
+        # ||v|| / ||residual|| of the kept rows up to it, what the two
+        # summation orders may differ by
         basis = basis_rows(np.random.default_rng(seed), n, min(k, n - 1), eyes, near, scale)
         for kwargs in ({}, {"rel": ROUND, "length": 1.0}):  # DSubmodule, from_matrices
             with np.errstate(all="ignore"):
                 q, dropped = _orthonormal_rows(basis, **kwargs)
-                q_ref, dropped_ref = reference_orthonormal_rows(basis, **kwargs)
-            assert same(q, q_ref) and dropped == dropped_ref
+                q_ref, dropped_ref, resids, cuts = reference_orthonormal_rows(basis, **kwargs)
+                lengths = np.linalg.norm(basis, axis=1)
+            if dropped != dropped_ref:
+                at_cut = {i for i, (r, c) in enumerate(zip(resids, cuts)) if abs(r - c) <= 1e-6 * c}
+                assert set(dropped) ^ set(dropped_ref) <= at_cut
+                continue
+            kept = [i for i in range(len(basis)) if i not in dropped]
+            cond = np.maximum.accumulate([lengths[i] / resids[i] for i in kept] or [1.0])
+            assert q.shape == q_ref.shape
+            assert np.all(np.abs(q - q_ref) <= 4 * n * U * cond[: len(kept), None])
+
+    @SETTINGS
+    @given(**BASES)
+    def test_rows_are_orthonormal(self, seed, n, k, eyes, near, scale):
+        # on each row times its own power of two, as DSubmodule runs it
+        basis = _unit_scaled(basis_rows(np.random.default_rng(seed), n, min(k, n - 1), eyes,
+                                        near, scale))[0]
+        for kwargs in ({}, {"rel": ROUND, "length": 1.0}):
+            q, _ = _orthonormal_rows(basis, **kwargs)
+            assert orthonormality_error(q) <= 4 * n * U
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_pass_fails_where_the_second_pass_holds(self, seed):
+        # the last row within 1e-6 of the others' span: one pass leaves it
+        # about u / 1e-6 off orthogonal, the second pass brings it back
+        basis = _unit_scaled(basis_rows(np.random.default_rng(seed), 8, 7, [], 1e-6, 1.0))[0]
+        q, dropped = _orthonormal_rows(basis)
+        assert dropped == [] and orthonormality_error(q) <= 4 * 8 * U
+        assert orthonormality_error(one_pass_cgs(basis)) > 4 * 8 * U
 
     @SETTINGS
     @given(**BASES)
@@ -151,11 +212,11 @@ class TestOrthonormalRows:
         basis = basis_rows(np.random.default_rng(seed), n, min(k, n - 1), eyes, near, scale)
         eye = np.eye(n)
         with np.errstate(all="ignore"):
-            q_m, _ = _orthonormal_rows(basis)
+            q_m, dropped_m = _orthonormal_rows(basis)
             q, dropped = _orthonormal_rows(eye, start=q_m)
-            q_ref, dropped_ref = reference_orthonormal_rows(np.vstack([basis, eye]))
-        assert same(q, q_ref)
-        assert dropped == [i - len(basis) for i in dropped_ref if i >= len(basis)]
+            q_one, dropped_one = _orthonormal_rows(np.vstack([basis, eye]))
+        assert same(q, q_one)
+        assert dropped_m + [i + len(basis) for i in dropped] == dropped_one
 
     def test_final_domain_is_not_orthonormalised_again(self, monkeypatch):
         import hyp2.dmodule
@@ -184,16 +245,71 @@ class TestOrthonormalRows:
         assert calls == [True, True]
         domain = trace.final.domain
         for basis, q in ((domain.basis1, domain.q1), (domain.basis2, domain.q2)):
-            assert same(q, reference_orthonormal_rows(basis)[0])
+            assert same(q, _orthonormal_rows(basis)[0])
             assert not q.flags.writeable and not basis.flags.writeable
+
+
+class TestFunctionalOfTrace:
+    def test_built_once_and_read_only(self, monkeypatch):
+        of = DBilinear2Functional._of.__func__
+        built = []
+
+        def counted(cls, C):
+            built.append(C)
+            return of(cls, C)
+
+        monkeypatch.setattr(DBilinear2Functional, "_of", classmethod(counted))
+        for seed, z_kind in ((3, "full"), (4, "vanish2")):
+            built.clear()
+            trace = full_extend(fixed_problem(seed, 5, (2, 1), z_kind))
+            F = trace.final.as_functional()
+            trace.audit(samples=100)
+            report = trace.to_json()
+            # one object for the caller, the audit and the printed matrices
+            assert trace.final.as_functional() is F and len(built) == 1
+            assert report["final"]["F"] == F.to_json()
+            assert not F.C.flags.writeable and not F.C1.flags.writeable
+            assert np.array_equal(F.C, -F.C.transpose(0, 2, 1))
+            # another functional on the same domain builds its own
+            final = trace.final
+            other = RestrictedFunctional(final.domain, final.z, 2.0 * final.w1, final.w2)
+            assert same(other.as_functional().C[0], 2.0 * F.C[0]) and len(built) == 2
+
+
+class TestGramWithLine:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_agrees_with_the_wedge(self, n):
+        # unit-scaled rows at angles 1e-1 ... 1e-12 from z, where the
+        # projection cancels most, and standard-normal rows; z full, a zero
+        # divisor and zero.  ||P y|| ||z|| and the wedge sum agree within
+        # 4 n u ||y|| ||z||, and both are exactly 0 where z vanishes.
+        rng = np.random.default_rng(n)
+        z = _unit_scaled(rng.standard_normal((2, n)))[0]
+        along = (z / np.sqrt(_dot(z, z))[:, None])[:, None]
+        off = rng.standard_normal((2, 12, n))
+        off -= _dot(off, along)[..., None] * along
+        off /= np.sqrt(_dot(off, off))[..., None]
+        angles = 10.0 ** -np.arange(1.0, 13.0)
+        ys = np.cos(angles)[:, None] * along + np.sin(angles)[:, None] * off
+        ys = np.concatenate((ys, rng.standard_normal((2, 20, n))), axis=1)
+        ys = _unit_scaled(ys.reshape(-1, n))[0].reshape(ys.shape)
+        for zz in (z, z * [[1.0], [0.0]], np.zeros((2, n))):
+            got = _gram_with_line(ys, zz)
+            for c in range(2):
+                want = wedge_area_batch(ys[c], np.broadcast_to(zz[c], ys[c].shape))
+                bound = 4 * n * U * np.sqrt(_dot(ys[c], ys[c]) * _dot(zz[c], zz[c]))
+                assert np.all(np.abs(got[c] - want) <= bound)
+            assert same(got[1], np.zeros(len(got[1]))) == (not zz[1].any())
 
 
 def reference_pointwise(trace, samples: int, seed: int) -> tuple[list, bool]:
     """The audit's pointwise bound as one loop over the steps, before the
     steps were batched: the seeded stream's restriction block is drawn
-    first, as the audit draws it, then one block per step."""
+    first, as the audit draws it, then one block per step, and each step's
+    x is its own product with the leading rows of the final bases.  The
+    area is the audit's, `_gram_with_line`."""
     rng = np.random.default_rng(seed)
-    prob, n = trace.problem, trace.problem.n
+    prob = trace.problem
     z, w, ef, ez = prob.restriction()._unit
     efz = ef + ez
     k1, k2 = prob.M.dims
@@ -207,10 +323,8 @@ def reference_pointwise(trace, samples: int, seed: int) -> tuple[list, bool]:
         draws = rng.standard_normal((per_step, k1 + k2))
         xs = np.stack((draws[:, :k1] @ q1[:k1], draws[:, k1:] @ q2[:k2]))
         k1, k2 = k1 + step.grew[0], k2 + step.grew[1]
-        lhs = np.abs(np.einsum("cmn,cn->cm", xs, w) + rs[:, i, None])
-        shifted = xs + step.x_prime.c[:, None, :]
-        grams = wedge_area_batch(shifted.reshape(-1, n), np.repeat(z, per_step, axis=0))
-        rhs = nf * grams.reshape(2, per_step)
+        lhs = np.abs(_dot(xs, w[:, None]) + rs[:, i, None])
+        rhs = nf * _gram_with_line(xs + step.x_prime.c[:, None, :], z)
         pointwise_excess = np.maximum(pointwise_excess, np.max(lhs - rhs, axis=1))
         pointwise_ok &= within(np.maximum(lhs - rhs, 0.0), rhs, SPAN)
     return np.ldexp(pointwise_excess, efz).tolist(), pointwise_ok

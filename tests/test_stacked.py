@@ -24,6 +24,8 @@ from hyp2 import (
     linear_dependent,
     norm_spectral,
 )
+from hyp2._tol import ROUND
+from hyp2.dmodule import _orthonormal_rows
 
 # The tolerance rule of hyp2._tol, written out: a quantity with no operand
 # scale is zero only at 0.0; otherwise x is negligible when |x| <= REL * scale.
@@ -75,18 +77,10 @@ def ref_perp(z, v):
 
 
 def ref_moment(C, q, z):
+    # one component's rows projected off z, then the package's Gram-Schmidt
+    # on that component alone, as from_matrices calls it
     projected = np.array([ref_perp(z, row) for row in q]).reshape(q.shape)
-    rows = []
-    for v in projected:  # the Gram-Schmidt of dmodule._orthonormal_rows
-        w = v.copy()
-        for r in rows:
-            w -= r * float(r @ w)
-        for r in rows:
-            w -= r * float(r @ w)
-        norm = float(np.linalg.norm(w))
-        if norm > REL * float(np.linalg.norm(v)):
-            rows.append(w / norm)
-    wb = np.array(rows) if rows else np.zeros((0, len(z)))
+    wb = _orthonormal_rows(projected, ROUND, length=1.0)[0]
     return wb.T @ (wb @ (C @ z))
 
 
